@@ -54,6 +54,7 @@ from .static_table import (
     combined_entry,
     decompose_table,
     dump_table,
+    pack_line_index,
 )
 
 EXIT_OK = 0
@@ -185,8 +186,7 @@ def verify_random_mode(seed: int, m: int, cases: int,
     chunks = cfg.group_vector_len // n
     codes = _random_codes(rng, n * chunks, m, cases).reshape(cases, chunks, n)
     acts = rng.integers(-128, 128, size=(cases, cfg.group_vector_len)).astype(np.int64)
-    shifts = (m * np.arange(n, dtype=np.int64))
-    idx = ((codes & ((1 << m) - 1)) << shifts).sum(axis=2)
+    idx = pack_line_index(codes, m)
     got = batch_inner_product(idx, acts, cfg, tables)
     want = (codes.reshape(cases, -1) * acts).sum(axis=1)
     bad = np.nonzero(got != want)[0]

@@ -44,6 +44,7 @@ from .quantizer import (
     quantize_codes,
     round_half_away,
 )
+from .static_table import pack_line_index
 
 KIND_CONV1D = "conv1d"
 KIND_LINEAR = "linear"
@@ -242,14 +243,6 @@ class CompiledModel:
         return sum(layer.storage_bits for layer in self.layers)
 
 
-def _pack_line_indices(codes: np.ndarray, n: int, m: int) -> np.ndarray:
-    """(out, chunks*n) signed codes -> (out, chunks) packed line indices."""
-    out, width = codes.shape
-    fields = (codes.astype(np.int64) & ((1 << m) - 1)).reshape(out, width // n, n)
-    shifts = (m * np.arange(n, dtype=np.int64))
-    return (fields << shifts).sum(axis=2)
-
-
 def _accumulator_bounds(codes: np.ndarray, bias_q: np.ndarray, u_lo: int, u_hi: int) -> np.ndarray:
     """Per-channel accumulator magnitude bound used to pick output scales.
 
@@ -327,7 +320,7 @@ def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> Co
         chunks = math.ceil(fan_in / cfg.n)
         padded = np.zeros((layer.out_channels, chunks * cfg.n), dtype=np.int64)
         padded[:, :fan_in] = codes
-        line_indices = _pack_line_indices(padded, cfg.n, m)
+        line_indices = pack_line_index(padded.reshape(layer.out_channels, chunks, cfg.n), m)
 
         if last:
             mult = np.zeros(layer.out_channels, dtype=np.int64)
@@ -465,6 +458,7 @@ def deserialize_model(data: bytes) -> CompiledModel:
     layers: list[CompiledLayer] = []
     kinds = {v: k for k, v in _KIND_CODES.items()}
     acts = {v: k for k, v in _ACT_CODES.items()}
+    channels, length = input_channels, input_len  # what the next layer receives
     for li in range(layer_count):
         (kind_code, mode_m, flags, act_code, act_bits, stride, kernel, in_ch,
          out_ch, fan_in, chunks, shift, layer_in_scale, out_scale) = \
@@ -477,6 +471,24 @@ def deserialize_model(data: bytes) -> CompiledModel:
             raise BadArtifact(f"layer {li}: bad mode_m/activation_bits/shift")
         if fan_in < 1 or chunks != math.ceil(fan_in / n):
             raise BadArtifact(f"layer {li}: chunk count {chunks} does not cover fan-in {fan_in}")
+        if kinds[kind_code] == KIND_CONV1D:
+            if stride < 1 or kernel < 1 or fan_in != in_ch * kernel:
+                raise BadArtifact(
+                    f"layer {li}: conv stride {stride}, kernel {kernel}, fan-in {fan_in} "
+                    f"!= {in_ch} channels x kernel"
+                )
+            if in_ch != channels or kernel > length:
+                raise BadArtifact(
+                    f"layer {li}: conv over {in_ch} channels, kernel {kernel} does not fit "
+                    f"its input of {channels} channels x {length} samples"
+                )
+            channels, length = out_ch, (length - kernel) // stride + 1
+        else:
+            if fan_in != channels * length:
+                raise BadArtifact(
+                    f"layer {li}: linear fan-in {fan_in} != {channels} channels x {length} samples"
+                )
+            channels, length = out_ch, 1
         decomposed = bool(flags & 4)
         if decomposed and mode_m % 2 != 0:
             raise BadArtifact(f"layer {li}: odd mode_m {mode_m} marked decomposed")

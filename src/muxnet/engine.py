@@ -17,7 +17,7 @@ import numpy as np
 from .compiler import ACT_RELU, KIND_CONV1D, CompiledLayer, CompiledModel
 from .errors import ShapeError
 from .mpu import CycleCount, MpuConfig, Tables, pe_forward
-from .static_table import build_static_table, decompose_table, split_line_index_array
+from .static_table import build_static_table, decompose_table
 
 
 class MpuEngine:
@@ -31,7 +31,6 @@ class MpuEngine:
         self.layer_cycles = [0] * len(model.layers)
         self._tables: dict[tuple[int, int, bool], Tables] = {}
         self._configs: list[MpuConfig] = []
-        self._splits: list[tuple[np.ndarray, np.ndarray] | None] = []
         for layer in model.layers:
             key = (model.n, layer.mode_m, layer.decomposed)
             if key not in self._tables:
@@ -48,10 +47,6 @@ class MpuEngine:
                 activation_bits=layer.activation_bits,
                 activation_signed=layer.activation_signed,
             ))
-            self._splits.append(
-                split_line_index_array(layer.line_indices, model.n, layer.mode_m)
-                if layer.decomposed else None
-            )
 
     def tables_for(self, layer_index: int) -> Tables:
         layer = self.model.layers[layer_index]
@@ -70,7 +65,7 @@ class MpuEngine:
         before = self.counters.cycles
         out = pe_forward(
             layer.line_indices, acts, self._configs[li], self.tables_for(li),
-            counters=self.counters, split=self._splits[li],
+            counters=self.counters,
         )
         self.layer_cycles[li] += self.counters.cycles - before
         return out

@@ -11,7 +11,10 @@ inputs.
 
 Nothing on the value path multiplies: only table gathers, adds, and
 shifts.  The vectorized entry points (``batch_inner_product``,
-``pe_forward``) run the identical datapath across many cases at once.
+``pe_forward``) are shape checks around one shared kernel that runs the
+identical datapath across many cases at once: stage 1 runs once per call
+(a decomposed table's hi and lo lines are combined there, once), then
+each bit-plane is a single gather from the selected lines.
 
 Cycle accounting conventions (data-independent by construction):
 
@@ -28,14 +31,14 @@ Cycle accounting conventions (data-independent by construction):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import AccumulatorOverflow, BadLineIndex, ModeMismatch, ShapeError
 from .quantizer import QuantizedWeightVector, activation_range
-from .static_table import DecomposedTable, StaticTable, pack_line_index, split_line_index, split_line_index_array
+from .static_table import DecomposedTable, StaticTable, pack_line_index, split_line_index
 
 Tables = StaticTable | DecomposedTable
 
@@ -108,20 +111,19 @@ class CycleCount:
 
 @dataclass
 class PlmuState:
-    """Per-group accumulators of the post-lookup merging unit."""
+    """Accumulator of the post-lookup merging unit for one task."""
 
     width: int
-    accumulators: list[int] = field(default_factory=lambda: [0])
-    current_bit: int = 0
+    accumulator: int = 0
 
-    def add(self, group: int, value: int) -> int:
-        acc = self.accumulators[group] + value
+    def add(self, value: int) -> int:
+        acc = self.accumulator + value
         limit = 1 << (self.width - 1)
         if not -limit <= acc < limit:
             raise AccumulatorOverflow(
                 f"PLMU accumulator {acc} exceeds declared width {self.width}"
             )
-        self.accumulators[group] = acc
+        self.accumulator = acc
         return acc
 
 
@@ -243,34 +245,45 @@ def bitserial_inner_product(
             plane_sum += entry  # adder tree; integer adds are associative
             if trace is not None:
                 partial = plane_sum << b
-                shown = plmu.accumulators[0] + (-partial if (cfg.activation_signed and b == k - 1) else partial)
+                shown = plmu.accumulator + (-partial if (cfg.activation_signed and b == k - 1) else partial)
                 trace.write(f"{start_cycle + b},{group},{b},{key},{entry},{shown}\n")
         partial = plane_sum << b
         if cfg.activation_signed and b == k - 1:
             partial = -partial  # MSB plane of two's-complement inputs
-        plmu.add(0, partial)
-        plmu.current_bit = b + 1
-    return plmu.accumulators[0]
+        plmu.add(partial)
+    return plmu.accumulator
 
 
-def _gather_case_entries(tables: Tables, line_indices: np.ndarray, keys: np.ndarray,
-                         split: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Elementwise table gather: entry for (line_indices[i], keys[i]) per cell."""
+def _datapath(idx: np.ndarray, acts: np.ndarray, cfg: MpuConfig, tables: Tables) -> np.ndarray:
+    """The vectorized two-stage datapath shared by every batched entry point.
+
+    idx: (..., chunks) line indices; acts: (..., chunks, n) activations.
+    The leading axes broadcast against each other, so (outputs, chunks)
+    indices against (batch, 1, chunks, n) activations give the layer shape
+    and (cases, chunks) against (cases, chunks, n) the case-wise one.
+    Stage 1 runs once: ``lines[rows]`` are the selected lines.  Each
+    bit-plane is then one stage-2 gather, merged by shift-add.
+    """
     if isinstance(tables, DecomposedTable):
-        if split is None:
-            split = split_line_index_array(line_indices, tables.n, tables.m)
-        hi_idx, lo_idx = split
-        hi = tables.hi.lines[hi_idx, keys].astype(np.int64)
-        lo = tables.lo.lines[lo_idx, keys].astype(np.int64)
-        return (hi << tables.shift) + lo
-    return tables.lines[line_indices, keys].astype(np.int64)
-
-
-def _plane_keys(ubits: np.ndarray, bit: int, n: int) -> np.ndarray:
-    """Keys per chunk from bit-plane ``bit``; ubits shaped (..., chunks, n)."""
-    bits = (ubits >> bit) & 1
-    weights = (1 << np.arange(n, dtype=np.int64))
-    return bits @ weights
+        hi_idx, lo_idx = split_line_index(idx, tables.n, tables.m)
+        combined = (tables.hi.lines[hi_idx].astype(np.int64) << tables.shift) + tables.lo.lines[lo_idx]
+        lines = combined.reshape(-1, tables.entries_per_line)
+        rows = np.arange(idx.size).reshape(idx.shape)
+    else:
+        lines, rows = tables.lines, idx
+    k = cfg.activation_bits
+    ubits = acts & ((1 << k) - 1)
+    key_bit = 1 << np.arange(cfg.n, dtype=np.int64)  # activation i drives key bit i
+    acc = np.zeros(np.broadcast_shapes(idx.shape, ubits.shape[:-1])[:-1], dtype=np.int64)
+    for b in range(k):
+        keys = ((ubits >> b) & 1) @ key_bit  # (..., chunks) stage-2 select per chunk
+        plane = lines[rows, keys].sum(axis=-1, dtype=np.int64)
+        partial = plane << b
+        if cfg.activation_signed and b == k - 1:
+            acc -= partial  # MSB plane of two's-complement inputs
+        else:
+            acc += partial
+    return acc
 
 
 def batch_inner_product(
@@ -293,18 +306,7 @@ def batch_inner_product(
             f"line_indices {idx.shape} inconsistent with activations {acts.shape} at n={cfg.n}"
         )
     cases, chunks = idx.shape
-    split = split_line_index_array(idx, tables.n, tables.m) if isinstance(tables, DecomposedTable) else None
-    k = cfg.activation_bits
-    ubits = (acts & ((1 << k) - 1)).reshape(cases, chunks, cfg.n)
-    acc = np.zeros((cases,), dtype=np.int64)
-    for b in range(k):
-        keys = _plane_keys(ubits, b, cfg.n)  # (cases, chunks)
-        plane = _gather_case_entries(tables, idx, keys, split).sum(axis=1)
-        partial = plane << b
-        if cfg.activation_signed and b == k - 1:
-            acc -= partial
-        else:
-            acc += partial
+    acc = _datapath(idx, acts.reshape(cases, chunks, cfg.n), cfg, tables)
     if counters is not None:
         count_forward(counters, batch=cases, outputs=1, chunks=chunks, cfg=cfg, tables=tables)
     return acc
@@ -316,14 +318,11 @@ def pe_forward(
     cfg: MpuConfig,
     tables: Tables,
     counters: CycleCount | None = None,
-    split: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Layer-style forward: every output row sees the same activation vector.
 
     line_indices: (outputs, chunks); activations: (chunks*n,) or
     (batch, chunks*n).  Returns int64 (outputs,) or (batch, outputs).
-    ``split`` optionally carries precomputed hi/lo indices for decomposed
-    tables (the compiled-model runner caches them per layer).
     """
     _check_tables(cfg, tables)
     idx = np.asarray(line_indices, dtype=np.int64)
@@ -337,26 +336,7 @@ def pe_forward(
         )
     outputs, chunks = idx.shape
     batch = acts.shape[0]
-    if isinstance(tables, DecomposedTable) and split is None:
-        split = split_line_index_array(idx, tables.n, tables.m)
-    k = cfg.activation_bits
-    ubits = (acts & ((1 << k) - 1)).reshape(batch, chunks, cfg.n)
-    acc = np.zeros((batch, outputs), dtype=np.int64)
-    for b in range(k):
-        keys = _plane_keys(ubits, b, cfg.n)  # (batch, chunks)
-        if isinstance(tables, DecomposedTable):
-            hi_idx, lo_idx = split
-            hi = tables.hi.lines[hi_idx[None, :, :], keys[:, None, :]].astype(np.int64)
-            lo = tables.lo.lines[lo_idx[None, :, :], keys[:, None, :]].astype(np.int64)
-            entries = (hi << tables.shift) + lo  # (batch, outputs, chunks)
-        else:
-            entries = tables.lines[idx[None, :, :], keys[:, None, :]].astype(np.int64)
-        plane = entries.sum(axis=2)
-        partial = plane << b
-        if cfg.activation_signed and b == k - 1:
-            acc -= partial
-        else:
-            acc += partial
+    acc = _datapath(idx, acts.reshape(batch, 1, chunks, cfg.n), cfg, tables)
     if counters is not None:
         count_forward(counters, batch=batch, outputs=outputs, chunks=chunks, cfg=cfg, tables=tables)
     return acc[0] if squeeze else acc

@@ -85,25 +85,6 @@ class QuantizedWeightVector:
         return self.qparams.scale
 
 
-@dataclass(frozen=True)
-class QuantizedActivation:
-    """A single k-bit activation sample with its scale."""
-
-    value: int
-    bits: int
-    scale: float
-    signed: bool = True
-
-    def __post_init__(self) -> None:
-        if self.bits < 1:
-            raise ValueError(f"activation bit-width must be >= 1, got {self.bits}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        lo, hi = activation_range(self.bits, self.signed)
-        if not lo <= self.value <= hi:
-            raise ValueError(f"value {self.value} outside {self.bits}-bit range [{lo}, {hi}]")
-
-
 def activation_range(bits: int, signed: bool) -> tuple[int, int]:
     if signed:
         return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
@@ -181,13 +162,6 @@ def choose_prescale(weights, m: int, search_grid) -> float:
         if err < best_err:
             best_scale, best_err = s, err
     return best_scale
-
-
-def dequantize_product(code_sum: int, w_scale: float, x_scale: float) -> float:
-    """Map an integer inner-product accumulator back to real units."""
-    if not (w_scale > 0 and x_scale > 0):
-        raise ValueError("scales must be positive")
-    return code_sum * w_scale * x_scale
 
 
 def effective_output_levels(n: int, m: int) -> np.ndarray:

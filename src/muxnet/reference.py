@@ -14,17 +14,6 @@ import numpy as np
 from .compiler import ACT_RELU, KIND_CONV1D, CompiledLayer, CompiledModel, FloatModel
 
 
-def decode_codes(index: int, n: int, m: int) -> list[int]:
-    """Signed codes of one line index, least-significant field first."""
-    mask = (1 << m) - 1
-    half = 1 << (m - 1)
-    codes = []
-    for i in range(n):
-        f = (index >> (m * i)) & mask
-        codes.append(f - ((f >= half) << m))
-    return codes
-
-
 def decode_line_indices(indices: np.ndarray, n: int, m: int) -> np.ndarray:
     """(..., chunks) line indices to (..., chunks*n) signed codes."""
     idx = np.asarray(indices, dtype=np.int64)

@@ -27,31 +27,26 @@ from .errors import EnumerationTooLarge, ModeMismatch, OddSplitUnsupported
 from .quantizer import ENUM_BUDGET_BITS, QuantizedWeightVector
 
 
-def to_unsigned_field(code: int, m: int) -> int:
-    """m-bit two's-complement field of a signed code."""
-    return code & ((1 << m) - 1)
+def pack_line_index(codes, m: int) -> np.ndarray:
+    """(..., n) signed codes to (...) n*m-bit line indices, code[0] least significant.
+
+    One code vector gives a scalar index.
+    """
+    c = np.asarray(codes, dtype=np.int64)
+    shifts = np.arange(0, c.shape[-1] * m, m, dtype=np.int64)
+    return ((c & ((1 << m) - 1)) << shifts).sum(axis=-1)
 
 
-def to_signed_code(field: int, m: int) -> int:
-    """Signed value of an m-bit two's-complement field."""
-    return field - (1 << m) if field >= (1 << (m - 1)) else field
+def unpack_line_codes(index, n: int, m: int, signed: bool = True) -> np.ndarray:
+    """Inverse of pack_line_index: (...) indices to (..., n) codes.
 
-
-def pack_line_index(codes, m: int) -> int:
-    """Concatenate codes into the n*m-bit line index, code[0] least significant."""
-    index = 0
-    for i, c in enumerate(codes):
-        index |= to_unsigned_field(int(c), m) << (i * m)
-    return index
-
-
-def unpack_line_codes(index: int, n: int, m: int, signed: bool = True) -> tuple[int, ...]:
-    """Inverse of pack_line_index."""
-    mask = (1 << m) - 1
-    fields = ((index >> (i * m)) & mask for i in range(n))
+    ``signed=False`` reads the fields as plain magnitudes.
+    """
+    shifts = np.arange(0, n * m, m, dtype=np.int64)
+    fields = (np.asarray(index, dtype=np.int64)[..., None] >> shifts) & ((1 << m) - 1)
     if signed:
-        return tuple(to_signed_code(f, m) for f in fields)
-    return tuple(fields)
+        fields = fields - ((fields >> (m - 1)) << m)
+    return fields
 
 
 @dataclass(frozen=True)
@@ -90,22 +85,12 @@ class StaticTable:
             raise ModeMismatch(
                 f"weight vector is (n={weights.n}, m={weights.m}) but table is (n={self.n}, m={self.m})"
             )
-        return pack_line_index(weights.codes, self.m)
+        return int(pack_line_index(weights.codes, self.m))
 
     def codes_of_line(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.line_count:
             raise ValueError(f"line index {index} out of range")
-        return unpack_line_codes(index, self.n, self.m, self.signed)
-
-
-def line_index_of(weights: QuantizedWeightVector) -> int:
-    """Line index of a quantized weight vector (free-standing form)."""
-    return pack_line_index(weights.codes, weights.m)
-
-
-def ipc_line_count(n: int, m: int) -> int:
-    """Number of inner-product-compatible lines: 2**(n*m) distinct code vectors."""
-    return 1 << (n * m)
+        return tuple(unpack_line_codes(index, self.n, self.m, self.signed).tolist())
 
 
 def build_static_table(n: int, m: int, signed: bool = True) -> StaticTable:
@@ -123,15 +108,7 @@ def build_static_table(n: int, m: int, signed: bool = True) -> StaticTable:
         raise EnumerationTooLarge(
             f"2**{n * m} lines exceed the enumeration budget (n*m <= {ENUM_BUDGET_BITS})"
         )
-    count = 1 << (n * m)
-    index = np.arange(count, dtype=np.int64)
-    mask = (1 << m) - 1
-    codes = np.empty((count, n), dtype=np.int64)
-    for i in range(n):
-        field = (index >> (i * m)) & mask
-        if signed:
-            field = field - ((field >= (1 << (m - 1))) << m)
-        codes[:, i] = field
+    codes = unpack_line_codes(np.arange(1 << (n * m)), n, m, signed)
     keys = np.arange(1 << n, dtype=np.int64)
     key_bits = (keys[:, None] >> np.arange(n)[None, :]) & 1  # (2**n, n)
     lines = (codes @ key_bits.T).astype(np.int32)
@@ -182,37 +159,17 @@ def decompose_table(n: int, m: int = 10) -> DecomposedTable:
     )
 
 
-def split_line_index(index: int, n: int, m: int) -> tuple[int, int]:
-    """Split a width-m line index into (hi_index, lo_index) field by field."""
+def split_line_index(index, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split width-m line indices into (hi_index, lo_index) field by field.
+
+    Each m-bit field contributes its upper half to ``hi_index`` and its
+    lower half to ``lo_index``; works elementwise on any index array.
+    """
     if m % 2 != 0:
         raise OddSplitUnsupported(f"only even m can be split in half, got m={m}")
     half = m // 2
-    full_mask = (1 << m) - 1
-    half_mask = (1 << half) - 1
-    hi_index = 0
-    lo_index = 0
-    for i in range(n):
-        field = (index >> (i * m)) & full_mask
-        lo_index |= (field & half_mask) << (i * half)
-        hi_index |= (field >> half) << (i * half)
-    return hi_index, lo_index
-
-
-def split_line_index_array(indices: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized split_line_index over an int64 array."""
-    if m % 2 != 0:
-        raise OddSplitUnsupported(f"only even m can be split in half, got m={m}")
-    half = m // 2
-    idx = np.asarray(indices, dtype=np.int64)
-    full_mask = (1 << m) - 1
-    half_mask = (1 << half) - 1
-    hi = np.zeros_like(idx)
-    lo = np.zeros_like(idx)
-    for i in range(n):
-        field = (idx >> (i * m)) & full_mask
-        lo |= (field & half_mask) << (i * half)
-        hi |= (field >> half) << (i * half)
-    return hi, lo
+    fields = unpack_line_codes(index, n, m, signed=False)
+    return pack_line_index(fields >> half, half), pack_line_index(fields, half)
 
 
 def combined_entry(table: DecomposedTable, line_index: int, key: int) -> int:

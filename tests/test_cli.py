@@ -170,12 +170,21 @@ def test_eval_requires_segments_key(artifacts, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_corrupt_model_is_input_error(tmp_path, capsys):
+def test_corrupt_model_is_input_error(artifacts, tmp_path, capsys):
     bad = tmp_path / "bad.muxn"
     bad.write_bytes(b"MUXN" + b"\x00" * 10)
     assert main(["verify", "--model", str(bad), "--cases", "16"]) == EXIT_INPUT
     assert main(["loop", "--model", str(bad), "--synthetic", "0",
                  "--out", str(tmp_path / "x.jsonl")]) == EXIT_INPUT
+    # bad conv geometry in layer 0 must be refused at load, not fail later
+    # as a numpy error: stride byte set to 0, kernel 7 -> 3 (fan-in stays 7)
+    _, _, compiled = artifacts
+    good = compiled.read_bytes()
+    stride_at, kernel_at = 26 + 5, 26 + 6  # 26-byte model header, then layer 0
+    assert good[stride_at] == 2 and good[kernel_at] == 7
+    for at, byte in ((stride_at, 0), (kernel_at, 3)):
+        bad.write_bytes(good[:at] + bytes([byte]) + good[at + 1:])
+        assert main(["verify", "--model", str(bad), "--cases", "16"]) == EXIT_INPUT
     capsys.readouterr()
 
 

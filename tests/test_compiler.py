@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from muxnet.compiler import (
+    _HEADER,
+    _LAYER_HEADER,
     ACT_NONE,
     BatchNormParams,
     CompileConfig,
@@ -172,6 +174,30 @@ def test_deserialize_rejects_bad_magic_and_version():
         deserialize_model(blob[:4] + b"\xff\xff" + blob[6:])
     with pytest.raises(BadArtifact):
         deserialize_model(blob + b"\x00")  # trailing bytes
+
+
+def _patched(blob: bytes, fmt, offset: int, field: int, value: int) -> bytes:
+    values = list(fmt.unpack_from(blob, offset))
+    values[field] = value
+    return blob[:offset] + fmt.pack(*values) + blob[offset + fmt.size:]
+
+
+def test_deserialize_rejects_bad_conv_geometry():
+    blob = serialize_model(compile_model(default_float_model(seed=4)))
+    layer0 = _HEADER.size
+    bad = {
+        "conv stride 0": _patched(blob, _LAYER_HEADER, layer0, 5, 0),
+        "conv kernel 7 -> 3": _patched(blob, _LAYER_HEADER, layer0, 6, 3),
+        "conv kernel 0": _patched(blob, _LAYER_HEADER, layer0, 6, 0),
+        "input_len 5 < kernel": _patched(blob, _HEADER, 0, 5, 5),
+        "input_len 300: linear fan-in off the chain": _patched(blob, _HEADER, 0, 5, 300),
+        "input_channels 2": _patched(blob, _HEADER, 0, 6, 2),
+    }
+    for data in bad.values():
+        with pytest.raises(BadArtifact):
+            deserialize_model(data)
+    # the header rewrite itself is lossless
+    assert _patched(blob, _LAYER_HEADER, layer0, 5, 2) == blob
 
 
 def test_deserialize_rejects_truncation():

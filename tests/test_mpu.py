@@ -148,16 +148,19 @@ def test_batch_decomposed_matches_oracle():
 
 
 def test_pe_forward_matches_matmul_oracle():
-    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8,
-                    activation_bits=8, activation_signed=True)
     rng = np.random.default_rng(7)
-    codes = rng.integers(-16, 16, size=(6, 10))  # 6 outputs, fan-in 10
-    acts = rng.integers(-128, 128, size=(17, 10))
-    got = pe_forward(pack_rows(codes, 2, 5), acts, cfg, T5)
-    assert np.array_equal(got, acts @ codes.T)
-    single = pe_forward(pack_rows(codes, 2, 5), acts[0], cfg, T5)
-    assert single.shape == (6,)
-    assert np.array_equal(single, got[0])
+    for tables, m in ((T5, 5), (D10, 10)):
+        for signed in (True, False):
+            cfg = MpuConfig(n=2, m=m, groups=8, group_vector_len=8,
+                            activation_bits=8, activation_signed=signed)
+            lo, hi = (-128, 128) if signed else (0, 256)
+            codes = rng.integers(-(1 << (m - 1)), 1 << (m - 1), size=(6, 10))  # 6 outputs, fan-in 10
+            acts = rng.integers(lo, hi, size=(17, 10))
+            got = pe_forward(pack_rows(codes, 2, m), acts, cfg, tables)
+            assert np.array_equal(got, acts @ codes.T), (m, signed)
+            single = pe_forward(pack_rows(codes, 2, m), acts[0], cfg, tables)
+            assert single.shape == (6,)
+            assert np.array_equal(single, got[0])
 
 
 def test_pe_forward_counter_closed_form():

@@ -13,11 +13,8 @@ from muxnet.static_table import (
     combined_entry,
     decompose_table,
     dump_table,
-    ipc_line_count,
-    line_index_of,
     pack_line_index,
     split_line_index,
-    split_line_index_array,
     unpack_line_codes,
 )
 
@@ -57,7 +54,6 @@ def test_pack_unpack_roundtrip_exhaustive():
 def test_line_count_is_2_pow_nm(n, m):
     table = build_static_table(n, m)
     assert table.line_count == 1 << (n * m)
-    assert ipc_line_count(n, m) == table.line_count
     assert table.lines.shape == (table.line_count, 1 << n)
 
 
@@ -91,7 +87,6 @@ def test_line_index_of_checks_mode():
     table = build_static_table(2, 3)
     qwv = quantize_weights([1.0, -2.0], m=3, scale=1.0)
     assert table.line_index_of(qwv) == 0b110001
-    assert line_index_of(qwv) == 0b110001
     with pytest.raises(ModeMismatch):
         table.line_index_of(quantize_weights([1.0, -2.0], m=4, scale=1.0))
     with pytest.raises(ModeMismatch):
@@ -142,10 +137,12 @@ def test_decomposed_equals_monolithic_exhaustive_m4():
 def test_split_array_matches_scalar():
     rng = np.random.default_rng(1)
     idx = rng.integers(0, 1 << 12, size=(5, 7))
-    hi, lo = split_line_index_array(idx, 2, 6)
+    hi, lo = split_line_index(idx, 2, 6)
+    assert hi.shape == lo.shape == idx.shape
     for pos in np.ndindex(idx.shape):
-        h, l = split_line_index(int(idx[pos]), 2, 6)
-        assert (int(hi[pos]), int(lo[pos])) == (h, l)
+        fields = oracle_decode(int(idx[pos]), 2, 6, signed=False)
+        assert oracle_decode(int(hi[pos]), 2, 3, signed=False) == [f // 8 for f in fields]
+        assert oracle_decode(int(lo[pos]), 2, 3, signed=False) == [f % 8 for f in fields]
 
 
 def test_dump_table_format():
