@@ -1,217 +1,15 @@
 """Multiplier-free table-resident NN inference: compiler, bit-exact engine,
-signal front end, early-stop voting, and hardware cost accounting."""
+signal front end, early-stop voting, and hardware cost accounting.
 
-from .compiler import (
-    BatchNormParams,
-    CompileConfig,
-    CompiledLayer,
-    CompiledModel,
-    FloatLayer,
-    FloatModel,
-    compile_model,
-    default_float_model,
-    fold_batchnorm,
-    load_float_model,
-    load_model,
-    quantize_input,
-    save_float_model,
-    save_model,
-)
-from .costmodel import (
-    CostReport,
-    EnergyCoefficients,
-    decomposition_cost,
-    gating_report,
-    memory_cost,
-    model_cost_report,
-    predict_layer_cost,
-    predict_model_costs,
-)
+The top level holds the names the README's library example uses; everything
+else is imported from its submodule (``muxnet.frontend``, ``muxnet.costmodel``,
+...).
+"""
+
+from .compiler import compile_model, default_float_model
 from .engine import MpuEngine
-from .errors import (
-    AccumulatorOverflow,
-    BadArtifact,
-    BadBNParams,
-    BadLineIndex,
-    CorruptArtifact,
-    EnumerationTooLarge,
-    LoopConfigError,
-    ModeMismatch,
-    MuxnetError,
-    NonFiniteWeight,
-    OddSplitUnsupported,
-    SegmentLengthError,
-    ShapeError,
-    UnsupportedLayer,
-    VoteAfterDecision,
-)
-from .frontend import (
-    CicConfig,
-    LoopConfig,
-    PulseEvent,
-    StimChannelConfig,
-    cic_decimate,
-    read_signal,
-    run_closed_loop,
-    synthetic_source,
-    trigger_schedule,
-    write_run_log,
-    write_signal,
-)
-from .mpu import (
-    CycleCount,
-    MpuConfig,
-    PlmuState,
-    batch_inner_product,
-    bitserial_inner_product,
-    pe_forward,
-    plmu_width_bound,
-    stage1_select,
-    stage2_select,
-)
-from .pipeline import (
-    EpochResult,
-    EvalReport,
-    VoteState,
-    VotingConfig,
-    classify_segment,
-    epoch_stage,
-    evaluate_dataset,
-    plurality_winner,
-    safe_thresholds,
-    write_report_csv,
-)
-from .quantizer import (
-    GapStats,
-    QParams,
-    QuantizedWeightVector,
-    choose_prescale,
-    default_prescale_grid,
-    effective_output_levels,
-    level_gap_stats,
-    quantization_error,
-    quantize_codes,
-    quantize_weights,
-    round_half_away,
-)
-from .reference import (
-    cic_dc_gain,
-    cic_reference,
-    decode_line_indices,
-    float_forward,
-    reference_inner_product,
-    reference_logits,
-    requant_reference,
-)
-from .static_table import (
-    DecomposedTable,
-    StaticTable,
-    build_static_table,
-    combined_entry,
-    decompose_table,
-    dump_table,
-    pack_line_index,
-    split_line_index,
-    unpack_line_codes,
-)
+from .reference import reference_logits
+
+__all__ = ["MpuEngine", "compile_model", "default_float_model", "reference_logits"]
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AccumulatorOverflow",
-    "BadArtifact",
-    "BadBNParams",
-    "BadLineIndex",
-    "BatchNormParams",
-    "CicConfig",
-    "CompileConfig",
-    "CompiledLayer",
-    "CompiledModel",
-    "CorruptArtifact",
-    "CostReport",
-    "CycleCount",
-    "DecomposedTable",
-    "EnergyCoefficients",
-    "EnumerationTooLarge",
-    "EpochResult",
-    "EvalReport",
-    "FloatLayer",
-    "FloatModel",
-    "GapStats",
-    "LoopConfig",
-    "LoopConfigError",
-    "ModeMismatch",
-    "MpuConfig",
-    "MpuEngine",
-    "MuxnetError",
-    "NonFiniteWeight",
-    "OddSplitUnsupported",
-    "PlmuState",
-    "PulseEvent",
-    "QParams",
-    "QuantizedWeightVector",
-    "SegmentLengthError",
-    "ShapeError",
-    "StaticTable",
-    "StimChannelConfig",
-    "UnsupportedLayer",
-    "VoteAfterDecision",
-    "VoteState",
-    "VotingConfig",
-    "__version__",
-    "batch_inner_product",
-    "bitserial_inner_product",
-    "build_static_table",
-    "choose_prescale",
-    "cic_dc_gain",
-    "cic_decimate",
-    "cic_reference",
-    "classify_segment",
-    "combined_entry",
-    "compile_model",
-    "decode_line_indices",
-    "decompose_table",
-    "decomposition_cost",
-    "default_float_model",
-    "default_prescale_grid",
-    "dump_table",
-    "effective_output_levels",
-    "epoch_stage",
-    "evaluate_dataset",
-    "float_forward",
-    "fold_batchnorm",
-    "gating_report",
-    "level_gap_stats",
-    "load_float_model",
-    "load_model",
-    "memory_cost",
-    "model_cost_report",
-    "pack_line_index",
-    "pe_forward",
-    "plmu_width_bound",
-    "plurality_winner",
-    "predict_layer_cost",
-    "predict_model_costs",
-    "quantization_error",
-    "quantize_codes",
-    "quantize_input",
-    "quantize_weights",
-    "read_signal",
-    "reference_inner_product",
-    "reference_logits",
-    "requant_reference",
-    "round_half_away",
-    "run_closed_loop",
-    "safe_thresholds",
-    "save_float_model",
-    "save_model",
-    "split_line_index",
-    "stage1_select",
-    "stage2_select",
-    "synthetic_source",
-    "trigger_schedule",
-    "unpack_line_codes",
-    "write_report_csv",
-    "write_run_log",
-    "write_signal",
-]

@@ -8,8 +8,11 @@ arguments and seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+import zipfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .compiler import (
 )
 from .costmodel import decomposition_cost, memory_cost, model_cost_report, write_cost_csv
 from .engine import MpuEngine
-from .errors import LoopConfigError, MuxnetError
+from .errors import BadArtifact, LoopConfigError, MuxnetError
 from .frontend import (
     CicConfig,
     LoopConfig,
@@ -62,88 +65,66 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 
-DEFAULT_CONFIG: dict = {
+# Library dataclasses supply their own defaults; engine, voting and cost are
+# keyword arguments of MpuEngine, VotingConfig and model_cost_report.
+DEFAULT_CONFIG: dict = json.loads(json.dumps({
     "engine": {"groups": 8, "group_vector_len": 8},
-    "compile": {
-        "n": 2,
-        "conv_m": 10,
-        "linear_m": 5,
-        "activation_bits": 8,
-        "input_scale": 0.0078125,
-        "input_zero_point": 128,
-        "prescale_points": 64,
-        "table_budget_bits": 12,
-    },
-    "loop": {
-        "input_rate_hz": 512,
-        "segment_samples": 320,
-        "votes_per_epoch": 6,
-        "full_scale": 1.0,
-        "cic": {"stages": 3, "decimation": 8, "diff_delay": 1, "input_bits": 16},
-        "stim": [
-            {
-                "channel": 0,
-                "trigger_classes": [2],
-                "pwm_freq_hz": 10.0,
-                "duty": 0.1,
-                "duration_s": 5.0,
-            }
-        ],
-    },
+    "compile": asdict(CompileConfig()),
+    "loop": asdict(LoopConfig()),
     "voting": {"thresholds": None},
     "cost": {"blocks": 6, "capacity_bits": None, "batch": 1},
-}
+}))
 
 
-def _merge(base: dict, extra: dict) -> dict:
+def _merge(base: dict, extra, path: str = "") -> dict:
+    """`extra` over `base`; a key that `base` lacks is an error, at any depth.
+
+    A value must have its default's JSON type (any number where the default
+    is a float; anything where it is null).  Each entry of a list of objects
+    (``loop.stim``) is merged over the default list's first entry, so an
+    entry may leave out fields.
+    """
+    if not isinstance(extra, dict):
+        raise LoopConfigError(f"config {path or 'file'} must hold a JSON object")
     out = dict(base)
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+        where = f"{path}.{key}" if path else key
+        if key not in base:
+            raise LoopConfigError(f"unknown config key {where!r}")
+        default = base[key]
+        if default is not None and not isinstance(
+                value, (int, float) if isinstance(default, float) else type(default)):
+            raise LoopConfigError(
+                f"config {where} must be {type(default).__name__}, got {type(value).__name__}")
+        if isinstance(default, dict):
+            value = _merge(default, value, where)
+        elif isinstance(default, list) and default and isinstance(default[0], dict):
+            value = [_merge(default[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+        out[key] = value
     return out
 
 
 def load_config(path: str | None) -> dict:
+    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
+        return cfg
     with open(path) as fh:
-        user = json.load(fh)
-    if not isinstance(user, dict):
-        raise LoopConfigError("config file must hold a JSON object")
-    return _merge(DEFAULT_CONFIG, user)
-
-
-def make_compile_config(cfg: dict) -> CompileConfig:
-    return CompileConfig(**cfg["compile"])
+        return _merge(cfg, json.load(fh))
 
 
 def make_loop_config(cfg: dict, trigger_override: list[int] | None = None) -> LoopConfig:
-    loop = cfg["loop"]
-    stim_cfgs = []
-    for s in loop["stim"]:
-        classes = trigger_override if trigger_override is not None else s["trigger_classes"]
-        stim_cfgs.append(StimChannelConfig(
-            channel=s["channel"],
-            trigger_classes=tuple(classes),
-            pwm_freq_hz=s["pwm_freq_hz"],
-            duty=s["duty"],
-            duration_s=s["duration_s"],
-        ))
-    return LoopConfig(
-        input_rate_hz=loop["input_rate_hz"],
-        cic=CicConfig(**loop["cic"]),
-        segment_samples=loop["segment_samples"],
-        votes_per_epoch=loop["votes_per_epoch"],
-        stim=tuple(stim_cfgs),
-        full_scale=loop["full_scale"],
-    )
+    loop = dict(cfg["loop"])
+    stim = []
+    for s in loop.pop("stim"):
+        classes = s["trigger_classes"] if trigger_override is None else trigger_override
+        stim.append(StimChannelConfig(**{**s, "trigger_classes": tuple(classes)}))
+    return LoopConfig(cic=CicConfig(**loop.pop("cic")), stim=tuple(stim), **loop)
 
 
-def _engine(model: CompiledModel, cfg: dict) -> MpuEngine:
-    eng = cfg["engine"]
-    return MpuEngine(model, groups=eng["groups"], group_vector_len=eng["group_vector_len"])
+def _voting(cfg: dict, model: CompiledModel, votes_per_epoch: int) -> VotingConfig:
+    thresholds = cfg["voting"]["thresholds"]
+    return VotingConfig(model.class_count, votes_per_epoch,
+                        None if thresholds is None else tuple(thresholds))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +218,7 @@ def verify_cic(seed: int, samples: int) -> tuple[int, str | None]:
 
 
 def verify_model(model: CompiledModel, cfg: dict, seed: int, segments: int) -> tuple[int, str | None]:
-    engine = _engine(model, cfg)
+    engine = MpuEngine(model, **cfg["engine"])
     rng = np.random.default_rng(seed)
     u = rng.integers(0, 256, size=(segments, model.input_channels * model.input_len))
     got = engine.forward(u)
@@ -333,15 +314,13 @@ def cmd_init_model(args) -> int:
 
 def cmd_compile(args) -> int:
     cfg = load_config(args.config)
-    float_model = load_float_model(args.model)
-    compiled = compile_model(float_model, make_compile_config(cfg))
+    compile_cfg = CompileConfig(**cfg["compile"])
+    compiled = compile_model(load_float_model(args.model), compile_cfg)
     save_model(compiled, args.out)
     print(f"wrote {args.out}: {len(compiled.layers)} layers, n={compiled.n}, "
           f"classes={compiled.class_count}")
     if args.report:
-        eng = cfg["engine"]
-        report = model_cost_report(compiled, groups=eng["groups"],
-                                   group_vector_len=eng["group_vector_len"])
+        report = model_cost_report(compiled, **cfg["engine"])
         print(f"weight_memory_bits={report.weight_memory_bits}")
         print(f"lut_memory_bits={report.lut_memory_bits}")
         print(f"table_entries={report.table_entries}")
@@ -361,7 +340,7 @@ def cmd_loop(args) -> int:
     cfg = load_config(args.config)
     loop_cfg = make_loop_config(cfg, _parse_trigger_classes(args.trigger_classes))
     model = load_model(args.model)
-    engine = _engine(model, cfg)
+    engine = MpuEngine(model, **cfg["engine"])
     if args.synthetic is not None:
         samples, _labels = synthetic_source(args.synthetic, args.seconds, loop_cfg,
                                             class_count=model.class_count)
@@ -376,13 +355,7 @@ def cmd_loop(args) -> int:
             )
     else:
         raise LoopConfigError("cmd loop needs --signal or --synthetic")
-    thresholds = cfg["voting"]["thresholds"]
-    voting = VotingConfig(
-        class_count=model.class_count,
-        votes_per_epoch=loop_cfg.votes_per_epoch,
-        thresholds=None if thresholds is None else tuple(thresholds),
-    )
-    log = run_closed_loop(engine, samples, loop_cfg, voting)
+    log = run_closed_loop(engine, samples, loop_cfg, _voting(cfg, model, loop_cfg.votes_per_epoch))
     with open(args.out, "w") as fh:
         write_run_log(log, fh)
     print(f"wrote {args.out}: {len(log.decisions)} decisions, {len(log.pulses)} pulses")
@@ -393,13 +366,7 @@ def cmd_cost(args) -> int:
     cfg = load_config(args.config)
     if args.model:
         model = load_model(args.model)
-        eng = cfg["engine"]
-        cost_cfg = cfg["cost"]
-        report = model_cost_report(
-            model, groups=eng["groups"], group_vector_len=eng["group_vector_len"],
-            batch=cost_cfg["batch"], blocks=cost_cfg["blocks"],
-            capacity_bits=cost_cfg["capacity_bits"],
-        )
+        report = model_cost_report(model, **cfg["engine"], **cfg["cost"])
         with open(args.out, "w", newline="") as fh:
             write_cost_csv(report, fh)
         print(f"wrote {args.out}")
@@ -418,9 +385,7 @@ def cmd_cost(args) -> int:
                 ratio = decomposition_cost(n, m).ratio if m % 2 == 0 else ""
                 rows.append([n, m, mux_bits, lut_bits, ratio])
         with open(args.out, "w", newline="") as fh:
-            import csv as _csv
-
-            _csv.writer(fh).writerows(rows)
+            csv.writer(fh).writerows(rows)
         print(f"wrote {args.out}: {len(rows) - 1} rows")
         return EXIT_OK
     raise LoopConfigError("cmd cost needs --model or --sweep")
@@ -429,19 +394,17 @@ def cmd_cost(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     model = load_model(args.model)
-    engine = _engine(model, cfg)
-    data = np.load(args.data)
-    if "segments" not in data:
+    engine = MpuEngine(model, **cfg["engine"])
+    try:
+        with open(args.data, "rb") as fh:
+            data = np.load(fh)
+            segments = data["segments"] if "segments" in data else None
+            labels = data["labels"] if "labels" in data else None
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise BadArtifact(f"unreadable dataset {args.data}: {exc}") from exc
+    if segments is None:
         raise LoopConfigError("dataset must carry a 'segments' array")
-    segments = data["segments"]
-    labels = data["labels"] if "labels" in data else None
-    thresholds = cfg["voting"]["thresholds"]
-    voting = VotingConfig(
-        class_count=model.class_count,
-        votes_per_epoch=segments.shape[1],
-        thresholds=None if thresholds is None else tuple(thresholds),
-    )
-    report = evaluate_dataset(engine, segments, labels, voting)
+    report = evaluate_dataset(engine, segments, labels, _voting(cfg, model, segments.shape[1]))
     with open(args.out, "w", newline="") as fh:
         write_report_csv(report, fh)
     print(f"wrote {args.out}: {report.epochs} epochs")
@@ -561,13 +524,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except LoopConfigError as exc:
+    except (LoopConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MuxnetError, OSError, json.JSONDecodeError) as exc:
+    except (MuxnetError, OSError) as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

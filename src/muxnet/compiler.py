@@ -187,6 +187,18 @@ class CompileConfig:
     prescale_points: int = 64
     table_budget_bits: int = 12  # decompose a mode once n*m exceeds this
 
+    def __post_init__(self) -> None:
+        """Refuse settings whose artifact could not be compiled or loaded back."""
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        for m in (self.conv_m, self.linear_m):
+            if m < 2 or self.n * m > 63:
+                raise ValueError(f"mode m={m} outside 2..{63 // self.n} (line index n*m <= 63 bits)")
+            if m % 2 and self.decomposed(m):
+                raise ValueError(f"odd mode m={m} cannot be decomposed (n*m > {self.table_budget_bits})")
+        if not 2 <= self.activation_bits <= 16:  # 1 signed bit holds no positive level
+            raise ValueError(f"activation_bits must be in 2..16, got {self.activation_bits}")
+
     def mode_m(self, kind: str) -> int:
         return self.conv_m if kind == KIND_CONV1D else self.linear_m
 
@@ -469,6 +481,8 @@ def deserialize_model(data: bytes) -> CompiledModel:
             raise BadArtifact(f"layer {li}: unknown activation code {act_code}")
         if mode_m < 2 or not 1 <= act_bits <= 16 or shift < 1:
             raise BadArtifact(f"layer {li}: bad mode_m/activation_bits/shift")
+        if n * mode_m > 63:  # a line index must fit a non-negative int64
+            raise BadArtifact(f"layer {li}: line index of n*m = {n * mode_m} bits exceeds 63")
         if fan_in < 1 or chunks != math.ceil(fan_in / n):
             raise BadArtifact(f"layer {li}: chunk count {chunks} does not cover fan-in {fan_in}")
         if kinds[kind_code] == KIND_CONV1D:

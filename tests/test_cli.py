@@ -16,8 +16,18 @@ import numpy as np
 import pytest
 
 import muxnet
-from muxnet.cli import DEFAULT_CONFIG, EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from muxnet.cli import (
+    DEFAULT_CONFIG,
+    EXIT_CONFIG,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_VERIFY,
+    load_config,
+    main,
+    make_loop_config,
+)
 from muxnet.compiler import load_model
+from muxnet.frontend import LoopConfig, StimChannelConfig
 
 
 @pytest.fixture(scope="module")
@@ -177,15 +187,33 @@ def test_corrupt_model_is_input_error(artifacts, tmp_path, capsys):
     assert main(["loop", "--model", str(bad), "--synthetic", "0",
                  "--out", str(tmp_path / "x.jsonl")]) == EXIT_INPUT
     # bad conv geometry in layer 0 must be refused at load, not fail later
-    # as a numpy error: stride byte set to 0, kernel 7 -> 3 (fan-in stays 7)
+    # as a numpy error: stride byte set to 0, kernel 7 -> 3 (fan-in stays 7);
+    # mode_m 10 -> 40 makes an 80-bit line index, wider than an int64
     _, _, compiled = artifacts
     good = compiled.read_bytes()
-    stride_at, kernel_at = 26 + 5, 26 + 6  # 26-byte model header, then layer 0
-    assert good[stride_at] == 2 and good[kernel_at] == 7
-    for at, byte in ((stride_at, 0), (kernel_at, 3)):
+    mode_at, stride_at, kernel_at = 26 + 1, 26 + 5, 26 + 6  # 26-byte model header, then layer 0
+    assert good[mode_at] == 10 and good[stride_at] == 2 and good[kernel_at] == 7
+    for at, byte in ((stride_at, 0), (kernel_at, 3), (mode_at, 40)):
         bad.write_bytes(good[:at] + bytes([byte]) + good[at + 1:])
         assert main(["verify", "--model", str(bad), "--cases", "16"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_unreadable_dataset_is_input_error(artifacts, tmp_path, capsys):
+    _, _, compiled = artifacts
+    good = tmp_path / "good.npz"
+    np.savez(good, segments=np.zeros((1, 6, 320)))
+    garbage = tmp_path / "garbage.npz"
+    garbage.write_bytes(b"not a dataset at all" * 10)
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes(good.read_bytes()[:200])
+    empty = tmp_path / "empty.npz"
+    empty.write_bytes(b"")
+    for data in (garbage, truncated, empty):
+        rc = main(["eval", "--model", str(compiled), "--data", str(data),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_INPUT
+        assert "unreadable dataset" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):
@@ -196,7 +224,7 @@ def test_missing_file_is_input_error(tmp_path, capsys):
 
 
 def test_bad_config_is_config_error(artifacts, tmp_path, capsys):
-    _, ckpt, _ = artifacts
+    _, ckpt, compiled = artifacts
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     rc = main(["compile", "--model", str(ckpt), "--out",
@@ -208,6 +236,43 @@ def test_bad_config_is_config_error(artifacts, tmp_path, capsys):
                "--out", str(tmp_path / "y.jsonl"), "--config", str(bad_values)])
     assert rc == EXIT_CONFIG
     capsys.readouterr()
+    # a compile config whose artifact could not be loaded back writes nothing
+    for section in ({"conv_m": 11}, {"n": 0}, {"linear_m": 1}, {"conv_m": 32},
+                    {"activation_bits": 1}, {"activation_bits": 17}):
+        bad_values.write_text(json.dumps({"compile": section}))
+        out = tmp_path / "refused.muxn"
+        rc = main(["compile", "--model", str(ckpt), "--out", str(out),
+                   "--config", str(bad_values)])
+        assert rc == EXIT_CONFIG and not out.exists()
+        assert "config error" in capsys.readouterr().err
+    # a key (or value type) the defaults do not have, in every section, is
+    # refused by a command that reads that section, naming the key
+    out = str(tmp_path / "out")
+    commands = {
+        "compile": ["compile", "--model", str(ckpt), "--out", out],
+        "loop": ["loop", "--model", str(compiled), "--synthetic", "0", "--out", out],
+        "engine": ["verify", "--model", str(compiled), "--cases", "16"],
+        "cost": ["cost", "--model", str(compiled), "--out", out],
+        "voting": ["eval", "--model", str(compiled), "--data", out, "--out", out],
+    }
+    for config, key in (
+        ({"compile": {"conv_mm": 8}}, "compile.conv_mm"),
+        ({"loop": {"segment_sample": 640}}, "loop.segment_sample"),
+        ({"loop": {"cic": {"stage": 3}}}, "loop.cic.stage"),
+        ({"loop": {"stim": [{"chanel": 1}]}}, "loop.stim[0].chanel"),
+        ({"engine": {"group": 4}}, "engine.group"),
+        ({"cost": {"block": 4}}, "cost.block"),
+        ({"voting": {"threshold": [1, 1, 1, 1, 1]}}, "voting.threshold"),
+        ({"compile": {"n": "2"}}, "compile.n"),
+    ):
+        bad_values.write_text(json.dumps(config))
+        command = commands[next(iter(config))]
+        assert main(command + ["--config", str(bad_values)]) == EXIT_CONFIG, key
+        assert key in capsys.readouterr().err
+    # a stim entry may leave out fields; they take their defaults
+    bad_values.write_text(json.dumps({"loop": {"stim": [{"channel": 1}]}}))
+    assert make_loop_config(load_config(str(bad_values))) == \
+        LoopConfig(stim=(StimChannelConfig(channel=1),))
 
 
 def test_dump_config_is_valid_json(capsys):
