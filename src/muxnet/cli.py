@@ -28,7 +28,7 @@ from .compiler import (
 )
 from .costmodel import decomposition_cost, memory_cost, model_cost_report, write_cost_csv
 from .engine import MpuEngine
-from .errors import BadArtifact, LoopConfigError, MuxnetError
+from .errors import BadArtifact, LoopConfigError, MuxnetError, SegmentLengthError
 from .frontend import (
     CicConfig,
     LoopConfig,
@@ -76,31 +76,32 @@ DEFAULT_CONFIG: dict = json.loads(json.dumps({
 }))
 
 
-def _merge(base: dict, extra, path: str = "") -> dict:
-    """`extra` over `base`; a key that `base` lacks is an error, at any depth.
+def _merge(default, value, path: str = ""):
+    """`value` checked against, and merged over, its default.
 
     A value must have its default's JSON type (any number where the default
-    is a float; anything where it is null).  Each entry of a list of objects
-    (``loop.stim``) is merged over the default list's first entry, so an
-    entry may leave out fields.
+    is a float, but no boolean for a number; anything where it is null), and
+    each list element that of the default list's first element.  An object
+    may only hold keys its default has, at any depth, so an entry of a list
+    of objects (``loop.stim``) is merged over the default entry and may
+    leave out fields.
     """
-    if not isinstance(extra, dict):
-        raise LoopConfigError(f"config {path or 'file'} must hold a JSON object")
-    out = dict(base)
-    for key, value in extra.items():
+    if default is None:
+        return value
+    if (not isinstance(value, (int, float) if isinstance(default, float) else type(default))
+            or isinstance(value, bool) != isinstance(default, bool)):
+        raise LoopConfigError(
+            f"config {path or 'file'} must be {type(default).__name__}, got {type(value).__name__}")
+    if isinstance(default, list) and default:
+        return [_merge(default[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if not isinstance(default, dict):
+        return value
+    out = dict(default)
+    for key, v in value.items():
         where = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in default:
             raise LoopConfigError(f"unknown config key {where!r}")
-        default = base[key]
-        if default is not None and not isinstance(
-                value, (int, float) if isinstance(default, float) else type(default)):
-            raise LoopConfigError(
-                f"config {where} must be {type(default).__name__}, got {type(value).__name__}")
-        if isinstance(default, dict):
-            value = _merge(default, value, where)
-        elif isinstance(default, list) and default and isinstance(default[0], dict):
-            value = [_merge(default[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
-        out[key] = value
+        out[key] = _merge(default[key], v, where)
     return out
 
 
@@ -123,8 +124,9 @@ def make_loop_config(cfg: dict, trigger_override: list[int] | None = None) -> Lo
 
 def _voting(cfg: dict, model: CompiledModel, votes_per_epoch: int) -> VotingConfig:
     thresholds = cfg["voting"]["thresholds"]
-    return VotingConfig(model.class_count, votes_per_epoch,
-                        None if thresholds is None else tuple(thresholds))
+    if thresholds is not None:  # null by default, so typed here: a list of ints
+        thresholds = tuple(_merge([0], thresholds, "voting.thresholds"))
+    return VotingConfig(model.class_count, votes_per_epoch, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +343,7 @@ def cmd_loop(args) -> int:
     loop_cfg = make_loop_config(cfg, _parse_trigger_classes(args.trigger_classes))
     model = load_model(args.model)
     engine = MpuEngine(model, **cfg["engine"])
+    voting = _voting(cfg, model, loop_cfg.votes_per_epoch)
     if args.synthetic is not None:
         samples, _labels = synthetic_source(args.synthetic, args.seconds, loop_cfg,
                                             class_count=model.class_count)
@@ -355,7 +358,7 @@ def cmd_loop(args) -> int:
             )
     else:
         raise LoopConfigError("cmd loop needs --signal or --synthetic")
-    log = run_closed_loop(engine, samples, loop_cfg, _voting(cfg, model, loop_cfg.votes_per_epoch))
+    log = run_closed_loop(engine, samples, loop_cfg, voting)
     with open(args.out, "w") as fh:
         write_run_log(log, fh)
     print(f"wrote {args.out}: {len(log.decisions)} decisions, {len(log.pulses)} pulses")
@@ -366,6 +369,8 @@ def cmd_cost(args) -> int:
     cfg = load_config(args.config)
     if args.model:
         model = load_model(args.model)
+        if cfg["cost"]["capacity_bits"] is not None:  # null by default, so typed here: an int
+            _merge(0, cfg["cost"]["capacity_bits"], "cost.capacity_bits")
         report = model_cost_report(model, **cfg["engine"], **cfg["cost"])
         with open(args.out, "w", newline="") as fh:
             write_cost_csv(report, fh)
@@ -404,6 +409,8 @@ def cmd_eval(args) -> int:
         raise BadArtifact(f"unreadable dataset {args.data}: {exc}") from exc
     if segments is None:
         raise LoopConfigError("dataset must carry a 'segments' array")
+    if segments.ndim < 2:  # no votes axis to size the voting config by
+        raise SegmentLengthError(f"dataset must be (epochs, votes, samples), got {segments.shape}")
     report = evaluate_dataset(engine, segments, labels, _voting(cfg, model, segments.shape[1]))
     with open(args.out, "w", newline="") as fh:
         write_report_csv(report, fh)

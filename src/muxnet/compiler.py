@@ -38,6 +38,7 @@ from .errors import (
     UnsupportedLayer,
 )
 from .quantizer import (
+    ENUM_BUDGET_BITS,
     activation_range,
     choose_prescale,
     default_prescale_grid,
@@ -192,10 +193,15 @@ class CompileConfig:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for m in (self.conv_m, self.linear_m):
-            if m < 2 or self.n * m > 63:
-                raise ValueError(f"mode m={m} outside 2..{63 // self.n} (line index n*m <= 63 bits)")
-            if m % 2 and self.decomposed(m):
-                raise ValueError(f"odd mode m={m} cannot be decomposed (n*m > {self.table_budget_bits})")
+            if m < 2:
+                raise ValueError(f"mode m={m} is below 2")
+            if self.decomposed(m) and (m % 2 or m < 4):
+                raise ValueError(f"mode m={m} cannot be decomposed into two halves of m >= 2 "
+                                 f"(n*m > {self.table_budget_bits})")
+            table_bits = self.n * m // 2 if self.decomposed(m) else self.n * m
+            if table_bits > ENUM_BUDGET_BITS:  # also keeps a line index n*m <= 63 bits
+                raise ValueError(f"mode m={m} implies a table of 2**{table_bits} lines, "
+                                 f"over the enumeration budget 2**{ENUM_BUDGET_BITS}")
         if not 2 <= self.activation_bits <= 16:  # 1 signed bit holds no positive level
             raise ValueError(f"activation_bits must be in 2..16, got {self.activation_bits}")
 
@@ -231,11 +237,6 @@ class CompiledLayer:
 
     _n: int = 2  # chunk width; a model-level constant set by the compiler
 
-    @property
-    def storage_bits(self) -> int:
-        """Bits of weight memory this layer occupies: n*m per stored chunk."""
-        return self.out_channels * self.chunks * self._n * self.mode_m
-
 
 @dataclass
 class CompiledModel:
@@ -249,10 +250,6 @@ class CompiledModel:
     @property
     def class_count(self) -> int:
         return self.layers[-1].out_channels
-
-    @property
-    def storage_bits(self) -> int:
-        return sum(layer.storage_bits for layer in self.layers)
 
 
 def _accumulator_bounds(codes: np.ndarray, bias_q: np.ndarray, u_lo: int, u_hi: int) -> np.ndarray:

@@ -1,10 +1,25 @@
 """Closed-form cost accounting: memory, MUX activity, cycles, gating.
 
-Everything here is a pure function of shapes and configuration.  The
-engine counts the same quantities while actually running; tests require
-the two to agree exactly, which is why this module must not call into the
-datapath code.  Silicon figures (microwatts, die area) are out of scope:
-energy is abstract unit costs with user-supplied coefficients.
+Everything here is a pure function of shapes and configuration.  The one
+per-call formula, ``datapath_cost``, is what ``predict_layer_cost`` reports
+and what the vectorized datapath adds to its live counters: ``mpu`` and
+``engine`` import this module, never the reverse.  The independent count is
+the scalar path, ``mpu.bitserial_inner_product``, which counts select by
+select; tests hold it to this formula.  Energy is abstract unit costs with
+user-supplied coefficients; silicon figures are out of scope.
+
+Cycle accounting conventions (data-independent by construction):
+
+* one stage-1 selection per weight chunk per task, counting 2**n MUX
+  selects and reading n*m bits of weight memory (a decomposed mode selects
+  both halves: twice the MUX selects, same total bits);
+* one stage-2 selection (1 MUX select) and one adder op per chunk slot per
+  bit-plane, padded slots included;
+* a task is one group-vector inner product and occupies one group for
+  ``activation_bits`` cycles; concurrent tasks share cycles across
+  ``groups`` group units;
+* tiling pads the last task of each row with idle slots, which toggle
+  their MUXs but read no weight memory.
 """
 
 from __future__ import annotations
@@ -45,9 +60,15 @@ def decomposition_cost(n: int, m: int) -> DecompositionCost:
         raise ValueError(f"need n >= 1 and m >= 2, got ({n}, {m})")
     if m % 2 != 0:
         raise OddSplitUnsupported(f"m = {m} cannot split evenly")
-    mono = (1 << (n * m)) * (1 << n)
-    dec = 2 * (1 << (n * m // 2)) * (1 << n)
+    mono, dec = _table_entries(n, m, False), _table_entries(n, m, True)
     return DecompositionCost(mono, dec, mono / dec)
+
+
+def _table_entries(n: int, m: int, decomposed: bool) -> int:
+    """Entries of one mode's static table, or of its two half-width tables."""
+    if decomposed:
+        return 2 * _table_entries(n, m // 2, False)
+    return (1 << (n * m)) * (1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +93,22 @@ class LayerCost:
     adder_ops: int
 
 
+def datapath_cost(*, n: int, m: int, decomposed: bool, outputs: int, chunks: int, cases: int,
+                  groups: int, group_vector_len: int, activation_bits: int) -> tuple[int, int, int, int]:
+    """(cycles, mux_selects, memory_bits_read, adder_ops) of one datapath call
+    computing ``outputs`` inner products of ``chunks`` chunks per input row."""
+    cpt = group_vector_len // n
+    tiles = math.ceil(chunks / cpt)
+    tasks = cases * outputs * tiles
+    slots = tasks * cpt * (2 if decomposed else 1)  # chunk selections per plane
+    return (
+        math.ceil(tasks / groups) * activation_bits,
+        slots * ((1 << n) + activation_bits),  # stage 1, then stage 2 per plane
+        cases * outputs * chunks * n * m,
+        slots * activation_bits,
+    )
+
+
 def predict_layer_cost(
     *,
     index: int,
@@ -86,35 +123,15 @@ def predict_layer_cost(
     group_vector_len: int,
     activation_bits: int,
 ) -> LayerCost:
-    """Data-independent cost of running one layer over ``cases`` input rows.
-
-    A task is one group-vector inner product (group_vector_len inputs);
-    tiling pads the last task of each row with idle slots, which still
-    toggle their MUXs but read no weight memory.
-    """
-    cpt = group_vector_len // n
-    tiles = math.ceil(chunks / cpt)
-    tasks = cases * out_channels * tiles
-    components = 2 if decomposed else 1
-    cycles = math.ceil(tasks / groups) * activation_bits
-    stage1 = tasks * cpt * components * (1 << n)
-    stage2 = tasks * cpt * components * activation_bits
-    weight_bits, lut_bits = memory_cost(n, mode_m, out_channels * chunks)
+    """Data-independent cost of running one layer over ``cases`` input rows."""
     return LayerCost(
-        index=index,
-        kind=kind,
-        n=n,
-        mode_m=mode_m,
-        decomposed=decomposed,
-        out_channels=out_channels,
-        chunks=chunks,
-        cases=cases,
-        weight_bits=weight_bits,
-        lut_bits=lut_bits,
-        cycles=cycles,
-        mux_selects=stage1 + stage2,
-        memory_bits_read=cases * out_channels * chunks * n * mode_m,
-        adder_ops=tasks * activation_bits * cpt * components,
+        index, kind, n, mode_m, decomposed, out_channels, chunks, cases,
+        *memory_cost(n, mode_m, out_channels * chunks),  # weight_bits, lut_bits
+        *datapath_cost(  # cycles, mux_selects, memory_bits_read, adder_ops
+            n=n, m=mode_m, decomposed=decomposed, outputs=out_channels, chunks=chunks,
+            cases=cases, groups=groups, group_vector_len=group_vector_len,
+            activation_bits=activation_bits,
+        ),
     )
 
 
@@ -152,14 +169,8 @@ def predict_model_costs(
 
 def table_entry_count(model: CompiledModel) -> int:
     """Entries of the static tables the engine instantiates (one per mode)."""
-    total = 0
-    for mode in sorted({(layer.mode_m, layer.decomposed) for layer in model.layers}):
-        m, decomposed = mode
-        if decomposed:
-            total += 2 * (1 << (model.n * m // 2)) * (1 << model.n)
-        else:
-            total += (1 << (model.n * m)) * (1 << model.n)
-    return total
+    modes = {(layer.mode_m, layer.decomposed) for layer in model.layers}
+    return sum(_table_entries(model.n, m, decomposed) for m, decomposed in modes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Compiled-model execution on the two-stage MUX datapath.
 
 The engine owns the static tables (one per distinct mode), feeds every
-layer through ``pe_forward``, and applies the integer constants the
-compiler produced.  All value-path arithmetic is table gathers, adds, and
-shifts; the only products appear in cost counters, never in data.
+layer through ``pe_forward`` with that layer's own cost counter, and
+applies the integer constants the compiler produced.  All value-path
+arithmetic is table gathers, adds, and shifts; the only products appear in
+cost counters, never in data.
 
 Activation layout is channel-major throughout: a conv layer hands
 (channels, time) to its successor, flattened in C order when a linear
@@ -12,9 +13,13 @@ layer follows.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+from functools import reduce
+
 import numpy as np
 
 from .compiler import ACT_RELU, KIND_CONV1D, CompiledLayer, CompiledModel
+from .costmodel import predict_model_costs
 from .errors import ShapeError
 from .mpu import CycleCount, MpuConfig, Tables, pe_forward
 from .static_table import build_static_table, decompose_table
@@ -27,8 +32,7 @@ class MpuEngine:
         self.model = model
         self.groups = groups
         self.group_vector_len = group_vector_len
-        self.counters = CycleCount()
-        self.layer_cycles = [0] * len(model.layers)
+        self.reset_counters()
         self._tables: dict[tuple[int, int, bool], Tables] = {}
         self._configs: list[MpuConfig] = []
         for layer in model.layers:
@@ -62,13 +66,10 @@ class MpuEngine:
             padded = np.zeros((acts.shape[0], width), dtype=np.int64)
             padded[:, :layer.fan_in] = acts
             acts = padded
-        before = self.counters.cycles
-        out = pe_forward(
+        return pe_forward(
             layer.line_indices, acts, self._configs[li], self.tables_for(li),
-            counters=self.counters,
+            counters=self._layer_counters[li],
         )
-        self.layer_cycles[li] += self.counters.cycles - before
-        return out
 
     @staticmethod
     def _finish_layer(layer: CompiledLayer, acc: np.ndarray) -> np.ndarray:
@@ -119,18 +120,19 @@ class MpuEngine:
         logits = self.forward(u)
         return int(np.argmax(logits)) if logits.ndim == 1 else np.argmax(logits, axis=1)
 
+    @property
+    def counters(self) -> CycleCount:
+        """Totals of every layer's counter since the last reset."""
+        return reduce(CycleCount.merge, self._layer_counters, CycleCount())
+
     def layer_profile(self) -> list[dict]:
-        """Per-layer cycle and storage figures accumulated so far."""
+        """Per-layer live counts accumulated since the last reset, and weight storage."""
+        rows = predict_model_costs(self.model, self.groups, self.group_vector_len)
         return [
-            {
-                "kind": layer.kind,
-                "mode_m": layer.mode_m,
-                "cycles": self.layer_cycles[li],
-                "storage_bits": layer.storage_bits,
-            }
-            for li, layer in enumerate(self.model.layers)
+            {"kind": layer.kind, "mode_m": layer.mode_m, **asdict(counts),
+             "storage_bits": row.weight_bits}
+            for layer, counts, row in zip(self.model.layers, self._layer_counters, rows)
         ]
 
     def reset_counters(self) -> None:
-        self.counters = CycleCount()
-        self.layer_cycles = [0] * len(self.model.layers)
+        self._layer_counters = [CycleCount() for _ in self.model.layers]

@@ -16,16 +16,9 @@ identical datapath across many cases at once: stage 1 runs once per call
 (a decomposed table's hi and lo lines are combined there, once), then
 each bit-plane is a single gather from the selected lines.
 
-Cycle accounting conventions (data-independent by construction):
-
-* one stage-1 selection per weight chunk per task, counting 2**n MUX
-  selects and reading n*m bits of weight memory (a decomposed mode selects
-  both halves: twice the MUX selects, same total bits);
-* one stage-2 selection (1 MUX select) per chunk slot per bit-plane, padded
-  slots included;
-* a task is one group-vector inner product and occupies one group for
-  ``activation_bits`` cycles; concurrent tasks share cycles across
-  ``groups`` group units.
+The scalar path counts its selects one by one as it makes them; the
+vectorized entry points add ``costmodel.datapath_cost`` to their counters,
+whose module docstring holds the cycle accounting conventions.
 """
 
 from __future__ import annotations
@@ -36,6 +29,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .costmodel import datapath_cost
 from .errors import AccumulatorOverflow, BadLineIndex, ModeMismatch, ShapeError
 from .quantizer import QuantizedWeightVector, activation_range
 from .static_table import DecomposedTable, StaticTable, pack_line_index, split_line_index
@@ -74,11 +68,6 @@ class MpuConfig:
         return self.group_vector_len // self.n
 
     @property
-    def mux_count(self) -> int:
-        """Stage-2 MUX instances busy in one fully occupied cycle."""
-        return self.groups * self.group_vector_len // self.n
-
-    @property
     def plmu_bits(self) -> int:
         return self.accumulator_bits if self.accumulator_bits is not None else plmu_width_bound(self)
 
@@ -93,7 +82,7 @@ def plmu_width_bound(cfg: MpuConfig) -> int:
 
 @dataclass
 class CycleCount:
-    """Running cost counters; merged across engine instances by summation."""
+    """Running cost counters; totals are merged from parts by summation."""
 
     cycles: int = 0
     mux_selects: int = 0
@@ -145,23 +134,15 @@ def stage2_select(line: np.ndarray, key: int, counters: CycleCount | None = None
     return int(line[key])
 
 
-def count_forward(
-    counters: CycleCount,
-    batch: int,
-    outputs: int,
-    chunks: int,
-    cfg: MpuConfig,
-    tables: Tables,
-) -> None:
-    """Apply the module-level accounting conventions for one forward call."""
-    cpt = cfg.chunks_per_group
-    tiles = math.ceil(chunks / cpt)
-    tasks = batch * outputs * tiles
-    components = 2 if isinstance(tables, DecomposedTable) else 1
-    counters.cycles += math.ceil(tasks / cfg.groups) * cfg.activation_bits
-    counters.mux_selects += tasks * cpt * components * (1 << cfg.n)  # stage-1
-    counters.mux_selects += tasks * cpt * components * cfg.activation_bits  # stage-2
-    counters.memory_bits_read += batch * outputs * chunks * cfg.n * tables.m
+def _count_call(counters: CycleCount, cfg: MpuConfig, tables: Tables,
+                cases: int, outputs: int, chunks: int) -> None:
+    """Add one vectorized call's modeled cost to ``counters``."""
+    cost = datapath_cost(
+        n=cfg.n, m=cfg.m, decomposed=isinstance(tables, DecomposedTable),
+        outputs=outputs, chunks=chunks, cases=cases, groups=cfg.groups,
+        group_vector_len=cfg.group_vector_len, activation_bits=cfg.activation_bits,
+    )
+    counters.merge(CycleCount(*cost[:3]))  # adder ops have no live counter
 
 
 def _check_tables(cfg: MpuConfig, tables: Tables) -> None:
@@ -308,7 +289,7 @@ def batch_inner_product(
     cases, chunks = idx.shape
     acc = _datapath(idx, acts.reshape(cases, chunks, cfg.n), cfg, tables)
     if counters is not None:
-        count_forward(counters, batch=cases, outputs=1, chunks=chunks, cfg=cfg, tables=tables)
+        _count_call(counters, cfg, tables, cases=cases, outputs=1, chunks=chunks)
     return acc
 
 
@@ -338,5 +319,5 @@ def pe_forward(
     batch = acts.shape[0]
     acc = _datapath(idx, acts.reshape(batch, 1, chunks, cfg.n), cfg, tables)
     if counters is not None:
-        count_forward(counters, batch=batch, outputs=outputs, chunks=chunks, cfg=cfg, tables=tables)
+        _count_call(counters, cfg, tables, cases=batch, outputs=outputs, chunks=chunks)
     return acc[0] if squeeze else acc

@@ -50,8 +50,9 @@ def test_init_compile_report(tmp_path, capsys):
     lines = dict(line.split("=", 1) for line in text.splitlines()
                  if "=" in line and " " not in line)
     model = load_model(out)
-    assert int(lines["weight_memory_bits"]) == model.storage_bits
-    assert int(lines["lut_memory_bits"]) > model.storage_bits
+    weight_bits = sum(l.out_channels * l.chunks * model.n * l.mode_m for l in model.layers)
+    assert int(lines["weight_memory_bits"]) == weight_bits
+    assert int(lines["lut_memory_bits"]) > weight_bits
     assert int(lines["table_entries"]) == 3 * (1 << 10) * 4
 
 
@@ -216,6 +217,18 @@ def test_unreadable_dataset_is_input_error(artifacts, tmp_path, capsys):
         assert "unreadable dataset" in capsys.readouterr().err
 
 
+def test_dataset_without_votes_axis_is_input_error(artifacts, tmp_path, capsys):
+    # a 2-D array is refused by evaluate_dataset; lower ranks must be too
+    _, _, compiled = artifacts
+    data = tmp_path / "flat.npz"
+    for segments in (np.zeros(()), np.zeros(320), np.zeros((6, 320))):
+        np.savez(data, segments=segments)
+        rc = main(["eval", "--model", str(compiled), "--data", str(data),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_INPUT, segments.shape
+        assert "SegmentLengthError" in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     rc = main(["compile", "--model", str(tmp_path / "nope.muxf"),
                "--out", str(tmp_path / "x.muxn")])
@@ -238,7 +251,9 @@ def test_bad_config_is_config_error(artifacts, tmp_path, capsys):
     capsys.readouterr()
     # a compile config whose artifact could not be loaded back writes nothing
     for section in ({"conv_m": 11}, {"n": 0}, {"linear_m": 1}, {"conv_m": 32},
-                    {"activation_bits": 1}, {"activation_bits": 17}):
+                    {"activation_bits": 1}, {"activation_bits": 17},
+                    {"n": 7, "conv_m": 9, "table_budget_bits": 63},
+                    {"n": 10, "conv_m": 2, "linear_m": 2}):
         bad_values.write_text(json.dumps({"compile": section}))
         out = tmp_path / "refused.muxn"
         rc = main(["compile", "--model", str(ckpt), "--out", str(out),
@@ -248,12 +263,14 @@ def test_bad_config_is_config_error(artifacts, tmp_path, capsys):
     # a key (or value type) the defaults do not have, in every section, is
     # refused by a command that reads that section, naming the key
     out = str(tmp_path / "out")
+    data = tmp_path / "data.npz"
+    np.savez(data, segments=np.zeros((1, 6, 320)))
     commands = {
         "compile": ["compile", "--model", str(ckpt), "--out", out],
         "loop": ["loop", "--model", str(compiled), "--synthetic", "0", "--out", out],
         "engine": ["verify", "--model", str(compiled), "--cases", "16"],
         "cost": ["cost", "--model", str(compiled), "--out", out],
-        "voting": ["eval", "--model", str(compiled), "--data", out, "--out", out],
+        "voting": ["eval", "--model", str(compiled), "--data", str(data), "--out", out],
     }
     for config, key in (
         ({"compile": {"conv_mm": 8}}, "compile.conv_mm"),
@@ -264,6 +281,12 @@ def test_bad_config_is_config_error(artifacts, tmp_path, capsys):
         ({"cost": {"block": 4}}, "cost.block"),
         ({"voting": {"threshold": [1, 1, 1, 1, 1]}}, "voting.threshold"),
         ({"compile": {"n": "2"}}, "compile.n"),
+        ({"compile": {"n": True}}, "compile.n"),
+        # list elements, and keys whose default is null
+        ({"loop": {"stim": [{"trigger_classes": ["a"]}]}}, "loop.stim[0].trigger_classes[0]"),
+        ({"voting": {"thresholds": 3}}, "voting.thresholds"),
+        ({"voting": {"thresholds": [1, 1, "x", 1, 1]}}, "voting.thresholds[2]"),
+        ({"cost": {"capacity_bits": "x"}}, "cost.capacity_bits"),
     ):
         bad_values.write_text(json.dumps(config))
         command = commands[next(iter(config))]

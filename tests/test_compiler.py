@@ -26,6 +26,7 @@ from muxnet.compiler import (
     serialize_float_model,
     serialize_model,
 )
+from muxnet.costmodel import model_cost_report, predict_model_costs
 from muxnet.errors import BadArtifact, BadBNParams, CorruptArtifact, ShapeError, UnsupportedLayer
 from muxnet.reference import decode_line_indices, float_forward, reference_logits
 from muxnet.static_table import unpack_line_codes
@@ -132,9 +133,10 @@ def test_compiled_line_indices_roundtrip_to_codes():
 
 def test_weight_memory_accounting():
     compiled = compile_model(default_float_model(seed=2))
-    for layer in compiled.layers:
-        assert layer.storage_bits == layer.out_channels * layer.chunks * compiled.n * layer.mode_m
-    assert compiled.storage_bits == sum(l.storage_bits for l in compiled.layers)
+    rows = predict_model_costs(compiled)
+    for layer, row in zip(compiled.layers, rows):
+        assert row.weight_bits == layer.out_channels * layer.chunks * compiled.n * layer.mode_m
+    assert model_cost_report(compiled).weight_memory_bits == sum(r.weight_bits for r in rows)
 
 
 def test_conv_uses_per_channel_scales():

@@ -1,4 +1,4 @@
-"""Closed-form cost model vs shape arithmetic and vs the live engine."""
+"""Closed-form cost model vs shape arithmetic, the live engine and the scalar path."""
 
 import io
 import math
@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import muxnet.engine
 from muxnet.compiler import compile_model, default_float_model
 from muxnet.costmodel import (
     EnergyCoefficients,
@@ -20,6 +21,9 @@ from muxnet.costmodel import (
 )
 from muxnet.engine import MpuEngine
 from muxnet.errors import OddSplitUnsupported
+from muxnet.mpu import CycleCount, bitserial_inner_product, pe_forward
+from muxnet.quantizer import QParams, QuantizedWeightVector
+from muxnet.static_table import unpack_line_codes
 
 
 def test_memory_cost_examples():
@@ -79,18 +83,65 @@ def test_decomposed_layer_doubles_plane_activity():
 
 
 def test_prediction_matches_live_engine_counters():
-    # the formulas here and the counters in the datapath are written
-    # independently; they must agree on every layer of the default model
     model = compile_model(default_float_model(seed=0))
     engine = MpuEngine(model)
     batch = 3
     u = np.random.default_rng(1).integers(0, 256, size=(batch, model.input_len))
     engine.forward(u)
     rows = predict_model_costs(model, batch=batch)
-    assert [r.cycles for r in rows] == engine.layer_cycles
-    assert sum(r.cycles for r in rows) == engine.counters.cycles
-    assert sum(r.mux_selects for r in rows) == engine.counters.mux_selects
-    assert sum(r.memory_bits_read for r in rows) == engine.counters.memory_bits_read
+    fields = ("cycles", "mux_selects", "memory_bits_read")
+    for row, live in zip(rows, engine.layer_profile(), strict=True):
+        assert [live[f] for f in fields] == [getattr(row, f) for f in fields]
+    for f in fields:
+        assert getattr(engine.counters, f) == sum(getattr(r, f) for r in rows)
+
+
+def test_scalar_path_counts_match_the_formula(monkeypatch):
+    # bitserial_inner_product counts select by select as it runs and shares
+    # no arithmetic with the formula.  groups=1 gives every task its own
+    # cycles; 3-chunk tasks leave idle slots in every layer's last tile; the
+    # conv layers run a decomposed mode.
+    model = compile_model(default_float_model(input_len=40))
+    assert any(layer.decomposed for layer in model.layers)
+    engine = MpuEngine(model, groups=1, group_vector_len=6)
+    calls = []
+
+    def recorded(line_indices, acts, cfg, tables, counters=None):
+        out = pe_forward(line_indices, acts, cfg, tables, counters=counters)
+        calls.append((line_indices, acts, cfg, tables, out))
+        return out
+
+    monkeypatch.setattr(muxnet.engine, "pe_forward", recorded)
+    engine.forward(np.random.default_rng(2).integers(0, 256, size=(1, model.input_len)))
+    rows = predict_model_costs(model, groups=1, group_vector_len=6)
+    assert len(calls) == len(rows)
+    for (idx, acts, cfg, tables, out), row in zip(calls, rows):
+        n, cpt = cfg.n, cfg.chunks_per_group
+        outputs, chunks = idx.shape
+        idle_chunk = QuantizedWeightVector(codes=(0,) * n, qparams=QParams(m=cfg.m, scale=1.0))
+        counts = CycleCount()
+        idle_slots = 0
+        for case in range(acts.shape[0]):
+            for o in range(outputs):
+                total = 0
+                for start in range(0, chunks, cpt):
+                    weights, x = [], []
+                    for c in range(start, start + cpt):
+                        if c < chunks:
+                            codes = tuple(unpack_line_codes(int(idx[o, c]), n, cfg.m).tolist())
+                            weights.append(QuantizedWeightVector(codes, QParams(m=cfg.m, scale=1.0)))
+                            x.extend(acts[case, c * n:(c + 1) * n].tolist())
+                        else:
+                            idle_slots += 1
+                            weights.append(idle_chunk)
+                            x.extend([0] * n)
+                    total += bitserial_inner_product(weights, x, cfg, tables, counters=counts)
+                assert total == out[case, o]
+        assert idle_slots > 0
+        assert counts.cycles == row.cycles
+        assert counts.mux_selects == row.mux_selects
+        # the model says an idle slot reads no weight memory; the scalar path reads it
+        assert counts.memory_bits_read == row.memory_bits_read + idle_slots * n * cfg.m
 
 
 def test_gating_single_layer_with_headroom():
@@ -139,7 +190,8 @@ def test_model_cost_report_totals_and_energy():
     model = compile_model(default_float_model(seed=0))
     report = model_cost_report(model)
     assert report.mux_count == 32
-    assert report.weight_memory_bits == model.storage_bits
+    assert report.weight_memory_bits == sum(
+        layer.out_channels * layer.chunks * model.n * layer.mode_m for layer in model.layers)
     assert report.cycles == sum(r.cycles for r in report.layers)
     assert report.energy(EnergyCoefficients(1.0, 0.0, 0.0)) == report.mux_selects
     assert report.energy(EnergyCoefficients(0.0, 1.0, 0.0)) == report.memory_bits_read

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import muxnet.engine
 from muxnet.compiler import CompiledModel, CompileConfig, compile_model, default_float_model
+from muxnet.costmodel import predict_model_costs
 from muxnet.engine import MpuEngine
 from muxnet.errors import ShapeError
+from muxnet.mpu import pe_forward
 from muxnet.reference import reference_logits
 
 
@@ -56,6 +59,7 @@ def test_cycle_counters_match_shape_arithmetic():
     engine = MpuEngine(model)
     u = _random_inputs(np.random.default_rng(0), model, 1)
     engine.forward(u)
+    prof = engine.layer_profile()
     cpt = engine.group_vector_len // model.n
     t = model.input_len
     for li, layer in enumerate(model.layers):
@@ -66,8 +70,8 @@ def test_cycle_counters_match_shape_arithmetic():
         tiles = math.ceil(layer.chunks / cpt)
         tasks = cases * layer.out_channels * tiles
         want = math.ceil(tasks / engine.groups) * layer.activation_bits
-        assert engine.layer_cycles[li] == want
-    assert engine.counters.cycles == sum(engine.layer_cycles)
+        assert prof[li]["cycles"] == want
+    assert engine.counters.cycles == sum(p["cycles"] for p in prof)
 
 
 def test_memory_bits_exclude_padding_lanes():
@@ -92,7 +96,8 @@ def test_reset_counters():
     assert engine.counters.cycles > 0
     engine.reset_counters()
     assert engine.counters.as_tuple() == (0, 0, 0)
-    assert engine.layer_cycles == [0] * len(model.layers)
+    for p in engine.layer_profile():
+        assert (p["cycles"], p["mux_selects"], p["memory_bits_read"]) == (0, 0, 0)
 
 
 def test_tables_shared_across_same_mode_layers():
@@ -135,7 +140,8 @@ def test_layer_profile_reports_storage_and_cycles():
     prof = engine.layer_profile()
     assert [p["kind"] for p in prof] == ["conv1d", "conv1d", "linear", "linear"]
     assert all(p["cycles"] > 0 for p in prof)
-    assert sum(p["storage_bits"] for p in prof) == model.storage_bits
+    for p, layer in zip(prof, model.layers):
+        assert p["storage_bits"] == layer.out_channels * layer.chunks * model.n * layer.mode_m
 
 
 def test_narrow_table_budget_forces_monolithic_conv():
@@ -147,3 +153,24 @@ def test_narrow_table_budget_forces_monolithic_conv():
     got = engine.forward(u)
     for i in range(2):
         assert np.array_equal(got[i], reference_logits(model, u[i]))
+
+
+def test_layer_calls_pass_their_counter_by_keyword(monkeypatch):
+    # the benchmark tracer wraps muxnet.engine.pe_forward and reads each
+    # call's counters= delta as that layer's live counts
+    model = compile_model(default_float_model(seed=12))
+    engine = MpuEngine(model)
+    deltas = []
+
+    def traced(*args, **kwargs):
+        assert "counters" in kwargs
+        counters = kwargs["counters"]
+        before = counters.as_tuple()
+        out = pe_forward(*args, **kwargs)
+        deltas.append(tuple(a - b for a, b in zip(counters.as_tuple(), before)))
+        return out
+
+    monkeypatch.setattr(muxnet.engine, "pe_forward", traced)
+    engine.forward(_random_inputs(np.random.default_rng(5), model, 2))
+    rows = predict_model_costs(model, engine.groups, engine.group_vector_len, batch=2)
+    assert deltas == [(r.cycles, r.mux_selects, r.memory_bits_read) for r in rows]

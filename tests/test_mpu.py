@@ -15,7 +15,6 @@ from muxnet.mpu import (
     MpuConfig,
     batch_inner_product,
     bitserial_inner_product,
-    count_forward,
     pe_forward,
     plmu_width_bound,
     stage1_select,
@@ -179,17 +178,6 @@ def test_pe_forward_counter_closed_form():
     assert counters.memory_bits_read == 8 * 4 * 10
 
 
-def test_count_forward_pads_tiles_not_memory():
-    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8,
-                    activation_bits=8, activation_signed=True)
-    counters = CycleCount()
-    # 5 chunks need 2 tiles of 4 slots; memory reads stay at the real 5 chunks
-    count_forward(counters, batch=1, outputs=1, chunks=5, cfg=cfg, tables=T5)
-    assert counters.cycles == 8  # 2 tasks in 8 groups still one pass
-    assert counters.memory_bits_read == 5 * 10
-    assert counters.mux_selects == 2 * 4 * 4 + 2 * 4 * 8
-
-
 def test_counter_merge_is_summation():
     a = CycleCount(1, 2, 3)
     b = CycleCount(10, 20, 30)
@@ -235,4 +223,3 @@ def test_config_validation():
         MpuConfig(n=3, group_vector_len=8)
     with pytest.raises(ValueError):
         MpuConfig(n=0)
-    assert MpuConfig().mux_count == 32
