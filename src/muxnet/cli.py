@@ -164,7 +164,7 @@ def verify_random_mode(seed: int, m: int, cases: int,
     cfg = MpuConfig(n=n, m=m, groups=8, group_vector_len=8,
                     activation_bits=8, activation_signed=True)
     if tables is None:
-        tables = decompose_table(n, m) if n * m > 12 else build_static_table(n, m)
+        tables = decompose_table(n, m) if CompileConfig(n=n).decomposed(m) else build_static_table(n, m)
     rng = np.random.default_rng(seed)
     chunks = cfg.group_vector_len // n
     codes = _random_codes(rng, n * chunks, m, cases).reshape(cases, chunks, n)
@@ -222,7 +222,8 @@ def verify_cic(seed: int, samples: int) -> tuple[int, str | None]:
 def verify_model(model: CompiledModel, cfg: dict, seed: int, segments: int) -> tuple[int, str | None]:
     engine = MpuEngine(model, **cfg["engine"])
     rng = np.random.default_rng(seed)
-    u = rng.integers(0, 256, size=(segments, model.input_channels * model.input_len))
+    u = rng.integers(0, 1 << model.layers[0].activation_bits,
+                     size=(segments, model.input_channels * model.input_len))
     got = engine.forward(u)
     for i in range(segments):
         want = reference_logits(model, u[i])

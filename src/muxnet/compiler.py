@@ -34,18 +34,18 @@ from .errors import (
     BadArtifact,
     BadBNParams,
     CorruptArtifact,
+    MuxnetError,
     ShapeError,
     UnsupportedLayer,
 )
 from .quantizer import (
-    ENUM_BUDGET_BITS,
     activation_range,
     choose_prescale,
     default_prescale_grid,
     quantize_codes,
     round_half_away,
 )
-from .static_table import pack_line_index
+from .static_table import check_mode, pack_line_index, unpack_line_codes
 
 KIND_CONV1D = "conv1d"
 KIND_LINEAR = "linear"
@@ -54,6 +54,8 @@ ACT_RELU = "relu"
 
 _KIND_CODES = {KIND_CONV1D: 0, KIND_LINEAR: 1}
 _ACT_CODES = {ACT_NONE: 0, ACT_RELU: 1}
+_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_ACTS = {v: k for k, v in _ACT_CODES.items()}
 
 MAGIC = b"MUXN"
 VERSION = 1
@@ -190,18 +192,11 @@ class CompileConfig:
 
     def __post_init__(self) -> None:
         """Refuse settings whose artifact could not be compiled or loaded back."""
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
         for m in (self.conv_m, self.linear_m):
-            if m < 2:
-                raise ValueError(f"mode m={m} is below 2")
-            if self.decomposed(m) and (m % 2 or m < 4):
-                raise ValueError(f"mode m={m} cannot be decomposed into two halves of m >= 2 "
-                                 f"(n*m > {self.table_budget_bits})")
-            table_bits = self.n * m // 2 if self.decomposed(m) else self.n * m
-            if table_bits > ENUM_BUDGET_BITS:  # also keeps a line index n*m <= 63 bits
-                raise ValueError(f"mode m={m} implies a table of 2**{table_bits} lines, "
-                                 f"over the enumeration budget 2**{ENUM_BUDGET_BITS}")
+            try:
+                check_mode(self.n, m, self.decomposed(m))
+            except MuxnetError as exc:  # a setting, not an artifact, so exit 3
+                raise ValueError(str(exc)) from exc
         if not 2 <= self.activation_bits <= 16:  # 1 signed bit holds no positive level
             raise ValueError(f"activation_bits must be in 2..16, got {self.activation_bits}")
 
@@ -235,8 +230,6 @@ class CompiledLayer:
     in_scale: float
     out_scale: float | None  # None on the final (raw accumulator) layer
 
-    _n: int = 2  # chunk width; a model-level constant set by the compiler
-
 
 @dataclass
 class CompiledModel:
@@ -250,6 +243,76 @@ class CompiledModel:
     @property
     def class_count(self) -> int:
         return self.layers[-1].out_channels
+
+    def shapes(self) -> list[tuple[int, int]]:
+        """(channels, length) after each layer; BadArtifact where the chain breaks."""
+        c, t = self.input_channels, self.input_len
+        out = []
+        for li, layer in enumerate(self.layers):
+            conv = layer.kind == KIND_CONV1D
+            fits = (layer.stride >= 1 and 1 <= layer.kernel <= t and layer.in_channels == c
+                    and layer.fan_in == c * layer.kernel) if conv else layer.fan_in == c * t
+            if min(c, t, layer.out_channels) < 1 or not fits:
+                raise BadArtifact(f"layer {li}: {layer.kind} over {layer.in_channels} channels, kernel "
+                                  f"{layer.kernel}, stride {layer.stride}, fan-in {layer.fan_in} does "
+                                  f"not fit its {c} x {t} input")
+            c, t = layer.out_channels, ((t - layer.kernel) // layer.stride + 1 if conv else 1)
+            out.append((c, t))
+        return out
+
+
+def validate(model: CompiledModel) -> CompiledModel:
+    """``model`` if the table datapath runs it bit-exactly, else BadArtifact.
+
+    Checks modes, the layer chain, chunks, index range, class count, scales
+    and the activation chain (unsigned layer 0, then signed and no
+    narrower, 2..16 bits, requantized but for the raw last layer).  An
+    output channel's accumulator is bounded by A = sum|code| * max|u| +
+    |bias_q|; A * mult + 2**(shift-1), or A on the last layer, must stay
+    below 2**63 so that int64 wraps in neither engine nor reference.
+    """
+    if not model.layers or not 1 <= model.class_count <= MAX_CLASSES:
+        raise BadArtifact(f"need 1 to {MAX_CLASSES} classes from at least one layer")
+    if not (math.isfinite(model.input_scale) and model.input_scale > 0):
+        raise BadArtifact(f"bad input scale {model.input_scale}")
+    model.shapes()
+    n, prev_bits = model.n, 2
+    for li, layer in enumerate(model.layers):
+        m, bits, last = layer.mode_m, layer.activation_bits, li == len(model.layers) - 1
+        _check_layer_mode(li, n, m, layer.decomposed)
+        if layer.chunks != math.ceil(layer.fan_in / n):
+            raise BadArtifact(f"layer {li}: chunk count {layer.chunks} does not cover fan-in {layer.fan_in}")
+        idx = layer.line_indices
+        if idx.min() < 0 or idx.max() >= 1 << (n * m):
+            raise BadArtifact(f"layer {li}: line index outside [0, 2**{n * m})")
+        if not np.all(np.isfinite(layer.weight_scales)) or np.any(layer.weight_scales <= 0):
+            raise BadArtifact(f"layer {li}: weight scales must be positive and finite")
+        if not prev_bits <= bits <= 16 or layer.activation_signed != (li > 0):
+            raise BadArtifact(f"layer {li}: {bits}-bit inputs, signed {layer.activation_signed}, break "
+                              f"the chain: layer 0 unsigned, then signed and no narrower, 2..16 bits")
+        if layer.requant == last or (last and layer.out_scale is not None):
+            raise BadArtifact(f"layer {li}: every layer but the last requantizes, the last reports "
+                              f"raw accumulators")
+        u_max = max(map(abs, activation_range(bits, layer.activation_signed)))
+        a = np.abs(unpack_line_codes(idx, n, m)).reshape(len(idx), -1)
+        # |code| < 2**40 (check_mode), so each 20-bit part sums exactly in int64
+        code_sums = zip((a >> 20).sum(axis=1).tolist(), (a & 0xFFFFF).sum(axis=1).tolist())
+        reach = [((h << 20) + low) * u_max + abs(b) for (h, low), b in zip(code_sums, layer.bias_q.tolist())]
+        if layer.requant:
+            if not 1 <= layer.shift < 63:
+                raise BadArtifact(f"layer {li}: requant shift {layer.shift} outside 1..62")
+            reach = [r * w + (1 << (layer.shift - 1)) for r, w in zip(reach, layer.mult.tolist())]
+        if max(reach) >= 1 << 63:
+            raise BadArtifact(f"layer {li}: accumulator may reach {max(reach)}, past int64")
+        prev_bits = bits
+    return model
+
+
+def _check_layer_mode(li: int, n: int, m: int, decomposed: bool) -> None:
+    try:
+        check_mode(n, m, decomposed)
+    except (ValueError, MuxnetError) as exc:
+        raise BadArtifact(f"layer {li}: {exc}") from exc
 
 
 def _accumulator_bounds(codes: np.ndarray, bias_q: np.ndarray, u_lo: int, u_hi: int) -> np.ndarray:
@@ -298,7 +361,6 @@ def _requant_constants(ratios: np.ndarray) -> tuple[np.ndarray, int]:
 
 def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> CompiledModel:
     """Quantize, fold, and chunk a float model into its table-resident form."""
-    shapes = model.shapes()
     qmin, qmax = activation_range(cfg.activation_bits, signed=True)
     u_lo, u_hi = activation_range(cfg.activation_bits, signed=False)  # first layer raw samples
     in_scale = cfg.input_scale
@@ -365,20 +427,19 @@ def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> Co
             weight_scales=scales,
             in_scale=in_scale,
             out_scale=out_scale,
-            _n=cfg.n,
         ))
         if not last:
             in_scale = out_scale
             zero_point = 0
             u_lo, u_hi = (0, qmax) if layer.activation == ACT_RELU else (qmin, qmax)
-    return CompiledModel(
+    return validate(CompiledModel(
         n=cfg.n,
         input_len=model.input_len,
         input_channels=model.input_channels,
         input_zero_point=cfg.input_zero_point,
         input_scale=cfg.input_scale,
         layers=compiled,
-    )
+    ))
 
 
 def quantize_input(x: np.ndarray, model: CompiledModel) -> np.ndarray:
@@ -451,6 +512,11 @@ def serialize_model(model: CompiledModel) -> bytes:
 
 
 def deserialize_model(data: bytes) -> CompiledModel:
+    """Parse a .muxn container; ``validate`` then decides whether it can run.
+
+    Each layer's mode is checked as soon as its header is read, because the
+    mode sets how many index bytes follow.
+    """
     r = _Reader(data)
     magic, version, n, layer_count, class_count, input_len, input_channels, zp, in_scale = \
         _HEADER.unpack(r.take(_HEADER.size))
@@ -458,83 +524,37 @@ def deserialize_model(data: bytes) -> CompiledModel:
         raise BadArtifact(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise BadArtifact(f"unsupported container version {version}")
-    if not 1 <= class_count <= MAX_CLASSES:
-        raise BadArtifact(f"class count {class_count} outside [1, {MAX_CLASSES}]")
-    if n < 1 or layer_count < 1 or input_len < 1 or input_channels < 1:
-        raise BadArtifact("non-positive model geometry")
-    if not (math.isfinite(in_scale) and in_scale > 0):
-        raise BadArtifact(f"bad input scale {in_scale}")
     layers: list[CompiledLayer] = []
-    kinds = {v: k for k, v in _KIND_CODES.items()}
-    acts = {v: k for k, v in _ACT_CODES.items()}
-    channels, length = input_channels, input_len  # what the next layer receives
     for li in range(layer_count):
         (kind_code, mode_m, flags, act_code, act_bits, stride, kernel, in_ch,
          out_ch, fan_in, chunks, shift, layer_in_scale, out_scale) = \
             _LAYER_HEADER.unpack(r.take(_LAYER_HEADER.size))
-        if kind_code not in kinds:
-            raise BadArtifact(f"layer {li}: unknown kind code {kind_code}")
-        if act_code not in acts:
-            raise BadArtifact(f"layer {li}: unknown activation code {act_code}")
-        if mode_m < 2 or not 1 <= act_bits <= 16 or shift < 1:
-            raise BadArtifact(f"layer {li}: bad mode_m/activation_bits/shift")
-        if n * mode_m > 63:  # a line index must fit a non-negative int64
-            raise BadArtifact(f"layer {li}: line index of n*m = {n * mode_m} bits exceeds 63")
-        if fan_in < 1 or chunks != math.ceil(fan_in / n):
-            raise BadArtifact(f"layer {li}: chunk count {chunks} does not cover fan-in {fan_in}")
-        if kinds[kind_code] == KIND_CONV1D:
-            if stride < 1 or kernel < 1 or fan_in != in_ch * kernel:
-                raise BadArtifact(
-                    f"layer {li}: conv stride {stride}, kernel {kernel}, fan-in {fan_in} "
-                    f"!= {in_ch} channels x kernel"
-                )
-            if in_ch != channels or kernel > length:
-                raise BadArtifact(
-                    f"layer {li}: conv over {in_ch} channels, kernel {kernel} does not fit "
-                    f"its input of {channels} channels x {length} samples"
-                )
-            channels, length = out_ch, (length - kernel) // stride + 1
-        else:
-            if fan_in != channels * length:
-                raise BadArtifact(
-                    f"layer {li}: linear fan-in {fan_in} != {channels} channels x {length} samples"
-                )
-            channels, length = out_ch, 1
-        decomposed = bool(flags & 4)
-        if decomposed and mode_m % 2 != 0:
-            raise BadArtifact(f"layer {li}: odd mode_m {mode_m} marked decomposed")
+        if kind_code not in _KINDS or act_code not in _ACTS:
+            raise BadArtifact(f"layer {li}: unknown kind/activation code {kind_code}/{act_code}")
+        # an index width of 0 would leave out_ch * chunks unbounded by the file size
+        _check_layer_mode(li, n, mode_m, bool(flags & 4))
         nbytes = _index_bytes(n, mode_m)
         idx = _unpack_index_array(r.take(out_ch * chunks * nbytes), out_ch * chunks, nbytes)
-        if idx.size and int(idx.max()) >= (1 << (n * mode_m)):
-            raise BadArtifact(f"layer {li}: line index exceeds 2**(n*m)")
-        bias_q = np.frombuffer(r.take(out_ch * 8), dtype="<i8").astype(np.int64)
-        mult = np.frombuffer(r.take(out_ch * 4), dtype="<u4").astype(np.int64)
-        scales = np.frombuffer(r.take(out_ch * 8), dtype="<f8").astype(np.float64)
-        if not np.all(np.isfinite(scales)) or np.any(scales <= 0):
-            raise BadArtifact(f"layer {li}: weight scales must be positive and finite")
         layers.append(CompiledLayer(
-            kind=kinds[kind_code], mode_m=mode_m, decomposed=decomposed,
+            kind=_KINDS[kind_code], mode_m=mode_m, decomposed=bool(flags & 4),
             in_channels=in_ch, out_channels=out_ch,
             kernel=kernel, stride=stride, fan_in=fan_in, chunks=chunks,
             line_indices=idx.reshape(out_ch, chunks),
-            bias_q=bias_q, mult=mult, shift=shift,
-            requant=bool(flags & 1), activation=acts[act_code],
+            bias_q=np.frombuffer(r.take(out_ch * 8), dtype="<i8").astype(np.int64),
+            mult=np.frombuffer(r.take(out_ch * 4), dtype="<u4").astype(np.int64),
+            shift=shift, requant=bool(flags & 1), activation=_ACTS[act_code],
             activation_bits=act_bits, activation_signed=bool(flags & 2),
-            weight_scales=scales, in_scale=layer_in_scale,
-            out_scale=None if math.isnan(out_scale) else out_scale,
-            _n=n,
+            weight_scales=np.frombuffer(r.take(out_ch * 8), dtype="<f8").astype(np.float64),
+            in_scale=layer_in_scale, out_scale=None if math.isnan(out_scale) else out_scale,
         ))
     r.done()
-    if layers[-1].out_channels != class_count:
-        raise BadArtifact(
-            f"class count {class_count} does not match final layer width {layers[-1].out_channels}"
-        )
-    if layers[-1].requant or layers[-1].out_scale is not None:
-        raise BadArtifact("final layer must report raw accumulators")
-    return CompiledModel(
+    model = validate(CompiledModel(
         n=n, input_len=input_len, input_channels=input_channels,
         input_zero_point=zp, input_scale=in_scale, layers=layers,
-    )
+    ))
+    if class_count != model.class_count:  # the header repeats the final layer's width
+        raise BadArtifact(f"header class count {class_count} != final layer width {model.class_count}")
+    return model
 
 
 def save_model(model: CompiledModel, path) -> None:
@@ -593,15 +613,13 @@ def deserialize_float_model(data: bytes) -> FloatModel:
         raise BadArtifact(f"unsupported checkpoint version {version}")
     if layer_count < 1 or input_len < 1 or input_channels < 1:
         raise BadArtifact("non-positive checkpoint geometry")
-    kinds = {v: k for k, v in _KIND_CODES.items()}
-    acts = {v: k for k, v in _ACT_CODES.items()}
     layers: list[FloatLayer] = []
     for li in range(layer_count):
         kind_code, act_code, has_bias, has_bn, stride, kernel, in_dim, out_dim = \
             _FLOAT_LAYER.unpack(r.take(_FLOAT_LAYER.size))
-        if kind_code not in kinds or act_code not in acts:
+        if kind_code not in _KINDS or act_code not in _ACTS:
             raise BadArtifact(f"layer {li}: unknown kind/activation code")
-        kind = kinds[kind_code]
+        kind = _KINDS[kind_code]
         shape = (out_dim, in_dim, kernel) if kind == KIND_CONV1D else (out_dim, in_dim)
         if any(d < 1 for d in shape):
             raise BadArtifact(f"layer {li}: non-positive weight shape {shape}")
@@ -614,7 +632,7 @@ def deserialize_float_model(data: bytes) -> FloatModel:
             bn = BatchNormParams(gamma=gamma, beta=beta, mean=mean, var=var, eps=eps)
         try:
             layers.append(FloatLayer(kind=kind, weight=weight, bias=bias,
-                                     stride=stride, activation=acts[act_code], bn=bn))
+                                     stride=stride, activation=_ACTS[act_code], bn=bn))
         except (UnsupportedLayer, ShapeError) as exc:
             raise BadArtifact(f"layer {li}: {exc}") from exc
     r.done()

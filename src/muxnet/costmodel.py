@@ -142,16 +142,8 @@ def predict_model_costs(
     batch: int = 1,
 ) -> list[LayerCost]:
     """Per-layer predicted costs for ``batch`` independent input samples."""
-    t = model.input_len
-    rows: list[LayerCost] = []
-    for li, layer in enumerate(model.layers):
-        if layer.kind == "conv1d":
-            t = (t - layer.kernel) // layer.stride + 1
-            cases = batch * t
-        else:
-            t = 1
-            cases = batch
-        rows.append(predict_layer_cost(
+    return [
+        predict_layer_cost(
             index=li,
             kind=layer.kind,
             n=model.n,
@@ -159,12 +151,13 @@ def predict_model_costs(
             decomposed=layer.decomposed,
             out_channels=layer.out_channels,
             chunks=layer.chunks,
-            cases=cases,
+            cases=batch * length,  # one row per output position; 1 for linear
             groups=groups,
             group_vector_len=group_vector_len,
             activation_bits=layer.activation_bits,
-        ))
-    return rows
+        )
+        for li, (layer, (_, length)) in enumerate(zip(model.layers, model.shapes()))
+    ]
 
 
 def table_entry_count(model: CompiledModel) -> int:

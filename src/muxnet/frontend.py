@@ -363,4 +363,8 @@ def read_signal(path) -> tuple[np.ndarray, int, int, int]:
     body = data[_SIGNAL_HEADER.size:]
     if len(body) != count * width:
         raise CorruptArtifact(f"signal payload is {len(body)} bytes, header promises {count * width}")
-    return np.frombuffer(body, dtype=dtype).astype(np.int64), rate, bits, channels
+    samples = np.frombuffer(body, dtype=dtype).astype(np.int64)
+    lim = 1 << (bits - 1)
+    if samples.size and (samples.min() < -lim or samples.max() >= lim):
+        raise BadArtifact(f"samples outside the declared signed {bits}-bit range")
+    return samples, rate, bits, channels

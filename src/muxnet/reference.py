@@ -44,14 +44,14 @@ def _clamp(v: np.ndarray, bits: int, signed: bool) -> np.ndarray:
     return np.clip(v, 0, (1 << bits) - 1)
 
 
-def reference_layer_forward(layer: CompiledLayer, u: np.ndarray) -> np.ndarray:
-    """Integer forward of one compiled layer by direct MAC.
+def reference_layer_forward(layer: CompiledLayer, u: np.ndarray, n: int) -> np.ndarray:
+    """Integer forward of one compiled layer of chunk width ``n`` by direct MAC.
 
     ``u`` is the flat integer input vector of this layer (already padded
     nowhere: the real fan-in).  Returns the integer output vector, after
     requantization and activation unless this is the raw final layer.
     """
-    codes = decode_line_indices(layer.line_indices, layer._n, layer.mode_m)[:, :layer.fan_in]
+    codes = decode_line_indices(layer.line_indices, n, layer.mode_m)[:, :layer.fan_in]
     if layer.kind == KIND_CONV1D:
         x = np.asarray(u, dtype=np.int64).reshape(layer.in_channels, -1)
         t_out = (x.shape[1] - layer.kernel) // layer.stride + 1
@@ -74,7 +74,7 @@ def reference_logits(model: CompiledModel, u: np.ndarray) -> np.ndarray:
     """Integer logits of one sample by direct MAC through every layer."""
     v = np.asarray(u, dtype=np.int64).reshape(-1)
     for layer in model.layers:
-        v = reference_layer_forward(layer, v).reshape(-1)
+        v = reference_layer_forward(layer, v, model.n).reshape(-1)
     return v
 
 

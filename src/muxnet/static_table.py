@@ -93,21 +93,31 @@ class StaticTable:
         return tuple(unpack_line_codes(index, self.n, self.m, self.signed).tolist())
 
 
+def check_mode(n: int, m: int, decomposed: bool) -> None:
+    """Refuse a mode whose tables cannot be built.
+
+    ValueError unless n >= 1 and m >= 2; OddSplitUnsupported unless a
+    decomposed m is even with halves >= 2; EnumerationTooLarge unless each
+    table it implies (n*m bits of line index, or n*m/2 per half) fits
+    ENUM_BUDGET_BITS, which also keeps a line index far inside an int64.
+    """
+    if n < 1 or m < 2:
+        raise ValueError(f"mode n={n}, m={m}: need n >= 1 and m >= 2")
+    if decomposed and (m % 2 or m < 4):
+        raise OddSplitUnsupported(f"mode m={m} cannot be decomposed into two halves of m >= 2")
+    table_bits = n * m // 2 if decomposed else n * m
+    if table_bits > ENUM_BUDGET_BITS:
+        raise EnumerationTooLarge(f"mode n={n}, m={m} implies a table of 2**{table_bits} lines, "
+                                  f"over the enumeration budget 2**{ENUM_BUDGET_BITS}")
+
+
 def build_static_table(n: int, m: int, signed: bool = True) -> StaticTable:
     """Enumerate every line for (n, m).
 
     Deterministic ordering: line index is the field concatenation, key bit i
     selects weight i.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    min_m = 2 if signed else 1
-    if m < min_m:
-        raise ValueError(f"need m >= {min_m}, got {m}")
-    if n * m > ENUM_BUDGET_BITS:
-        raise EnumerationTooLarge(
-            f"2**{n * m} lines exceed the enumeration budget (n*m <= {ENUM_BUDGET_BITS})"
-        )
+    check_mode(n, m, decomposed=False)
     codes = unpack_line_codes(np.arange(1 << (n * m)), n, m, signed)
     keys = np.arange(1 << n, dtype=np.int64)
     key_bits = (keys[:, None] >> np.arange(n)[None, :]) & 1  # (2**n, n)
@@ -150,8 +160,7 @@ class DecomposedTable:
 
 def decompose_table(n: int, m: int = 10) -> DecomposedTable:
     """Build the hi/lo pair for an even split of m."""
-    if m % 2 != 0:
-        raise OddSplitUnsupported(f"only even m can be split in half, got m={m}")
+    check_mode(n, m, decomposed=True)
     half = m // 2
     return DecomposedTable(
         hi=build_static_table(n, half, signed=True),

@@ -247,7 +247,7 @@ def test_criterion_10_closed_loop_protocol():
         line_indices=np.zeros((out, chunks), dtype=np.int64), bias_q=bias,
         mult=np.zeros(out, dtype=np.int64), shift=1, requant=False,
         activation=ACT_NONE, activation_bits=8, activation_signed=False,
-        weight_scales=np.ones(out), in_scale=1.0 / 128.0, out_scale=None, _n=2,
+        weight_scales=np.ones(out), in_scale=1.0 / 128.0, out_scale=None,
     )
     model = CompiledModel(n=2, input_len=320, input_channels=1,
                           input_zero_point=128, input_scale=1.0 / 128.0,

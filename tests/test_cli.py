@@ -26,8 +26,15 @@ from muxnet.cli import (
     main,
     make_loop_config,
 )
-from muxnet.compiler import load_model
-from muxnet.frontend import LoopConfig, StimChannelConfig
+from muxnet.compiler import (
+    CompileConfig,
+    compile_model,
+    default_float_model,
+    load_model,
+    save_float_model,
+    save_model,
+)
+from muxnet.frontend import LoopConfig, StimChannelConfig, write_signal
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +205,56 @@ def test_corrupt_model_is_input_error(artifacts, tmp_path, capsys):
         bad.write_bytes(good[:at] + bytes([byte]) + good[at + 1:])
         assert main(["verify", "--model", str(bad), "--cases", "16"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_artifacts_the_engine_cannot_run_are_input_errors(artifacts, tmp_path, capsys):
+    # each of these used to load, then exit 3 (a 1-bit table half), 1 (an
+    # OverflowError, or engine != reference) or 0 (int64 wrapping alike in
+    # engine and reference); the shared validity rules refuse them at load
+    _, _, compiled = artifacts
+
+    def with_layer(li: int, name: str, value: int):
+        model = load_model(compiled)
+        layer = model.layers[li]
+        if name == "bias_q":
+            layer.bias_q[0] = value
+        else:
+            setattr(layer, name, value)
+        return model
+
+    found = compile_model(default_float_model(seed=0), CompileConfig(conv_m=2, linear_m=2))
+    found.layers[0].decomposed = True
+    bad = tmp_path / "bad.muxn"
+    for what, model in (("decomposed mode_m 2", found),
+                        ("bias_q 2**40", with_layer(0, "bias_q", 2 ** 40)),
+                        ("shift 127", with_layer(0, "shift", 127)),
+                        ("requant flag cleared", with_layer(1, "requant", False)),
+                        ("activation_bits 2 after 8", with_layer(2, "activation_bits", 2))):
+        save_model(model, bad)
+        assert main(["verify", "--model", str(bad), "--cases", "16"]) == EXIT_INPUT, what
+        assert "BadArtifact" in capsys.readouterr().err
+
+
+def test_compile_refuses_a_checkpoint_that_would_overflow(tmp_path, capsys):
+    model = default_float_model(seed=0)
+    model.layers[0].bias[0] = 1e6
+    ckpt, out = tmp_path / "big-bias.muxf", tmp_path / "big-bias.muxn"
+    save_float_model(model, ckpt)
+    assert main(["compile", "--model", str(ckpt), "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    assert "past int64" in capsys.readouterr().err
+
+
+def test_signal_samples_outside_declared_width_are_input_error(artifacts, tmp_path, capsys):
+    _, _, compiled = artifacts
+    config = tmp_path / "twelve-bit.json"
+    config.write_text(json.dumps({"loop": {"cic": {"input_bits": 12}}}))
+    sig = tmp_path / "wide.muxs"
+    write_signal(sig, np.full(512 * 30, 3000), rate_hz=512, bits=12)
+    rc = main(["loop", "--model", str(compiled), "--signal", str(sig),
+               "--out", str(tmp_path / "x.jsonl"), "--config", str(config)])
+    assert rc == EXIT_INPUT
+    assert "12-bit" in capsys.readouterr().err
 
 
 def test_unreadable_dataset_is_input_error(artifacts, tmp_path, capsys):

@@ -1,9 +1,12 @@
-"""Compiler: BN folding, quantization plumbing, containers."""
+"""Compiler: BN folding, quantization plumbing, containers, validity rules."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muxnet.compiler import (
     _HEADER,
@@ -25,9 +28,18 @@ from muxnet.compiler import (
     save_model,
     serialize_float_model,
     serialize_model,
+    validate,
 )
 from muxnet.costmodel import model_cost_report, predict_model_costs
-from muxnet.errors import BadArtifact, BadBNParams, CorruptArtifact, ShapeError, UnsupportedLayer
+from muxnet.engine import MpuEngine
+from muxnet.errors import (
+    BadArtifact,
+    BadBNParams,
+    CorruptArtifact,
+    OddSplitUnsupported,
+    ShapeError,
+    UnsupportedLayer,
+)
 from muxnet.reference import decode_line_indices, float_forward, reference_logits
 from muxnet.static_table import unpack_line_codes
 
@@ -184,6 +196,18 @@ def _patched(blob: bytes, fmt, offset: int, field: int, value: int) -> bytes:
     return blob[:offset] + fmt.pack(*values) + blob[offset + fmt.size:]
 
 
+def _layer_offsets(blob: bytes) -> list[int]:
+    """Byte offset of every layer header in a .muxn blob."""
+    _, _, n, layer_count = _HEADER.unpack_from(blob)[:4]
+    offsets, at = [], _HEADER.size
+    for _ in range(layer_count):
+        offsets.append(at)
+        fields = _LAYER_HEADER.unpack_from(blob, at)
+        mode_m, out_ch, chunks = fields[1], fields[8], fields[10]
+        at += _LAYER_HEADER.size + out_ch * (chunks * math.ceil(n * mode_m / 8) + 8 + 4 + 8)
+    return offsets
+
+
 def test_deserialize_rejects_bad_conv_geometry():
     blob = serialize_model(compile_model(default_float_model(seed=4)))
     layer0 = _HEADER.size
@@ -202,6 +226,102 @@ def test_deserialize_rejects_bad_conv_geometry():
     assert _patched(blob, _LAYER_HEADER, layer0, 5, 2) == blob
 
 
+def test_deserialize_rejects_broken_activation_chain():
+    blob = serialize_model(compile_model(default_float_model(seed=4)))
+    layer0, layer1, layer2, layer3 = _layer_offsets(blob)
+    flags = 2  # field index of the flags byte: requant 1, signed 2, decomposed 4
+    bad = {
+        "requant cleared on layer 1": _patched(
+            blob, _LAYER_HEADER, layer1, flags, _LAYER_HEADER.unpack_from(blob, layer1)[flags] & ~1),
+        "signed inputs on layer 0": _patched(
+            blob, _LAYER_HEADER, layer0, flags, _LAYER_HEADER.unpack_from(blob, layer0)[flags] | 2),
+        "2-bit inputs on layer 2 after 8-bit outputs": _patched(blob, _LAYER_HEADER, layer2, 4, 2),
+    }
+    for what, data in bad.items():
+        with pytest.raises(BadArtifact):
+            deserialize_model(data)
+    # widening is allowed: the raw last layer reads 9-bit inputs
+    assert deserialize_model(_patched(blob, _LAYER_HEADER, layer3, 4, 9)).layers[3].activation_bits == 9
+
+
+def test_deserialize_refuses_a_zero_index_width_before_reading_indices():
+    blob = serialize_model(compile_model(default_float_model(seed=4)))
+    layer0 = _HEADER.size
+    huge = _patched(blob, _LAYER_HEADER, layer0, 10, 2 ** 32 - 1)  # chunks of layer 0
+    zero_m = _patched(huge, _LAYER_HEADER, layer0, 1, 0)
+    zero_n = _patched(huge, _HEADER, 0, 2, 0)
+    for data in (zero_m, zero_n):  # out_ch * 2**32 index words, were the indices read
+        with pytest.raises(BadArtifact, match="layer 0: .* need n >= 1 and m >= 2"):
+            deserialize_model(data)
+
+
+def test_validate_bounds_int64_headroom():
+    model = compile_model(default_float_model(seed=4))
+    assert validate(model) is model
+    for li, field, value in ((0, "bias_q", 2 ** 40), (3, "bias_q", 2 ** 63 - 1), (0, "shift", 127),
+                             (1, "shift", 0), (2, "shift", 63)):
+        broken = deserialize_model(serialize_model(model))
+        layer = broken.layers[li]
+        if field == "shift":
+            layer.shift = value
+        else:
+            getattr(layer, field)[0] = value
+        with pytest.raises(BadArtifact):
+            validate(broken)
+        with pytest.raises(BadArtifact):
+            deserialize_model(serialize_model(broken))
+
+
+def test_compile_refuses_a_checkpoint_that_would_overflow():
+    model = default_float_model(seed=0)
+    model.layers[0].bias[0] = 1e6  # exact arithmetic needs more than int64
+    with pytest.raises(BadArtifact):
+        compile_model(model)
+
+
+def test_a_refused_mode_is_refused_everywhere():
+    # decomposed m=2 would split into 1-bit halves
+    model = compile_model(default_float_model(seed=4), CompileConfig(conv_m=2, linear_m=2))
+    model.layers[0].decomposed = True
+    with pytest.raises(ValueError):
+        CompileConfig(n=10, conv_m=2, linear_m=2)
+    with pytest.raises(BadArtifact):
+        validate(model)
+    with pytest.raises(BadArtifact):
+        deserialize_model(serialize_model(model))
+    with pytest.raises(OddSplitUnsupported, match="cannot be decomposed"):
+        MpuEngine(model)
+
+
+@functools.cache
+def _default_artifact() -> tuple[bytes, list[int]]:
+    """The default .muxn and the offsets of its header bytes."""
+    blob = serialize_model(compile_model(default_float_model(seed=0)))
+    headers = [range(_HEADER.size)] + [range(at, at + _LAYER_HEADER.size)
+                                       for at in _layer_offsets(blob)]
+    return blob, [i for r in headers for i in r]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_mutated_artifact_runs_bit_exact_or_is_refused(data):
+    blob, header_bytes = _default_artifact()
+    at = st.one_of(st.sampled_from(header_bytes), st.integers(0, len(blob) - 1))
+    mutated = bytearray(blob)
+    for i, byte in data.draw(st.lists(st.tuples(at, st.integers(0, 255)), min_size=1, max_size=3)):
+        mutated[i] = byte
+    try:
+        model = deserialize_model(bytes(mutated))
+    except (BadArtifact, CorruptArtifact):
+        return
+    rng = np.random.default_rng(0)
+    u = rng.integers(0, 1 << model.layers[0].activation_bits,
+                     size=(2, model.input_channels * model.input_len))
+    got = MpuEngine(model).forward(u)
+    for row, logits in zip(u, got):
+        assert np.array_equal(logits, reference_logits(model, row))
+
+
 def test_deserialize_rejects_truncation():
     blob = serialize_model(compile_model(default_float_model(seed=4)))
     for cut in (3, len(blob) // 2, len(blob) - 1):
@@ -216,12 +336,18 @@ def test_deserialize_rejects_random_bytes():
 
 
 def test_class_count_bound_of_ten():
-    model = default_float_model(seed=6, class_count=11)
-    blob = serialize_model(compile_model(model))
     with pytest.raises(BadArtifact):
-        deserialize_model(blob)
-    ok = default_float_model(seed=6, class_count=10)
-    assert deserialize_model(serialize_model(compile_model(ok))).class_count == 10
+        compile_model(default_float_model(seed=6, class_count=11))
+    ok = compile_model(default_float_model(seed=6, class_count=10))
+    assert deserialize_model(serialize_model(ok)).class_count == 10
+    # an 11-class artifact, written past the compiler, is refused at load
+    last = ok.layers[-1]
+    last.out_channels = 11
+    for name in ("line_indices", "bias_q", "mult", "weight_scales"):
+        arr = getattr(last, name)
+        setattr(last, name, np.concatenate([arr, arr[-1:]]))
+    with pytest.raises(BadArtifact):
+        deserialize_model(serialize_model(ok))
 
 
 def test_model_file_roundtrip(tmp_path):

@@ -5,11 +5,14 @@ import io
 import numpy as np
 import pytest
 
-from muxnet.errors import EnumerationTooLarge, ModeMismatch, OddSplitUnsupported
-from muxnet.quantizer import quantize_weights
+from muxnet.compiler import CompileConfig
+from muxnet.errors import EnumerationTooLarge, ModeMismatch, MuxnetError, OddSplitUnsupported
+from muxnet.quantizer import ENUM_BUDGET_BITS, quantize_weights
 from muxnet.static_table import (
+    DecomposedTable,
     StaticTable,
     build_static_table,
+    check_mode,
     combined_entry,
     decompose_table,
     dump_table,
@@ -102,6 +105,34 @@ def test_lines_are_frozen():
     table = build_static_table(2, 2)
     with pytest.raises(ValueError):
         table.lines[0, 0] = 1
+
+
+def test_check_mode_is_the_rule_compile_config_and_table_builders_share():
+    def build(n, m, decomposed):
+        return decompose_table(n, m) if decomposed else build_static_table(n, m)
+
+    for n in range(4):
+        for m in range(12):
+            for decomposed in (False, True):
+                table_bits = n * m // 2 if decomposed else n * m
+                want = (n >= 1 and m >= 2 and table_bits <= ENUM_BUDGET_BITS
+                        and (not decomposed or (m % 2 == 0 and m >= 4)))
+                budget = n * m - 1 if decomposed else n * m  # makes cfg.decomposed(m) match
+                try:
+                    check_mode(n, m, decomposed)
+                    CompileConfig(n=n, conv_m=m, linear_m=m, table_budget_bits=budget)
+                except (ValueError, MuxnetError) as exc:
+                    assert not want, (n, m, decomposed)
+                    with pytest.raises(ValueError):  # a compile setting: exit 3
+                        CompileConfig(n=n, conv_m=m, linear_m=m, table_budget_bits=budget)
+                    with pytest.raises(type(exc)):
+                        build(n, m, decomposed)
+                    continue
+                assert want, (n, m, decomposed)
+                if table_bits <= 12:  # keep the builds small
+                    tables = build(n, m, decomposed)
+                    assert (tables.n, tables.m) == (n, m)
+                    assert isinstance(tables, DecomposedTable) == decomposed
 
 
 def test_decompose_rejects_odd():
