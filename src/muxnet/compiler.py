@@ -264,15 +264,18 @@ class CompiledModel:
 def validate(model: CompiledModel) -> CompiledModel:
     """``model`` if the table datapath runs it bit-exactly, else BadArtifact.
 
-    Checks modes, the layer chain, chunks, index range, class count, scales
-    and the activation chain (unsigned layer 0, then signed and no
-    narrower, 2..16 bits, requantized but for the raw last layer).  An
-    output channel's accumulator is bounded by A = sum|code| * max|u| +
-    |bias_q|; A * mult + 2**(shift-1), or A on the last layer, must stay
-    below 2**63 so that int64 wraps in neither engine nor reference.
+    Checks modes, the layer chain (ending in a linear layer), chunks, index
+    range, class count, scales and the activation chain (unsigned layer 0,
+    then signed and no narrower, 2..16 bits, requantized but for the raw
+    last layer).  An output channel's accumulator is bounded by A =
+    sum|code| * max|u| + |bias_q|; A * mult + 2**(shift-1), or A on the
+    last layer, must stay below 2**63 so that int64 wraps in neither engine
+    nor reference.
     """
     if not model.layers or not 1 <= model.class_count <= MAX_CLASSES:
         raise BadArtifact(f"need 1 to {MAX_CLASSES} classes from at least one layer")
+    if model.layers[-1].kind != KIND_LINEAR:
+        raise BadArtifact("the last layer must be linear: one logit per class")
     if not (math.isfinite(model.input_scale) and model.input_scale > 0):
         raise BadArtifact(f"bad input scale {model.input_scale}")
     model.shapes()

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .compiler import CompiledModel
-from .errors import OddSplitUnsupported
+from .static_table import check_mode
 
 
 def memory_cost(n: int, m: int, num_chunks: int = 1) -> tuple[int, int]:
@@ -55,11 +55,12 @@ class DecompositionCost:
 
 
 def decomposition_cost(n: int, m: int) -> DecompositionCost:
-    """Entry counts of one width-m table vs its two half-width tables."""
-    if n < 1 or m < 2:
-        raise ValueError(f"need n >= 1 and m >= 2, got ({n}, {m})")
-    if m % 2 != 0:
-        raise OddSplitUnsupported(f"m = {m} cannot split evenly")
+    """Entry counts of one width-m table vs its two half-width tables.
+
+    Raises what ``check_mode(n, m, decomposed=True)`` raises for a split
+    the table builders refuse.
+    """
+    check_mode(n, m, decomposed=True)
     mono, dec = _table_entries(n, m, False), _table_entries(n, m, True)
     return DecompositionCost(mono, dec, mono / dec)
 

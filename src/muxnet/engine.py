@@ -22,6 +22,7 @@ from .compiler import ACT_RELU, KIND_CONV1D, CompiledLayer, CompiledModel
 from .costmodel import predict_model_costs
 from .errors import ShapeError
 from .mpu import CycleCount, MpuConfig, Tables, pe_forward
+from .quantizer import activation_range
 from .static_table import build_static_table, decompose_table
 
 
@@ -84,7 +85,11 @@ class MpuEngine:
         return np.clip(v, -lim, lim - 1)
 
     def forward(self, u: np.ndarray) -> np.ndarray:
-        """Integer logits; u is (V,) or (batch, V) in the first layer's domain."""
+        """Integer logits; u is (V,) or (batch, V) in the first layer's domain.
+
+        ValueError if a value lies outside layer 0's activation range, which
+        the datapath would otherwise mask to its low bits.
+        """
         u = np.asarray(u, dtype=np.int64)
         squeeze = u.ndim == 1
         if squeeze:
@@ -92,6 +97,9 @@ class MpuEngine:
         want = self.model.input_channels * self.model.input_len
         if u.ndim != 2 or u.shape[1] != want:
             raise ShapeError(f"input shape {u.shape} does not carry {want} samples")
+        lo, hi = activation_range(self._configs[0].activation_bits, self._configs[0].activation_signed)
+        if u.size and (u.min() < lo or u.max() > hi):
+            raise ValueError(f"input outside layer 0's range [{lo}, {hi}]")
         batch = u.shape[0]
         v = u.reshape(batch, self.model.input_channels, self.model.input_len)
         for li, layer in enumerate(self.model.layers):

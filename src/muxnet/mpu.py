@@ -13,8 +13,9 @@ Nothing on the value path multiplies: only table gathers, adds, and
 shifts.  The vectorized entry points (``batch_inner_product``,
 ``pe_forward``) are shape checks around one shared kernel that runs the
 identical datapath across many cases at once: stage 1 runs once per call
-(a decomposed table's hi and lo lines are combined there, once), then
-each bit-plane is a single gather from the selected lines.
+(``DecomposedTable.select`` combines a decomposed table's hi and lo
+lines there, once), then each bit-plane is a single gather from the
+selected lines.  The scalar path selects each half on its own.
 
 The scalar path counts its selects one by one as it makes them; the
 vectorized entry points add ``costmodel.datapath_cost`` to their counters,
@@ -246,9 +247,7 @@ def _datapath(idx: np.ndarray, acts: np.ndarray, cfg: MpuConfig, tables: Tables)
     bit-plane is then one stage-2 gather, merged by shift-add.
     """
     if isinstance(tables, DecomposedTable):
-        hi_idx, lo_idx = split_line_index(idx, tables.n, tables.m)
-        combined = (tables.hi.lines[hi_idx].astype(np.int64) << tables.shift) + tables.lo.lines[lo_idx]
-        lines = combined.reshape(-1, tables.entries_per_line)
+        lines = tables.select(idx).reshape(-1, tables.entries_per_line)
         rows = np.arange(idx.size).reshape(idx.shape)
     else:
         lines, rows = tables.lines, idx

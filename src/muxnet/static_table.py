@@ -23,8 +23,8 @@ from typing import IO
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, ModeMismatch, OddSplitUnsupported
-from .quantizer import ENUM_BUDGET_BITS, QuantizedWeightVector
+from .errors import EnumerationTooLarge, OddSplitUnsupported
+from .quantizer import ENUM_BUDGET_BITS
 
 
 def pack_line_index(codes, m: int) -> np.ndarray:
@@ -79,19 +79,6 @@ class StaticTable:
     def total_entries(self) -> int:
         return self.line_count * self.entries_per_line
 
-    def line_index_of(self, weights: QuantizedWeightVector) -> int:
-        """Line index of a quantized weight vector, checked against this table's mode."""
-        if weights.m != self.m or weights.n != self.n:
-            raise ModeMismatch(
-                f"weight vector is (n={weights.n}, m={weights.m}) but table is (n={self.n}, m={self.m})"
-            )
-        return int(pack_line_index(weights.codes, self.m))
-
-    def codes_of_line(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.line_count:
-            raise ValueError(f"line index {index} out of range")
-        return tuple(unpack_line_codes(index, self.n, self.m, self.signed).tolist())
-
 
 def check_mode(n: int, m: int, decomposed: bool) -> None:
     """Refuse a mode whose tables cannot be built.
@@ -131,7 +118,7 @@ class DecomposedTable:
     """Two half-width tables replacing one width-m table.
 
     ``hi`` holds the signed upper fields, ``lo`` the unsigned lower fields;
-    a combined entry is ``hi_entry << shift | added lo_entry``.
+    ``select`` combines them as ``(hi_entry << shift) + lo_entry``.
     """
 
     hi: StaticTable
@@ -156,6 +143,11 @@ class DecomposedTable:
     @property
     def total_entries(self) -> int:
         return self.hi.total_entries + self.lo.total_entries
+
+    def select(self, index) -> np.ndarray:
+        """Stage 1 for (...) width-m line indices: the (..., 2**n) int64 lines."""
+        hi_index, lo_index = split_line_index(index, self.n, self.m)
+        return (self.hi.lines[hi_index].astype(np.int64) << self.shift) + self.lo.lines[lo_index]
 
 
 def decompose_table(n: int, m: int = 10) -> DecomposedTable:
@@ -183,10 +175,7 @@ def split_line_index(index, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def combined_entry(table: DecomposedTable, line_index: int, key: int) -> int:
     """Entry the decomposed pair produces for a full-width line index."""
-    hi_index, lo_index = split_line_index(line_index, table.n, table.m)
-    hi_v = int(table.hi.lines[hi_index, key])
-    lo_v = int(table.lo.lines[lo_index, key])
-    return (hi_v << table.shift) + lo_v
+    return int(table.select(line_index)[key])
 
 
 def dump_table(table: StaticTable, stream: IO[str]) -> None:

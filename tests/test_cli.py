@@ -73,9 +73,12 @@ def test_verify_default_suite(artifacts, capsys):
 
 
 def test_verify_fault_injection_exits_one(capsys):
+    # the suite itself, not a side check, must catch the corrupted entry
     assert main(["verify", "--inject-fault"]) == EXIT_VERIFY
-    out = capsys.readouterr().out
-    assert "counterexample" in out
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("FAIL exhaustive n=2 m=3 (2^6 * 4^2 cases) after 21 cases")
+    assert out[at + 1] == "  counterexample: line 1 acts (1,0): mux 2, mac 1"
+    assert sum(line.startswith("ok   ") for line in out) == 4
 
 
 def test_verify_trace_written(tmp_path, capsys):
@@ -145,15 +148,16 @@ def test_cost_model_csv(artifacts, capsys):
 
 def test_cost_sweep_csv(tmp_path, capsys):
     sweep = tmp_path / "sweep.json"
-    sweep.write_text(json.dumps({"n": [2], "m": [4, 5, 10]}))
+    sweep.write_text(json.dumps({"n": [2], "m": [4, 5, 10, 2]}))
     out = tmp_path / "sweep.csv"
     assert main(["cost", "--sweep", str(sweep), "--out", str(out)]) == EXIT_OK
     lines = out.read_text().strip().splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     m5 = lines[2].split(",")
     assert m5[1] == "5" and m5[4] == ""  # odd m: no even split
     m10 = lines[3].split(",")
     assert float(m10[4]) == 512.0
+    assert lines[4] == "2,2,4,12,"  # two 1-bit halves: no split either
     capsys.readouterr()
 
 

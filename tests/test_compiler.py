@@ -2,12 +2,14 @@
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from muxnet.cli import EXIT_INPUT, main
 from muxnet.compiler import (
     _HEADER,
     _LAYER_HEADER,
@@ -291,6 +293,26 @@ def test_a_refused_mode_is_refused_everywhere():
         deserialize_model(serialize_model(model))
     with pytest.raises(OddSplitUnsupported, match="cannot be decomposed"):
         MpuEngine(model)
+
+
+def test_a_model_must_end_in_a_linear_layer(tmp_path, capsys):
+    # a conv-ended model's logits carry a time axis, not one per class
+    checkpoint = FloatModel(layers=[default_float_model(seed=4).layers[0]], input_len=320)
+    with pytest.raises(BadArtifact, match="last layer must be linear"):
+        compile_model(checkpoint)
+    save_float_model(checkpoint, tmp_path / "conv.muxf")
+    out = tmp_path / "conv.muxn"
+    assert main(["compile", "--model", str(tmp_path / "conv.muxf"), "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    assert "last layer must be linear" in capsys.readouterr().err
+    # a conv-only artifact written past the compiler is refused at load,
+    # whatever input length its header declares
+    model = compile_model(default_float_model(seed=4))
+    first = replace(model.layers[0], requant=False, out_scale=None)
+    blob = serialize_model(replace(model, layers=[first]))
+    for data in (blob, _patched(blob, _HEADER, 0, 5, 2 ** 32 - 1)):
+        with pytest.raises(BadArtifact, match="last layer must be linear"):
+            deserialize_model(data)
 
 
 @functools.cache

@@ -51,6 +51,8 @@ def test_decomposition_entry_counts():
     assert decomposition_cost(2, 4).ratio == 8.0
     with pytest.raises(OddSplitUnsupported):
         decomposition_cost(2, 5)
+    with pytest.raises(OddSplitUnsupported):
+        decomposition_cost(2, 2)  # 1-bit halves
     ratios = [decomposition_cost(2, m).ratio for m in (4, 6, 8, 10)]
     assert all(b == 4 * a for a, b in zip(ratios, ratios[1:]))  # 2**(n*m/2)/2
 

@@ -133,6 +133,21 @@ def test_input_shape_rejected():
         engine.forward(np.zeros((2, model.input_len + 3), dtype=np.int64))
 
 
+def test_input_outside_layer0_range_rejected():
+    # the datapath would mask these to their low 8 bits, the reference not
+    model = compile_model(default_float_model(seed=0))
+    engine = MpuEngine(model)
+    for value in (300, -1):
+        u = np.full(model.input_len, value, dtype=np.int64)
+        with pytest.raises(ValueError, match="outside layer 0's range"):
+            engine.forward(u)
+        with pytest.raises(ValueError):
+            engine.forward(np.stack([np.zeros_like(u), u]))
+    edges = np.stack([np.zeros(model.input_len, dtype=np.int64), np.full(model.input_len, 255)])
+    for got, u in zip(engine.forward(edges), edges):
+        assert np.array_equal(got, reference_logits(model, u))
+
+
 def test_layer_profile_reports_storage_and_cycles():
     model = compile_model(default_float_model(seed=10))
     engine = MpuEngine(model)

@@ -21,7 +21,7 @@ from muxnet.mpu import (
     stage2_select,
 )
 from muxnet.quantizer import QParams, QuantizedWeightVector
-from muxnet.reference import reference_inner_product
+from muxnet.reference import decode_line_indices, reference_inner_product
 from muxnet.static_table import build_static_table, decompose_table, pack_line_index
 
 T5 = build_static_table(2, 5)
@@ -55,8 +55,7 @@ def test_scalar_exhaustive_n2_m2_signed():
     table = build_static_table(2, 2)
     cfg = MpuConfig(n=2, m=2, groups=1, group_vector_len=2,
                     activation_bits=3, activation_signed=True)
-    for line in range(table.line_count):
-        codes = table.codes_of_line(line)
+    for codes in decode_line_indices(np.arange(table.line_count)[:, None], 2, 2).tolist():
         for x0 in range(-4, 4):
             for x1 in range(-4, 4):
                 want = reference_inner_product(codes, (x0, x1))  # oracle first

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from muxnet.compiler import CompileConfig
-from muxnet.errors import EnumerationTooLarge, ModeMismatch, MuxnetError, OddSplitUnsupported
-from muxnet.quantizer import ENUM_BUDGET_BITS, quantize_weights
+from muxnet.errors import EnumerationTooLarge, MuxnetError, OddSplitUnsupported
+from muxnet.quantizer import ENUM_BUDGET_BITS
 from muxnet.static_table import (
     DecomposedTable,
     StaticTable,
@@ -86,16 +86,6 @@ def test_entry_width_covers_extremes():
     assert table.lines.min() == -8
 
 
-def test_line_index_of_checks_mode():
-    table = build_static_table(2, 3)
-    qwv = quantize_weights([1.0, -2.0], m=3, scale=1.0)
-    assert table.line_index_of(qwv) == 0b110001
-    with pytest.raises(ModeMismatch):
-        table.line_index_of(quantize_weights([1.0, -2.0], m=4, scale=1.0))
-    with pytest.raises(ModeMismatch):
-        table.line_index_of(quantize_weights([1.0], m=3, scale=1.0))
-
-
 def test_enumeration_budget():
     with pytest.raises(EnumerationTooLarge):
         build_static_table(3, 7)
@@ -163,6 +153,16 @@ def test_decomposed_equals_monolithic_exhaustive_m4():
     for index in range(mono.line_count):
         for key in range(4):
             assert combined_entry(dec, index, key) == int(mono.lines[index, key])
+
+
+def test_select_gives_the_monolithic_lines_for_any_index_shape():
+    mono = build_static_table(2, 6)
+    dec = decompose_table(2, 6)
+    idx = np.random.default_rng(2).integers(0, mono.line_count, size=(5, 7))
+    got = dec.select(idx)
+    assert got.shape == (5, 7, 4) and got.dtype == np.int64
+    assert np.array_equal(got, mono.lines[idx])
+    assert np.array_equal(dec.select(np.arange(mono.line_count)), mono.lines)
 
 
 def test_split_array_matches_scalar():
