@@ -222,6 +222,8 @@ def _perturbed_table(m: int = 5) -> StaticTable:
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 1:
+        raise LoopConfigError(f"--cases must be at least 1, got {args.cases}")
     cfg = load_config(args.config)
     checks: list[tuple[str, int, str | None]] = []
 

@@ -1,10 +1,13 @@
 """Compiled-model execution on the two-stage MUX datapath.
 
-The engine owns the static tables (one per distinct mode), feeds every
-layer through ``pe_forward`` with that layer's own cost counter, and
-applies the integer constants the compiler produced.  All value-path
-arithmetic is table gathers, adds, and shifts; the only products appear in
-cost counters, never in data.
+The engine owns the static tables (one per distinct mode) and each
+layer's resident stage-1 rows, built once at init from that layer's
+weights (``mpu.stage_rows``, fused over as many activation bit-planes as
+fit the 64 KiB row budget).  It feeds every layer through ``pe_forward``
+with those rows and the layer's own cost counter, and applies the integer
+constants the compiler produced.  All value-path arithmetic is table
+gathers, adds, and shifts; the only products appear in cost counters,
+never in data.
 
 Activation layout is channel-major throughout: a conv layer hands
 (channels, time) to its successor, flattened in C order when a linear
@@ -21,7 +24,7 @@ import numpy as np
 from .compiler import ACT_RELU, KIND_CONV1D, CompiledLayer, CompiledModel
 from .costmodel import predict_model_costs
 from .errors import ShapeError
-from .mpu import CycleCount, MpuConfig, Tables, pe_forward
+from .mpu import CycleCount, MpuConfig, StageRows, Tables, pe_forward, stage_rows
 from .quantizer import activation_range
 from .static_table import build_static_table, decompose_table
 
@@ -36,6 +39,7 @@ class MpuEngine:
         self.reset_counters()
         self._tables: dict[tuple[int, int, bool], Tables] = {}
         self._configs: list[MpuConfig] = []
+        self.rows: list[StageRows] = []  # each layer's resident stage-1 rows
         for layer in model.layers:
             key = (model.n, layer.mode_m, layer.decomposed)
             if key not in self._tables:
@@ -44,14 +48,16 @@ class MpuEngine:
                     if layer.decomposed
                     else build_static_table(model.n, layer.mode_m)
                 )
-            self._configs.append(MpuConfig(
+            cfg = MpuConfig(
                 n=model.n,
                 m=layer.mode_m,
                 groups=groups,
                 group_vector_len=group_vector_len,
                 activation_bits=layer.activation_bits,
                 activation_signed=layer.activation_signed,
-            ))
+            )
+            self._configs.append(cfg)
+            self.rows.append(stage_rows(layer.line_indices, cfg, self._tables[key]))
 
     def tables_for(self, layer_index: int) -> Tables:
         layer = self.model.layers[layer_index]
@@ -69,7 +75,7 @@ class MpuEngine:
             acts = padded
         return pe_forward(
             layer.line_indices, acts, self._configs[li], self.tables_for(li),
-            counters=self._layer_counters[li],
+            counters=self._layer_counters[li], rows=self.rows[li],
         )
 
     @staticmethod

@@ -11,21 +11,28 @@ inputs.
 
 Nothing on the value path multiplies: only table gathers, adds, and
 shifts.  The vectorized entry points (``batch_inner_product``,
-``pe_forward``) are shape checks around one shared kernel that runs the
-identical datapath across many cases at once: stage 1 runs once per call
-(``DecomposedTable.select`` combines a decomposed table's hi and lo
-lines there, once), then each bit-plane is a single gather from the
-selected lines.  The scalar path selects each half on its own.
+``pe_forward``) are shape checks around one shared kernel over resident
+stage-1 rows (``stage_rows``).  Stage 1 depends only on the weights, so an
+engine builds a layer's rows once: the selected lines
+(``DecomposedTable.select`` combines a decomposed table's hi and lo lines
+there), laid out chunk-major, then fused over p activation bit-planes by
+doubling, so one gather per chunk returns the shift-added sum of p planes.
+The kernel takes one gather per group of p planes, sums over chunks and
+merges by shift-add.  ``batch_inner_product`` builds p=1 rows per call
+from its per-case indices.  The scalar path selects each half on its own.
 
 The scalar path counts its selects one by one as it makes them; the
 vectorized entry points add ``costmodel.datapath_cost`` to their counters,
-whose module docstring holds the cycle accounting conventions.
+whose module docstring holds the cycle accounting conventions.  Those
+counters model the hardware, which selects one plane per cycle from a
+stage-1 line it reads per task: building rows once and fusing planes only
+reorders the software's evaluation, so the counts do not change with p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -36,6 +43,9 @@ from .quantizer import QuantizedWeightVector, activation_range
 from .static_table import DecomposedTable, StaticTable, pack_line_index, split_line_index
 
 Tables = StaticTable | DecomposedTable
+
+FUSE_DEPTHS = (4, 2, 1)  # bit-planes per gather, deepest first
+ROW_BUDGET_BYTES = 1 << 16  # resident rows of one layer at p > 1
 
 
 @dataclass(frozen=True)
@@ -236,31 +246,127 @@ def bitserial_inner_product(
     return plmu.accumulator
 
 
-def _datapath(idx: np.ndarray, acts: np.ndarray, cfg: MpuConfig, tables: Tables) -> np.ndarray:
-    """The vectorized two-stage datapath shared by every batched entry point.
+def sum_dtype(terms: int, max_abs: int) -> np.dtype:
+    """int32 when ``terms`` entries of magnitude <= ``max_abs`` cannot overflow it, else int64."""
+    return np.dtype(np.int32) if terms * max_abs < 1 << 31 else np.dtype(np.int64)
 
-    idx: (..., chunks) line indices; acts: (..., chunks, n) activations.
-    The leading axes broadcast against each other, so (outputs, chunks)
-    indices against (batch, 1, chunks, n) activations give the layer shape
-    and (cases, chunks) against (cases, chunks, n) the case-wise one.
-    Stage 1 runs once: ``lines[rows]`` are the selected lines.  Each
-    bit-plane is then one stage-2 gather, merged by shift-add.
+
+def _narrowest(max_abs: int) -> np.dtype:
+    for dtype in (np.int8, np.int16, np.int32):
+        if max_abs <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+@dataclass(frozen=True)
+class StageRows:
+    """Resident stage-1 rows of one (outputs, chunks) weight matrix, fused over p planes.
+
+    ``rows[offsets[c] + key, o]`` is what output ``o`` adds for chunk ``c`` when
+    its n activations carry the p-bit fields ``f_i`` of one plane group, keyed
+    field-major as ``key = sum(f_i << (i*p))``: the selected line's entries for
+    those p planes, shifted into place and added.  ``top`` is the same for the
+    group that holds a signed MSB plane (p > 1 only; at p = 1 the kernel
+    subtracts that group).  ``sum_dtype`` is wide enough for the sum over chunks.
     """
+
+    p: int
+    rows: np.ndarray  # (chunks << (n*p), outputs), narrowest dtype holding the range
+    top: np.ndarray | None
+    offsets: np.ndarray  # (chunks, 1) first row of each chunk; (chunks, cases) case-wise
+    sum_dtype: np.dtype
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + (0 if self.top is None else self.top.nbytes)
+
+
+def _double(hi_rows: np.ndarray, lo_rows: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Depth-2q rows from depth-q ones: field ``hi << q | lo`` reads ``hi_rows[hi] << q``
+    plus ``lo_rows[lo]``, one broadcast over every (hi, lo) field pair."""
+    chunks, _, outputs = lo_rows.shape
+    side = 1 << q
+    hi = hi_rows.reshape(chunks, *(side, 1) * n, outputs)  # field n-1 is the most significant
+    lo = lo_rows.reshape(chunks, *(1, side) * n, outputs)
+    return ((hi << q) + lo).reshape(chunks, 1 << (2 * n * q), outputs)
+
+
+def stage_rows(
+    line_indices: np.ndarray, cfg: MpuConfig, tables: Tables, p: int | None = None
+) -> StageRows:
+    """Stage 1 for (outputs, chunks) line indices, fused over ``p`` bit-planes.
+
+    p=1 rows are the selected lines; depth 2q is built from depth q by
+    ``_double``.  ``p`` None picks the largest of FUSE_DEPTHS that divides
+    activation_bits and whose rows fit ROW_BUDGET_BYTES; p=1 always fits.
+    """
+    _check_tables(cfg, tables)
+    idx = np.asarray(line_indices, dtype=np.int64)
+    if idx.ndim != 2:
+        raise ShapeError(f"line_indices must be (outputs, chunks), got {idx.shape}")
+    outputs, chunks = idx.shape
     if isinstance(tables, DecomposedTable):
-        lines = tables.select(idx).reshape(-1, tables.entries_per_line)
-        rows = np.arange(idx.size).reshape(idx.shape)
+        lines = tables.select(idx)
     else:
-        lines, rows = tables.lines, idx
-    k = cfg.activation_bits
-    ubits = acts & ((1 << k) - 1)
-    key_bit = 1 << np.arange(cfg.n, dtype=np.int64)  # activation i drives key bit i
-    acc = np.zeros(np.broadcast_shapes(idx.shape, ubits.shape[:-1])[:-1], dtype=np.int64)
-    for b in range(k):
-        keys = ((ubits >> b) & 1) @ key_bit  # (..., chunks) stage-2 select per chunk
-        plane = lines[rows, keys].sum(axis=-1, dtype=np.int64)
-        partial = plane << b
-        if cfg.activation_signed and b == k - 1:
-            acc -= partial  # MSB plane of two's-complement inputs
+        lines = np.take(tables.lines, idx, axis=0)  # (outputs, chunks, 2**n)
+    n, k, signed = cfg.n, cfg.activation_bits, cfg.activation_signed
+    # a depth-d entry adds p=1 entries weighted +-2**j, j < d: at most magnitude * (2**d - 1)
+    magnitude = max(-int(lines.min()), int(lines.max())) if lines.size else 0
+
+    def row_bytes(depth: int) -> int:
+        copies = 2 if signed and depth > 1 else 1  # plus the top rows
+        dtype = _narrowest(magnitude * ((1 << depth) - 1))
+        return copies * ((chunks * outputs) << (n * depth)) * dtype.itemsize
+
+    if p is None:
+        p = next(d for d in FUSE_DEPTHS
+                 if k % d == 0 and (d == 1 or row_bytes(d) <= ROW_BUDGET_BYTES))
+    elif p < 1 or k % p:
+        raise ValueError(f"fusion depth {p} does not divide activation_bits {k}")
+    max_abs = magnitude * ((1 << p) - 1)
+    dtype = _narrowest(max_abs)
+    rows = lines.transpose(1, 2, 0)  # (chunks, 2**n, outputs)
+    if p > 1:
+        rows = rows.astype(np.int64)  # headroom for the doubling
+    top = -rows if signed and p > 1 else None
+    q = 1
+    while q < p:
+        rows, top = _double(rows, rows, n, q), (None if top is None else _double(top, rows, n, q))
+        q <<= 1
+
+    def resident(a: np.ndarray) -> np.ndarray:
+        a = np.ascontiguousarray(a, dtype=dtype).reshape(chunks << (n * p), outputs)
+        a.flags.writeable = False
+        return a
+
+    offsets = (np.arange(chunks, dtype=np.int64) << (n * p))[:, None]
+    return StageRows(p=p, rows=resident(rows), top=None if top is None else resident(top),
+                     offsets=offsets, sum_dtype=sum_dtype(chunks, max_abs))
+
+
+def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
+    """The vectorized datapath shared by every batched entry point.
+
+    acts: (cases, chunks, n) activations; returns (cases, outputs) int64.
+    Per group of p planes (LSB first): field-major keys, one chunk-major
+    gather of resident rows, a sum over chunks, then shift and add.
+    """
+    p, k = rows.p, cfg.activation_bits
+    # (n, chunks, cases), in int32 whenever it holds k bits: the key arithmetic is the hot loop
+    u = np.ascontiguousarray((acts & ((1 << k) - 1)).transpose(2, 1, 0),
+                             dtype=np.int32 if k < 32 else np.int64)
+    field = (1 << p) - 1
+    last = k // p - 1
+    acc = np.zeros((acts.shape[0], rows.rows.shape[1]), dtype=np.int64)
+    for g in range(last + 1):
+        keys = rows.offsets + ((u[0] >> (g * p)) & field)
+        for i in range(1, cfg.n):
+            keys += ((u[i] >> (g * p)) & field) << (i * p)
+        table = rows.top if g == last and rows.top is not None else rows.rows
+        plane = np.take(table, keys, axis=0).sum(axis=0, dtype=rows.sum_dtype)
+        partial = plane.astype(np.int64, copy=False) << (g * p)
+        if cfg.activation_signed and g == last and rows.top is None:
+            acc -= partial  # MSB plane of two's-complement inputs, p = 1
         else:
             acc += partial
     return acc
@@ -276,7 +382,8 @@ def batch_inner_product(
     """Case-wise inner products: row i pairs its own chunks with its own inputs.
 
     line_indices: (cases, chunks) table line indices; activations:
-    (cases, chunks*n).  Same datapath as bitserial_inner_product, batched.
+    (cases, chunks*n).  Same datapath as bitserial_inner_product, batched:
+    p=1 rows built per call, one per (case, chunk), each case keyed to its own.
     """
     _check_tables(cfg, tables)
     idx = np.asarray(line_indices, dtype=np.int64)
@@ -286,7 +393,9 @@ def batch_inner_product(
             f"line_indices {idx.shape} inconsistent with activations {acts.shape} at n={cfg.n}"
         )
     cases, chunks = idx.shape
-    acc = _datapath(idx, acts.reshape(cases, chunks, cfg.n), cfg, tables)
+    flat = stage_rows(idx.reshape(1, -1), cfg, tables, p=1)  # one output, cases*chunks chunks
+    rows = replace(flat, offsets=flat.offsets.reshape(cases, chunks).T)
+    acc = _kernel(rows, acts.reshape(cases, chunks, cfg.n), cfg)[:, 0]
     if counters is not None:
         _count_call(counters, cfg, tables, cases=cases, outputs=1, chunks=chunks)
     return acc
@@ -298,11 +407,14 @@ def pe_forward(
     cfg: MpuConfig,
     tables: Tables,
     counters: CycleCount | None = None,
+    rows: StageRows | None = None,
 ) -> np.ndarray:
     """Layer-style forward: every output row sees the same activation vector.
 
     line_indices: (outputs, chunks); activations: (chunks*n,) or
     (batch, chunks*n).  Returns int64 (outputs,) or (batch, outputs).
+    ``rows`` are ``stage_rows(line_indices, cfg, tables)`` built once by the
+    caller and kept resident; without them the call builds its own.
     """
     _check_tables(cfg, tables)
     idx = np.asarray(line_indices, dtype=np.int64)
@@ -315,8 +427,14 @@ def pe_forward(
             f"line_indices {idx.shape} inconsistent with activations {acts.shape} at n={cfg.n}"
         )
     outputs, chunks = idx.shape
+    if rows is None:
+        rows = stage_rows(idx, cfg, tables)
+    elif (rows.rows.shape != (chunks << (cfg.n * rows.p), outputs) or cfg.activation_bits % rows.p
+          or (rows.top is not None) != (cfg.activation_signed and rows.p > 1)):
+        raise ShapeError(f"stage rows (p={rows.p}, {rows.rows.shape}) were not built "
+                         f"for line_indices {idx.shape} under this config")
     batch = acts.shape[0]
-    acc = _datapath(idx, acts.reshape(batch, 1, chunks, cfg.n), cfg, tables)
+    acc = _kernel(rows, acts.reshape(batch, chunks, cfg.n), cfg)
     if counters is not None:
         _count_call(counters, cfg, tables, cases=batch, outputs=outputs, chunks=chunks)
     return acc[0] if squeeze else acc

@@ -147,7 +147,8 @@ class DecomposedTable:
     def select(self, index) -> np.ndarray:
         """Stage 1 for (...) width-m line indices: the (..., 2**n) int64 lines."""
         hi_index, lo_index = split_line_index(index, self.n, self.m)
-        return (self.hi.lines[hi_index].astype(np.int64) << self.shift) + self.lo.lines[lo_index]
+        hi = np.take(self.hi.lines, hi_index, axis=0).astype(np.int64)
+        return (hi << self.shift) + np.take(self.lo.lines, lo_index, axis=0)
 
 
 def decompose_table(n: int, m: int = 10) -> DecomposedTable:

@@ -81,6 +81,14 @@ def test_verify_fault_injection_exits_one(capsys):
     assert sum(line.startswith("ok   ") for line in out) == 4
 
 
+def test_verify_refuses_fewer_than_one_case(capsys):
+    for cases in ("0", "-5"):
+        assert main(["verify", "--cases", cases]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert f"--cases must be at least 1, got {cases}" in err
+        assert out == ""  # refused before any check ran
+
+
 def test_verify_trace_written(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(["verify", "--cases", "64", "--trace", str(trace)]) == EXIT_OK

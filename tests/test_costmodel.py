@@ -108,8 +108,8 @@ def test_scalar_path_counts_match_the_formula(monkeypatch):
     engine = MpuEngine(model, groups=1, group_vector_len=6)
     calls = []
 
-    def recorded(line_indices, acts, cfg, tables, counters=None):
-        out = pe_forward(line_indices, acts, cfg, tables, counters=counters)
+    def recorded(line_indices, acts, cfg, tables, counters=None, **kwargs):
+        out = pe_forward(line_indices, acts, cfg, tables, counters=counters, **kwargs)
         calls.append((line_indices, acts, cfg, tables, out))
         return out
 

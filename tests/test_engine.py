@@ -10,7 +10,8 @@ from muxnet.compiler import CompiledModel, CompileConfig, compile_model, default
 from muxnet.costmodel import predict_model_costs
 from muxnet.engine import MpuEngine
 from muxnet.errors import ShapeError
-from muxnet.mpu import pe_forward
+from muxnet.mpu import FUSE_DEPTHS, ROW_BUDGET_BYTES, MpuConfig, pe_forward, stage_rows, sum_dtype
+from muxnet.quantizer import activation_range
 from muxnet.reference import reference_logits
 
 
@@ -189,3 +190,49 @@ def test_layer_calls_pass_their_counter_by_keyword(monkeypatch):
     engine.forward(_random_inputs(np.random.default_rng(5), model, 2))
     rows = predict_model_costs(model, engine.groups, engine.group_vector_len, batch=2)
     assert deltas == [(r.cycles, r.mux_selects, r.memory_bits_read) for r in rows]
+
+
+def test_resident_rows_take_the_deepest_fusion_that_fits():
+    # built once at init: the largest p dividing activation_bits whose rows
+    # fit ROW_BUDGET_BYTES (p = 1 always); the 616-chunk linear layer stays at p = 1
+    model = compile_model(default_float_model(seed=0))
+    engine = MpuEngine(model)
+    assert [rows.p for rows in engine.rows] == [4, 2, 1, 2]
+    for li, (layer, rows) in enumerate(zip(model.layers, engine.rows)):
+        assert rows.p == 1 or rows.nbytes <= ROW_BUDGET_BYTES
+        cfg = MpuConfig(n=model.n, m=layer.mode_m, activation_bits=layer.activation_bits,
+                        activation_signed=layer.activation_signed)
+        for p in FUSE_DEPTHS:
+            if p > rows.p and layer.activation_bits % p == 0:
+                deeper = stage_rows(layer.line_indices, cfg, engine.tables_for(li), p=p)
+                assert deeper.nbytes > ROW_BUDGET_BYTES, (li, p)
+    # several engines stay alive at once in a compile sweep
+    assert sum(rows.nbytes for rows in engine.rows) < 256 * 1024
+
+
+@pytest.mark.parametrize("settings, group_vector_len", [
+    ({"activation_bits": 3}, 8),
+    ({"activation_bits": 7}, 8),
+    ({"activation_bits": 16}, 8),
+    ({"n": 1}, 8),
+    ({"n": 3, "linear_m": 4}, 6),  # n*5 = 15 index bits would need an odd split
+])
+def test_other_widths_and_chunk_sizes_match_reference(settings, group_vector_len):
+    model = compile_model(default_float_model(seed=4, input_len=80), CompileConfig(**settings))
+    engine = MpuEngine(model, group_vector_len=group_vector_len)
+    first = model.layers[0]
+    lo, hi = activation_range(first.activation_bits, first.activation_signed)
+    u = np.random.default_rng(1).integers(lo, hi + 1, size=(3, model.input_len))
+    u[0] = hi
+    batched = engine.forward(u)
+    for i in range(u.shape[0]):
+        want = reference_logits(model, u[i])
+        assert np.array_equal(batched[i], want), i
+        assert np.array_equal(engine.forward(u[i]), want), i
+
+
+def test_chunk_sums_narrow_to_int32_only_below_two_to_the_31():
+    assert sum_dtype(1, 2**31 - 1) == np.int32
+    assert sum_dtype(1, 2**31) == np.int64
+    assert sum_dtype(2, 2**30 - 1) == np.int32
+    assert sum_dtype(2, 2**30) == np.int64

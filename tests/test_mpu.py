@@ -19,8 +19,9 @@ from muxnet.mpu import (
     plmu_width_bound,
     stage1_select,
     stage2_select,
+    stage_rows,
 )
-from muxnet.quantizer import QParams, QuantizedWeightVector
+from muxnet.quantizer import QParams, QuantizedWeightVector, activation_range
 from muxnet.reference import decode_line_indices, reference_inner_product
 from muxnet.static_table import build_static_table, decompose_table, pack_line_index
 
@@ -146,19 +147,42 @@ def test_batch_decomposed_matches_oracle():
 
 
 def test_pe_forward_matches_matmul_oracle():
+    # the one kernel at every fusion depth: p planes per gather, a signed
+    # layer's MSB plane in the top rows (p > 1) or subtracted (p = 1)
     rng = np.random.default_rng(7)
     for tables, m in ((T5, 5), (D10, 10)):
         for signed in (True, False):
-            cfg = MpuConfig(n=2, m=m, groups=8, group_vector_len=8,
-                            activation_bits=8, activation_signed=signed)
-            lo, hi = (-128, 128) if signed else (0, 256)
-            codes = rng.integers(-(1 << (m - 1)), 1 << (m - 1), size=(6, 10))  # 6 outputs, fan-in 10
-            acts = rng.integers(lo, hi, size=(17, 10))
-            got = pe_forward(pack_rows(codes, 2, m), acts, cfg, tables)
-            assert np.array_equal(got, acts @ codes.T), (m, signed)
-            single = pe_forward(pack_rows(codes, 2, m), acts[0], cfg, tables)
-            assert single.shape == (6,)
-            assert np.array_equal(single, got[0])
+            for bits in (3, 7, 8, 16):
+                cfg = MpuConfig(n=2, m=m, groups=8, group_vector_len=8,
+                                activation_bits=bits, activation_signed=signed)
+                lo, hi = activation_range(bits, signed)
+                half = 1 << (m - 1)
+                codes = rng.integers(-half, half, size=(6, 10))  # 6 outputs, fan-in 10
+                codes[0] = -half  # the extremes meet the extreme activations below
+                acts = rng.integers(lo, hi + 1, size=(17, 10))
+                acts[1], acts[2] = lo, hi
+                idx = pack_rows(codes, 2, m)
+                want = acts @ codes.T  # oracle first
+                for p in (1, 2, 4):
+                    if bits % p:
+                        continue
+                    rows = stage_rows(idx, cfg, tables, p=p)
+                    assert rows.p == p and (rows.top is not None) == (signed and p > 1)
+                    got = pe_forward(idx, acts, cfg, tables, rows=rows)
+                    assert np.array_equal(got, want), (m, signed, bits, p)
+                    single = pe_forward(idx, acts[1], cfg, tables, rows=rows)
+                    assert single.shape == (6,)
+                    assert np.array_equal(single, want[1]), (m, signed, bits, p)
+                # the depth pe_forward picks itself
+                assert np.array_equal(pe_forward(idx, acts, cfg, tables), want)
+                # case-wise: each case pairs its own weights with its own inputs
+                case_codes = rng.integers(-half, half, size=(17, 10))
+                case_codes[1] = -half
+                case_idx = pack_rows(case_codes, 2, m)
+                got = batch_inner_product(case_idx, acts, cfg, tables)
+                assert np.array_equal(got, (case_codes * acts).sum(axis=1)), (m, signed, bits)
+                one = batch_inner_product(case_idx[1:2], acts[1:2], cfg, tables)
+                assert np.array_equal(one, got[1:2])
 
 
 def test_pe_forward_counter_closed_form():
@@ -215,6 +239,9 @@ def test_shape_and_mode_validation():
         pe_forward(np.zeros((1, 1), dtype=np.int64), np.zeros((1, 2)), cfg, D10)
     with pytest.raises(ShapeError):
         pe_forward(np.zeros((2, 3), dtype=np.int64), np.zeros((1, 5)), cfg, T5)
+    rows = stage_rows(np.zeros((2, 3), dtype=np.int64), cfg, T5)
+    with pytest.raises(ShapeError):  # rows of another weight matrix
+        pe_forward(np.zeros((3, 3), dtype=np.int64), np.zeros((1, 6)), cfg, T5, rows=rows)
 
 
 def test_config_validation():
