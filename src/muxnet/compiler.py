@@ -199,6 +199,8 @@ class CompileConfig:
                 raise ValueError(str(exc)) from exc
         if not 2 <= self.activation_bits <= 16:  # 1 signed bit holds no positive level
             raise ValueError(f"activation_bits must be in 2..16, got {self.activation_bits}")
+        if self.prescale_points < 1:
+            raise ValueError(f"prescale_points must be at least 1, got {self.prescale_points}")
 
     def mode_m(self, kind: str) -> int:
         return self.conv_m if kind == KIND_CONV1D else self.linear_m
@@ -385,7 +387,7 @@ def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> Co
             flat = w2d.ravel()
             s = choose_prescale(flat, m, default_prescale_grid(flat, m, cfg.prescale_points))
             scales = np.full(layer.out_channels, s)
-        codes = np.stack([quantize_codes(w2d[c], m, scales[c]) for c in range(layer.out_channels)])
+        codes = quantize_codes(w2d, m, scales[:, None])
 
         bias = layer.bias if layer.bias is not None else np.zeros(layer.out_channels)
         bias_q = round_half_away(bias / (in_scale * scales)).astype(np.int64)

@@ -5,6 +5,10 @@ Weights live as signed m-bit codes sharing one positive scale per group
 codes of an n-vector are exactly the static-table line index, so this
 module is the front half of the weight-to-table translation.
 
+The pre-scale search is grid-vectorized: one ``(block, len)`` residual
+broadcast per block of scales, each row summed with ``np.dot`` as in
+``quantization_error``, so its errors match that function's bit for bit.
+
 The inner-product outputs of the table datapath are exact subset sums, so
 their reachable level set is denser than a uniform m-bit grid; that
 effective non-uniform quantization is characterized here
@@ -23,6 +27,8 @@ from .errors import EnumerationTooLarge, NonFiniteWeight
 
 # Largest n*m this package will enumerate (2**(n*m) table lines).
 ENUM_BUDGET_BITS = 20
+
+SEARCH_BLOCK_ELEMS = 1 << 16  # elements in one of choose_prescale's (scales, weights) blocks
 
 
 def code_range(m: int) -> tuple[int, int]:
@@ -91,18 +97,27 @@ def activation_range(bits: int, signed: bool) -> tuple[int, int]:
     return 0, (1 << bits) - 1
 
 
-def quantize_codes(weights: np.ndarray, m: int, scale: float) -> np.ndarray:
+def _round_saturate(w, scale, m: int, out=None) -> np.ndarray:
+    """Float codes of ``w`` at a broadcast positive ``scale``: round half away, then saturate."""
+    lo, hi = code_range(m)
+    q = np.divide(np.abs(w), scale, out=out)  # == |w / scale| exactly, as scale > 0
+    q += 0.5
+    np.floor(q, out=q)
+    np.copysign(q, w, out=q)
+    return q.clip(lo, hi, out=q)
+
+
+def quantize_codes(weights: np.ndarray, m: int, scale) -> np.ndarray:
     """Array form of weight quantization: round-half-away, then saturate.
 
-    Works on any shape; used by the compiler on whole tensors.
+    Works on any shape; ``scale`` broadcasts against it (one positive scale per row, say).
     """
     w = np.asarray(weights, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NonFiniteWeight("weight tensor contains nan/inf")
-    if not scale > 0:
+    if not (np.asarray(scale) > 0).all():
         raise ValueError(f"scale must be positive, got {scale}")
-    lo, hi = code_range(m)
-    return np.clip(round_half_away(w / scale), lo, hi).astype(np.int64)
+    return _round_saturate(w, scale, m).astype(np.int64)
 
 
 def quantize_weights(weights, m: int, scale: float) -> QuantizedWeightVector:
@@ -148,20 +163,23 @@ def choose_prescale(weights, m: int, search_grid) -> float:
         raise ValueError("weights must be non-empty")
     if not np.all(np.isfinite(w)):
         raise NonFiniteWeight("weight vector contains nan/inf")
-    grid = sorted(float(s) for s in np.asarray(search_grid, dtype=np.float64).ravel())
-    if not grid:
+    grid = np.sort(np.asarray(search_grid, dtype=np.float64).ravel())
+    if not grid.size:
         raise ValueError("search grid must be non-empty")
-    if any(s <= 0 for s in grid):
-        raise ValueError("search grid scales must be positive")
+    if not np.all((grid > 0) & np.isfinite(grid)):
+        raise ValueError("search grid scales must be positive and finite")
     if not np.any(w):
-        return grid[0]
-    best_scale = grid[0]
-    best_err = quantization_error(w, m, grid[0])
-    for s in grid[1:]:
-        err = quantization_error(w, m, s)
-        if err < best_err:
-            best_scale, best_err = s, err
-    return best_scale
+        return float(grid[0])
+    rows = max(1, SEARCH_BLOCK_ELEMS // w.size)
+    buf = np.empty((min(rows, grid.size), w.size))
+    errs = np.empty(grid.size)
+    for start in range(0, grid.size, rows):
+        s = grid[start:start + rows, None]
+        r = _round_saturate(w, s, m, out=buf[:len(s)])
+        r *= s
+        np.subtract(w, r, out=r)
+        errs[start:start + len(s)] = [np.dot(row, row) for row in r]
+    return float(grid[np.argmin(errs)])  # first minimum: the smaller scale
 
 
 def effective_output_levels(n: int, m: int) -> np.ndarray:

@@ -305,7 +305,7 @@ def test_missing_file_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bad_config_is_config_error(artifacts, tmp_path, capsys):
+def test_bad_config_is_config_error(artifacts, tmp_path, capsys, monkeypatch):
     _, ckpt, compiled = artifacts
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -329,6 +329,16 @@ def test_bad_config_is_config_error(artifacts, tmp_path, capsys):
                    "--config", str(bad_values)])
         assert rc == EXIT_CONFIG and not out.exists()
         assert "config error" in capsys.readouterr().err
+    # a search grid without points is refused, by name, before compiling starts
+    with monkeypatch.context() as patch:
+        patch.setattr(muxnet.cli, "compile_model", lambda *a: pytest.fail("compiled"))
+        for points in (0, -1):
+            bad_values.write_text(json.dumps({"compile": {"prescale_points": points}}))
+            rc = main(["compile", "--model", str(ckpt), "--out", str(out),
+                       "--config", str(bad_values)])
+            assert rc == EXIT_CONFIG and not out.exists()
+            assert f"config error: prescale_points must be at least 1, got {points}" in \
+                capsys.readouterr().err
     # a key (or value type) the defaults do not have, in every section, is
     # refused by a command that reads that section, naming the key
     out = str(tmp_path / "out")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from muxnet import compiler
 from muxnet.cli import EXIT_INPUT, main
 from muxnet.compiler import (
     _HEADER,
@@ -42,6 +43,7 @@ from muxnet.errors import (
     ShapeError,
     UnsupportedLayer,
 )
+from muxnet.quantizer import quantization_error
 from muxnet.reference import decode_line_indices, float_forward, reference_logits
 from muxnet.static_table import unpack_line_codes
 
@@ -174,6 +176,37 @@ def test_serialize_roundtrip_identity():
         assert (a.kind, a.mode_m, a.decomposed, a.shift, a.requant) == \
                (b.kind, b.mode_m, b.decomposed, b.shift, b.requant)
         assert np.array_equal(a.weight_scales, b.weight_scales)
+
+
+def scalar_choose_prescale(weights, m, search_grid):
+    """The pre-scale search one grid point at a time; the first minimum wins."""
+    w = np.asarray(weights, dtype=np.float64)
+    grid = sorted(float(s) for s in np.ravel(search_grid))
+    if not np.any(w):
+        return grid[0]
+    errs = [quantization_error(w, m, s) for s in grid]
+    return grid[errs.index(min(errs))]
+
+
+def _scalar_search_bytes(monkeypatch, model, cfg=CompileConfig()):
+    with monkeypatch.context() as patch:
+        patch.setattr(compiler, "choose_prescale", scalar_choose_prescale)
+        return serialize_model(compile_model(model, cfg))
+
+
+def test_a_zero_output_channel_compiles_as_the_scalar_search_does(monkeypatch):
+    model = default_float_model(0)
+    model.layers[0].weight[3] = 0  # an all-zero channel searches the one-point grid [1.0]
+    compiled = compile_model(model)
+    assert compiled.layers[0].weight_scales[3] == 1.0
+    assert serialize_model(compiled) == _scalar_search_bytes(monkeypatch, model)
+
+
+@pytest.mark.parametrize("input_len, conv_m", [(320, 10), (640, 6), (640, 10)])  # default first
+def test_artifact_bytes_match_the_scalar_prescale_search(monkeypatch, input_len, conv_m):
+    model = default_float_model(0, input_len=input_len)
+    cfg = CompileConfig(conv_m=conv_m)
+    assert serialize_model(compile_model(model, cfg)) == _scalar_search_bytes(monkeypatch, model, cfg)
 
 
 def test_compile_is_deterministic():

@@ -7,6 +7,7 @@ import pytest
 
 from muxnet.errors import EnumerationTooLarge, NonFiniteWeight
 from muxnet.quantizer import (
+    SEARCH_BLOCK_ELEMS,
     QParams,
     QuantizedWeightVector,
     choose_prescale,
@@ -99,6 +100,93 @@ def test_choose_prescale_tie_breaks_smaller():
 
 def test_choose_prescale_all_zero_returns_smallest():
     assert choose_prescale([0.0, 0.0], 3, [0.4, 0.2, 0.9]) == 0.2
+
+
+def scalar_choose_prescale(weights, m, search_grid):
+    """Oracle: ``quantization_error`` at each sorted grid point; the first minimum wins."""
+    w = np.asarray(weights, dtype=np.float64)
+    grid = sorted(float(s) for s in np.ravel(search_grid))
+    if not np.any(w):
+        return grid[0]
+    errs = [quantization_error(w, m, s) for s in grid]
+    return grid[errs.index(min(errs))]
+
+
+def _dyadic_scale(rng):
+    """A scale with few significant bits, so ``(k + 0.5) * s / s`` is exactly ``k + 0.5``."""
+    return int(rng.integers(1, 8)) / float(1 << int(rng.integers(0, 6)))
+
+
+def _halves(rng, m):
+    s = _dyadic_scale(rng)
+    k = rng.integers(-(1 << (m - 1)) - 2, (1 << (m - 1)) + 2, size=int(rng.integers(1, 24)))
+    grid = [s, 0.5 * s, 0.75 * s, 1.5 * s, 2.0 * s, 3.0 * s]
+    return (k + 0.5) * s, grid
+
+
+def _saturating(rng, m):
+    w = rng.normal(size=int(rng.integers(1, 24)))
+    w[rng.integers(0, w.size)] *= 50.0  # one outlier pins the top of the code range
+    return w, 0.1 * default_prescale_grid(w, m, 16)
+
+
+def _all_negative(rng, m):
+    w = -np.abs(rng.normal(size=int(rng.integers(1, 24))))
+    return w, default_prescale_grid(w, m, 16)
+
+
+def _constant(rng, m):
+    w = np.full(int(rng.integers(1, 24)), rng.normal())
+    return w, default_prescale_grid(w, m, 16)
+
+
+def _single(rng, m):
+    w = rng.normal(size=1)
+    return w, default_prescale_grid(w, m, 16)
+
+
+def _with_zeros(rng, m):
+    w = rng.normal(size=int(rng.integers(2, 24)))
+    w[rng.random(w.size) < 0.5] = 0.0
+    return w, default_prescale_grid(w, m, 16)
+
+
+def _unsorted_duplicates(rng, m):
+    # w sits on the code grid at both s and s/2, so those two tie at zero error
+    s = _dyadic_scale(rng)
+    w = s * rng.integers(-(1 << (m - 2)), 1 << (m - 2), size=int(rng.integers(1, 24)))
+    grid = np.concatenate([default_prescale_grid(w, m, 8), [2.0 * s, s, 0.5 * s, s, 0.75 * s, 2.0 * s]])
+    return w, rng.permutation(grid)
+
+
+def assert_matches_the_scalar_loop(w, m, grid):
+    assert choose_prescale(w, m, grid) == scalar_choose_prescale(w, m, grid), (w, m, grid)
+    # the loop's errors follow the rounding rule as ``round_half_away`` spells it
+    # out, so a broken rounding helper cannot pass by breaking the oracle too
+    lo, hi = code_range(m)
+    for s in np.ravel(grid):
+        r = w - s * np.clip(round_half_away(w / s), lo, hi)
+        assert quantization_error(w, m, s) == float(np.dot(r, r)), (w, m, s)
+
+
+@pytest.mark.parametrize("make", [_halves, _saturating, _all_negative, _constant, _single,
+                                  _with_zeros, _unsorted_duplicates])
+def test_choose_prescale_matches_the_scalar_grid_loop(make):
+    rng = np.random.default_rng(906)
+    for _ in range(40):
+        m = int(rng.integers(2, 9))
+        w, grid = make(rng, m)
+        assert_matches_the_scalar_loop(w, m, grid)
+
+
+def test_choose_prescale_matches_the_scalar_grid_loop_across_blocks():
+    rng = np.random.default_rng(907)
+    w = rng.normal(size=SEARCH_BLOCK_ELEMS // 4 + 1)  # 3 scales per block
+    w[:64] = (rng.integers(-16, 16, size=64) + 0.5) * 0.125  # exact halves at scale 0.125
+    grid = np.concatenate([default_prescale_grid(w, 5, 9), [0.125]])
+    assert -(-grid.size // (SEARCH_BLOCK_ELEMS // w.size)) >= 3
+    for m in (4, 5, 6):
+        assert_matches_the_scalar_loop(w, m, grid)
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (2, 5), (3, 4)])
