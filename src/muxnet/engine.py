@@ -9,9 +9,13 @@ constants the compiler produced.  All value-path arithmetic is table
 gathers, adds, and shifts; the only products appear in cost counters,
 never in data.
 
-Activation layout is channel-major throughout: a conv layer hands
-(channels, time) to its successor, flattened in C order when a linear
-layer follows.
+Each conv layer also gets a flat patch index at init (``_patch_index``):
+the positions of every window ``x[:, t*stride : t*stride + kernel]``,
+channel-major, in one sample's input row, so ``forward`` cuts all of a
+layer's windows with one ``np.take``.  Layer 0 reads the model input as
+(channels, time); every layer hands its output on as (time, channels),
+which a conv successor's index reads as it lies and a linear successor
+flattens channel-major, as the reference does.
 """
 
 from __future__ import annotations
@@ -27,6 +31,19 @@ from .errors import ShapeError
 from .mpu import CycleCount, MpuConfig, StageRows, Tables, pe_forward, stage_rows
 from .quantizer import activation_range
 from .static_table import build_static_table, decompose_table
+
+
+def _patch_index(channels: int, length: int, kernel: int, stride: int, time_major: bool) -> np.ndarray:
+    """(t_out, channels * kernel) positions of each window in one sample's flat input.
+
+    Window t is ``x[:, t*stride : t*stride + kernel]`` flattened channel-major;
+    the input is stored (length, channels) if ``time_major``, else (channels, length).
+    """
+    t_out = (length - kernel) // stride + 1
+    time = np.arange(t_out)[:, None, None] * stride + np.arange(kernel)  # (t_out, 1, kernel)
+    chan = np.arange(channels)[:, None]
+    flat = time * channels + chan if time_major else chan * length + time
+    return flat.reshape(t_out, channels * kernel)
 
 
 class MpuEngine:
@@ -58,6 +75,12 @@ class MpuEngine:
             )
             self._configs.append(cfg)
             self.rows.append(stage_rows(layer.line_indices, cfg, self._tables[key]))
+        shapes = [(model.input_channels, model.input_len), *model.shapes()]
+        self._patches = [  # conv windows in each layer's input row; None for linear layers
+            _patch_index(*shapes[li], layer.kernel, layer.stride, time_major=li > 0)
+            if layer.kind == KIND_CONV1D else None
+            for li, layer in enumerate(model.layers)
+        ]
 
     def tables_for(self, layer_index: int) -> Tables:
         layer = self.model.layers[layer_index]
@@ -107,22 +130,18 @@ class MpuEngine:
         if u.size and (u.min() < lo or u.max() > hi):
             raise ValueError(f"input outside layer 0's range [{lo}, {hi}]")
         batch = u.shape[0]
-        v = u.reshape(batch, self.model.input_channels, self.model.input_len)
+        v = u  # one row per sample: (channels, time) into layer 0, (time, channels) after
         for li, layer in enumerate(self.model.layers):
             if layer.kind == KIND_CONV1D:
-                windows = np.lib.stride_tricks.sliding_window_view(v, layer.kernel, axis=2)
-                windows = windows[:, :, ::layer.stride, :]  # (B, C_in, T_out, k)
-                t_out = windows.shape[2]
-                patches = windows.transpose(0, 2, 1, 3).reshape(batch * t_out, layer.fan_in)
-                acc = self._layer_inner_products(li, patches)  # (B*T_out, out_ch)
-                out = self._finish_layer(layer, acc)
-                v = out.reshape(batch, t_out, layer.out_channels).transpose(0, 2, 1)
+                acts = np.take(v, self._patches[li], axis=1).reshape(-1, layer.fan_in)
+            elif li:
+                channels = self.model.layers[li - 1].out_channels
+                acts = v.reshape(batch, -1, channels).transpose(0, 2, 1).reshape(batch, -1)
             else:
-                acc = self._layer_inner_products(li, v.reshape(batch, -1))
-                out = self._finish_layer(layer, acc)
-                v = out[:, :, None]  # (B, out, 1) keeps the layout convention
-        logits = v.reshape(batch, -1)
-        return logits[0] if squeeze else logits
+                acts = v
+            out = self._finish_layer(layer, self._layer_inner_products(li, acts))
+            v = out.reshape(batch, -1)  # out is (batch * time, out_channels)
+        return v[0] if squeeze else v
 
     def logits_float(self, u: np.ndarray) -> np.ndarray:
         """Raw accumulators mapped back to real units."""

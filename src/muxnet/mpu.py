@@ -17,16 +17,20 @@ engine builds a layer's rows once: the selected lines
 (``DecomposedTable.select`` combines a decomposed table's hi and lo lines
 there), laid out chunk-major, then fused over p activation bit-planes by
 doubling, so one gather per chunk returns the shift-added sum of p planes.
-The kernel takes one gather per group of p planes, sums over chunks and
-merges by shift-add.  ``batch_inner_product`` builds p=1 rows per call
-from its per-case indices.  The scalar path selects each half on its own.
+A signed layer at p > 1 keeps its MSB group's rows after the others, in
+one array.  Plane groups are independent until the merge, so the kernel
+keys a block of them at once (all, when they fit GATHER_ELEMS gathered
+entries) for one gather, one chunk sum and one shift-add per block.
+``batch_inner_product`` builds p=1 rows per call from its per-case indices.
+The scalar path selects each half on its own.
 
 The scalar path counts its selects one by one as it makes them; the
 vectorized entry points add ``costmodel.datapath_cost`` to their counters,
 whose module docstring holds the cycle accounting conventions.  Those
 counters model the hardware, which selects one plane per cycle from a
-stage-1 line it reads per task: building rows once and fusing planes only
-reorders the software's evaluation, so the counts do not change with p.
+stage-1 line it reads per task: building rows once, fusing planes and
+gathering groups in blocks only reorder the software's evaluation, so the
+counts do not change with p or the block size.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ Tables = StaticTable | DecomposedTable
 
 FUSE_DEPTHS = (4, 2, 1)  # bit-planes per gather, deepest first
 ROW_BUDGET_BYTES = 1 << 16  # resident rows of one layer at p > 1
+GATHER_ELEMS = 1 << 20  # gathered entries per block of plane groups
 
 
 @dataclass(frozen=True)
@@ -247,15 +252,12 @@ def bitserial_inner_product(
 
 
 def sum_dtype(terms: int, max_abs: int) -> np.dtype:
-    """int32 when ``terms`` entries of magnitude <= ``max_abs`` cannot overflow it, else int64."""
-    return np.dtype(np.int32) if terms * max_abs < 1 << 31 else np.dtype(np.int64)
+    """Narrowest of int16, int32, int64 that ``terms`` entries of magnitude <= ``max_abs`` cannot overflow."""
+    return _narrowest(terms * max_abs, (np.int16, np.int32))
 
 
-def _narrowest(max_abs: int) -> np.dtype:
-    for dtype in (np.int8, np.int16, np.int32):
-        if max_abs <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
+def _narrowest(max_abs: int, dtypes: tuple = (np.int8, np.int16, np.int32)) -> np.dtype:
+    return np.dtype(next((d for d in dtypes if max_abs <= np.iinfo(d).max), np.int64))
 
 
 @dataclass(frozen=True)
@@ -265,20 +267,17 @@ class StageRows:
     ``rows[offsets[c] + key, o]`` is what output ``o`` adds for chunk ``c`` when
     its n activations carry the p-bit fields ``f_i`` of one plane group, keyed
     field-major as ``key = sum(f_i << (i*p))``: the selected line's entries for
-    those p planes, shifted into place and added.  ``top`` is the same for the
-    group that holds a signed MSB plane (p > 1 only; at p = 1 the kernel
-    subtracts that group).  ``sum_dtype`` is wide enough for the sum over chunks.
+    those p planes, shifted into place and added.  A signed layer at p > 1 has
+    the same for the group holding its MSB plane from row ``top`` on; ``top``
+    is None otherwise (at p = 1 the kernel negates that group's sum).
+    ``sum_dtype`` is wide enough for the sum over chunks.
     """
 
     p: int
-    rows: np.ndarray  # (chunks << (n*p), outputs), narrowest dtype holding the range
-    top: np.ndarray | None
+    rows: np.ndarray  # (chunks << (n*p), outputs), twice that with top; narrowest dtype holding the range
+    top: int | None  # first row of the MSB group's rows
     offsets: np.ndarray  # (chunks, 1) first row of each chunk; (chunks, cases) case-wise
     sum_dtype: np.dtype
-
-    @property
-    def nbytes(self) -> int:
-        return self.rows.nbytes + (0 if self.top is None else self.top.nbytes)
 
 
 def _double(hi_rows: np.ndarray, lo_rows: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -324,7 +323,6 @@ def stage_rows(
     elif p < 1 or k % p:
         raise ValueError(f"fusion depth {p} does not divide activation_bits {k}")
     max_abs = magnitude * ((1 << p) - 1)
-    dtype = _narrowest(max_abs)
     rows = lines.transpose(1, 2, 0)  # (chunks, 2**n, outputs)
     if p > 1:
         rows = rows.astype(np.int64)  # headroom for the doubling
@@ -333,14 +331,12 @@ def stage_rows(
     while q < p:
         rows, top = _double(rows, rows, n, q), (None if top is None else _double(top, rows, n, q))
         q <<= 1
-
-    def resident(a: np.ndarray) -> np.ndarray:
-        a = np.ascontiguousarray(a, dtype=dtype).reshape(chunks << (n * p), outputs)
-        a.flags.writeable = False
-        return a
-
+    span = chunks << (n * p)
+    parts = (rows,) if top is None else (rows, top)
+    resident = np.concatenate([a.reshape(span, outputs) for a in parts], dtype=_narrowest(max_abs))
+    resident.flags.writeable = False
     offsets = (np.arange(chunks, dtype=np.int64) << (n * p))[:, None]
-    return StageRows(p=p, rows=resident(rows), top=None if top is None else resident(top),
+    return StageRows(p=p, rows=resident, top=None if top is None else span,
                      offsets=offsets, sum_dtype=sum_dtype(chunks, max_abs))
 
 
@@ -348,27 +344,39 @@ def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
     """The vectorized datapath shared by every batched entry point.
 
     acts: (cases, chunks, n) activations; returns (cases, outputs) int64.
-    Per group of p planes (LSB first): field-major keys, one chunk-major
-    gather of resident rows, a sum over chunks, then shift and add.
+    The k/p groups of p planes are taken in blocks of up to GATHER_ELEMS
+    gathered entries (every group at once when they fit).  Per block:
+    field-major keys for all its groups, laid out (groups, chunks, cases);
+    one gather of resident rows through the chunk-major view of those keys;
+    a sum over chunks in ``sum_dtype``; then one int64 shift-add over the
+    block's groups.  A signed layer's MSB group keys into the top rows
+    (p > 1) or has its sum negated before the merge (p = 1).
     """
-    p, k = rows.p, cfg.activation_bits
-    # (n, chunks, cases), in int32 whenever it holds k bits: the key arithmetic is the hot loop
-    u = np.ascontiguousarray((acts & ((1 << k) - 1)).transpose(2, 1, 0),
-                             dtype=np.int32 if k < 32 else np.int64)
-    field = (1 << p) - 1
-    last = k // p - 1
-    acc = np.zeros((acts.shape[0], rows.rows.shape[1]), dtype=np.int64)
-    for g in range(last + 1):
-        keys = rows.offsets + ((u[0] >> (g * p)) & field)
-        for i in range(1, cfg.n):
-            keys += ((u[i] >> (g * p)) & field) << (i * p)
-        table = rows.top if g == last and rows.top is not None else rows.rows
-        plane = np.take(table, keys, axis=0).sum(axis=0, dtype=rows.sum_dtype)
-        partial = plane.astype(np.int64, copy=False) << (g * p)
-        if cfg.activation_signed and g == last and rows.top is None:
-            acc -= partial  # MSB plane of two's-complement inputs, p = 1
-        else:
-            acc += partial
+    p, k, n = rows.p, cfg.activation_bits, cfg.n
+    cases, chunks, _ = acts.shape
+    outputs = rows.rows.shape[1]
+    # the key arithmetic is the hot loop: int32 whenever it holds the k bits and every row
+    kdt = np.int32 if k < 32 and rows.rows.shape[0] < 1 << 31 else np.int64
+    u = np.ascontiguousarray((acts & ((1 << k) - 1)).transpose(2, 1, 0), dtype=kdt)  # (n, chunks, cases)
+    offsets = rows.offsets.astype(kdt, copy=False)
+    field, groups = (1 << p) - 1, k // p
+    negate = cfg.activation_signed and rows.top is None  # MSB plane of two's-complement inputs, p = 1
+    block = max(1, GATHER_ELEMS // max(1, chunks * cases * outputs))
+    acc = None
+    for g0 in range(0, groups, block):
+        g1 = min(g0 + block, groups)
+        at = (np.arange(g0, g1, dtype=kdt) * p)[:, None, None]  # each group's lowest plane
+        keys = (u[0] >> at) & field  # (groups, chunks, cases)
+        for i in range(1, n):
+            keys += ((u[i] >> at) & field) << (i * p)
+        keys += offsets
+        if g1 == groups and rows.top is not None:
+            keys[-1] += rows.top
+        planes = np.take(rows.rows, keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.sum_dtype)
+        if g1 == groups and negate:
+            np.negative(planes[-1], out=planes[-1])
+        part = np.left_shift(planes, at, dtype=np.int64).sum(axis=0)
+        acc = part if acc is None else acc + part
     return acc
 
 
@@ -429,10 +437,13 @@ def pe_forward(
     outputs, chunks = idx.shape
     if rows is None:
         rows = stage_rows(idx, cfg, tables)
-    elif (rows.rows.shape != (chunks << (cfg.n * rows.p), outputs) or cfg.activation_bits % rows.p
-          or (rows.top is not None) != (cfg.activation_signed and rows.p > 1)):
-        raise ShapeError(f"stage rows (p={rows.p}, {rows.rows.shape}) were not built "
-                         f"for line_indices {idx.shape} under this config")
+    else:
+        span = chunks << (cfg.n * rows.p)
+        top = span if cfg.activation_signed and rows.p > 1 else None
+        if (cfg.activation_bits % rows.p or rows.top != top
+                or rows.rows.shape != ((1 if top is None else 2) * span, outputs)):
+            raise ShapeError(f"stage rows (p={rows.p}, {rows.rows.shape}) were not built "
+                             f"for line_indices {idx.shape} under this config")
     batch = acts.shape[0]
     acc = _kernel(rows, acts.reshape(batch, chunks, cfg.n), cfg)
     if counters is not None:

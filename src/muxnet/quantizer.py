@@ -97,10 +97,11 @@ def activation_range(bits: int, signed: bool) -> tuple[int, int]:
     return 0, (1 << bits) - 1
 
 
-def _round_saturate(w, scale, m: int, out=None) -> np.ndarray:
-    """Float codes of ``w`` at a broadcast positive ``scale``: round half away, then saturate."""
+def _round_saturate(w, w_abs, scale, m: int, out=None) -> np.ndarray:
+    """Float codes of ``w`` (``w_abs`` is ``np.abs(w)``) at a broadcast positive ``scale``:
+    round half away, then saturate."""
     lo, hi = code_range(m)
-    q = np.divide(np.abs(w), scale, out=out)  # == |w / scale| exactly, as scale > 0
+    q = np.divide(w_abs, scale, out=out)  # == |w / scale| exactly, as scale > 0
     q += 0.5
     np.floor(q, out=q)
     np.copysign(q, w, out=q)
@@ -117,7 +118,7 @@ def quantize_codes(weights: np.ndarray, m: int, scale) -> np.ndarray:
         raise NonFiniteWeight("weight tensor contains nan/inf")
     if not (np.asarray(scale) > 0).all():
         raise ValueError(f"scale must be positive, got {scale}")
-    return _round_saturate(w, scale, m).astype(np.int64)
+    return _round_saturate(w, np.abs(w), scale, m).astype(np.int64)
 
 
 def quantize_weights(weights, m: int, scale: float) -> QuantizedWeightVector:
@@ -173,9 +174,10 @@ def choose_prescale(weights, m: int, search_grid) -> float:
     rows = max(1, SEARCH_BLOCK_ELEMS // w.size)
     buf = np.empty((min(rows, grid.size), w.size))
     errs = np.empty(grid.size)
+    w_abs = np.abs(w)
     for start in range(0, grid.size, rows):
         s = grid[start:start + rows, None]
-        r = _round_saturate(w, s, m, out=buf[:len(s)])
+        r = _round_saturate(w, w_abs, s, m, out=buf[:len(s)])
         r *= s
         np.subtract(w, r, out=r)
         errs[start:start + len(s)] = [np.dot(row, row) for row in r]

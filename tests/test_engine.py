@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 
 import muxnet.engine
-from muxnet.compiler import CompiledModel, CompileConfig, compile_model, default_float_model
+from muxnet.compiler import (
+    ACT_NONE,
+    KIND_CONV1D,
+    KIND_LINEAR,
+    CompiledModel,
+    CompileConfig,
+    FloatLayer,
+    FloatModel,
+    compile_model,
+    default_float_model,
+)
 from muxnet.costmodel import predict_model_costs
-from muxnet.engine import MpuEngine
+from muxnet.engine import MpuEngine, _patch_index
 from muxnet.errors import ShapeError
 from muxnet.mpu import FUSE_DEPTHS, ROW_BUDGET_BYTES, MpuConfig, pe_forward, stage_rows, sum_dtype
 from muxnet.quantizer import activation_range
@@ -199,15 +209,16 @@ def test_resident_rows_take_the_deepest_fusion_that_fits():
     engine = MpuEngine(model)
     assert [rows.p for rows in engine.rows] == [4, 2, 1, 2]
     for li, (layer, rows) in enumerate(zip(model.layers, engine.rows)):
-        assert rows.p == 1 or rows.nbytes <= ROW_BUDGET_BYTES
+        assert rows.p == 1 or rows.rows.nbytes <= ROW_BUDGET_BYTES
         cfg = MpuConfig(n=model.n, m=layer.mode_m, activation_bits=layer.activation_bits,
                         activation_signed=layer.activation_signed)
         for p in FUSE_DEPTHS:
             if p > rows.p and layer.activation_bits % p == 0:
                 deeper = stage_rows(layer.line_indices, cfg, engine.tables_for(li), p=p)
-                assert deeper.nbytes > ROW_BUDGET_BYTES, (li, p)
-    # several engines stay alive at once in a compile sweep
-    assert sum(rows.nbytes for rows in engine.rows) < 256 * 1024
+                assert deeper.rows.nbytes > ROW_BUDGET_BYTES, (li, p)
+    # several engines stay alive at once in a compile sweep; the top rows of a
+    # signed p > 1 layer share its one array and p = 1 adds no copy for them
+    assert sum(rows.rows.nbytes for rows in engine.rows) == 118_272
 
 
 @pytest.mark.parametrize("settings, group_vector_len", [
@@ -231,8 +242,51 @@ def test_other_widths_and_chunk_sizes_match_reference(settings, group_vector_len
         assert np.array_equal(engine.forward(u[i]), want), i
 
 
-def test_chunk_sums_narrow_to_int32_only_below_two_to_the_31():
+def test_chunk_sums_take_the_narrowest_of_int16_int32_int64():
+    assert sum_dtype(1, 2**15 - 1) == np.int16
+    assert sum_dtype(1, 2**15) == np.int32
+    assert sum_dtype(2, 2**14 - 1) == np.int16
+    assert sum_dtype(2, 2**14) == np.int32
     assert sum_dtype(1, 2**31 - 1) == np.int32
     assert sum_dtype(1, 2**31) == np.int64
     assert sum_dtype(2, 2**30 - 1) == np.int32
     assert sum_dtype(2, 2**30) == np.int64
+
+
+# (input channels, input length, [(out channels, kernel, stride), ...]) of the conv layers
+CONV_GEOMETRIES = [
+    (1, 20, [(4, 3, 1), (3, 2, 2)]),   # stride 1, then stride 2 over a conv output
+    (3, 17, [(4, 5, 3), (2, 2, 1)]),   # stride 3 over three input channels
+    (3, 9, [(4, 9, 1)]),               # kernel == input length: one window
+    (1, 16, [(2, 2, 3), (3, 1, 2)]),   # stride > kernel, on the input and on a conv output
+]
+
+
+@pytest.mark.parametrize("channels, length, convs", CONV_GEOMETRIES)
+def test_conv_patch_index_cuts_the_reference_windows(channels, length, convs):
+    rng = np.random.default_rng(length)
+    c, t = channels, length
+    layers = []
+    for out_ch, kernel, stride in convs:
+        # the index reproduces x[:, t*stride : t*stride + kernel], flattened channel-major,
+        # from either storage order
+        x = rng.integers(0, 1000, size=(c, t))
+        t_out = (t - kernel) // stride + 1
+        want = np.stack([x[:, i * stride:i * stride + kernel].ravel() for i in range(t_out)])
+        for stored, time_major in ((x, False), (x.T, True)):
+            index = _patch_index(c, t, kernel, stride, time_major=time_major)
+            assert np.array_equal(stored.ravel()[index], want), (kernel, stride, time_major)
+        layers.append(FloatLayer(kind=KIND_CONV1D, stride=stride,
+                                 weight=rng.normal(0.0, 0.5, size=(out_ch, c, kernel)),
+                                 bias=rng.normal(0.0, 0.05, size=out_ch)))
+        c, t = out_ch, t_out
+    layers.append(FloatLayer(kind=KIND_LINEAR, weight=rng.normal(0.0, 0.5, size=(3, c * t)),
+                             activation=ACT_NONE))
+    model = compile_model(FloatModel(layers=layers, input_len=length, input_channels=channels))
+    engine = MpuEngine(model)
+    u = rng.integers(0, 256, size=(5, channels * length))
+    for batch in (u[:1], u):
+        got = engine.forward(batch)
+        for i in range(batch.shape[0]):
+            assert np.array_equal(got[i], reference_logits(model, batch[i])), i
+    assert np.array_equal(engine.forward(u[3]), reference_logits(model, u[3]))

@@ -9,6 +9,7 @@ import io
 import numpy as np
 import pytest
 
+import muxnet.mpu
 from muxnet.errors import AccumulatorOverflow, BadLineIndex, ModeMismatch, ShapeError
 from muxnet.mpu import (
     CycleCount,
@@ -167,7 +168,10 @@ def test_pe_forward_matches_matmul_oracle():
                     if bits % p:
                         continue
                     rows = stage_rows(idx, cfg, tables, p=p)
-                    assert rows.p == p and (rows.top is not None) == (signed and p > 1)
+                    span = 5 << (2 * p)  # 5 chunks, keys of 2*p bits
+                    top = span if signed and p > 1 else None  # MSB group rows follow the rest
+                    assert rows.p == p and rows.top == top
+                    assert rows.rows.shape == ((1 if top is None else 2) * span, 6)
                     got = pe_forward(idx, acts, cfg, tables, rows=rows)
                     assert np.array_equal(got, want), (m, signed, bits, p)
                     single = pe_forward(idx, acts[1], cfg, tables, rows=rows)
@@ -183,6 +187,45 @@ def test_pe_forward_matches_matmul_oracle():
                 assert np.array_equal(got, (case_codes * acts).sum(axis=1)), (m, signed, bits)
                 one = batch_inner_product(case_idx[1:2], acts[1:2], cfg, tables)
                 assert np.array_equal(one, got[1:2])
+
+
+@pytest.mark.parametrize("per_block", [1, 3, 16])
+def test_any_split_of_plane_groups_into_gathers_is_exact(monkeypatch, per_block):
+    # the kernel takes GATHER_ELEMS // (chunks * cases * outputs) plane groups per
+    # gather: 1 takes them one at a time, 3 splits the 8 groups of p = 1 as 3+3+2
+    # (and 16 bits as 3*5+1), 16 takes every group of every width in one block
+    def budget(cases, outputs):  # 5 chunks per case
+        monkeypatch.setattr(muxnet.mpu, "GATHER_ELEMS", per_block * 5 * cases * outputs)
+
+    rng = np.random.default_rng(9)
+    for tables, m in ((T5, 5), (D10, 10)):
+        for signed in (True, False):
+            for bits in (3, 7, 8, 16):
+                cfg = MpuConfig(n=2, m=m, groups=8, group_vector_len=8,
+                                activation_bits=bits, activation_signed=signed)
+                lo, hi = activation_range(bits, signed)
+                half = 1 << (m - 1)
+                codes = rng.integers(-half, half, size=(6, 10))
+                codes[0] = -half
+                acts = rng.integers(lo, hi + 1, size=(17, 10))
+                acts[1], acts[2] = lo, hi
+                idx = pack_rows(codes, 2, m)
+                want = acts @ codes.T
+                for p in (1, 2, 4):
+                    if bits % p:
+                        continue
+                    rows = stage_rows(idx, cfg, tables, p=p)
+                    budget(17, 6)
+                    assert np.array_equal(pe_forward(idx, acts, cfg, tables, rows=rows), want), \
+                        (m, signed, bits, p)
+                    budget(1, 6)
+                    assert np.array_equal(pe_forward(idx, acts[2], cfg, tables, rows=rows), want[2]), \
+                        (m, signed, bits, p)
+                case_codes = rng.integers(-half, half, size=(17, 10))
+                case_codes[1] = -half
+                budget(17, 1)
+                got = batch_inner_product(pack_rows(case_codes, 2, m), acts, cfg, tables)
+                assert np.array_equal(got, (case_codes * acts).sum(axis=1)), (m, signed, bits)
 
 
 def test_pe_forward_counter_closed_form():
