@@ -205,11 +205,11 @@ def verify_model(model: CompiledModel, cfg: dict, seed: int, segments: int) -> t
     rng = np.random.default_rng(seed)
     u = rng.integers(0, 1 << model.layers[0].activation_bits,
                      size=(segments, model.input_channels * model.input_len))
-    got = engine.forward(u)
-    for i in range(segments):
-        want = reference_logits(model, u[i])
-        if np.any(got[i] != want):
-            return segments, f"segment {i}: engine {got[i].tolist()}, reference {want.tolist()}"
+    got, want = engine.forward(u), reference_logits(model, u)
+    bad = np.nonzero(np.any(got != want, axis=1))[0]
+    if bad.size:
+        i = int(bad[0])
+        return segments, f"segment {i}: engine {got[i].tolist()}, reference {want[i].tolist()}"
     return segments, None
 
 

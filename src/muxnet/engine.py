@@ -9,13 +9,13 @@ constants the compiler produced.  All value-path arithmetic is table
 gathers, adds, and shifts; the only products appear in cost counters,
 never in data.
 
-Each conv layer also gets a flat patch index at init (``_patch_index``):
-the positions of every window ``x[:, t*stride : t*stride + kernel]``,
+Each layer also gets a flat patch index at init (``_patch_index``): the
+positions of every window ``x[:, t*stride : t*stride + kernel]``,
 channel-major, in one sample's input row, so ``forward`` cuts all of a
-layer's windows with one ``np.take``.  Layer 0 reads the model input as
-(channels, time); every layer hands its output on as (time, channels),
-which a conv successor's index reads as it lies and a linear successor
-flattens channel-major, as the reference does.
+layer's inputs with one ``np.take``.  A linear layer is one window that
+spans its whole input, as in the reference.  Layer 0 reads the model input
+as (channels, time); every layer hands its output on as (time, channels),
+which the next layer's index reads as it lies.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ class MpuEngine:
             self._configs.append(cfg)
             self.rows.append(stage_rows(layer.line_indices, cfg, self._tables[key]))
         shapes = [(model.input_channels, model.input_len), *model.shapes()]
-        self._patches = [  # conv windows in each layer's input row; None for linear layers
-            _patch_index(*shapes[li], layer.kernel, layer.stride, time_major=li > 0)
-            if layer.kind == KIND_CONV1D else None
-            for li, layer in enumerate(model.layers)
+        self._patches = [  # each layer's windows in its input row; a linear layer has one
+            _patch_index(c, t, layer.kernel, layer.stride, time_major=li > 0)
+            if layer.kind == KIND_CONV1D else _patch_index(c, t, t, 1, time_major=li > 0)
+            for li, ((c, t), layer) in enumerate(zip(shapes, model.layers))
         ]
 
     def tables_for(self, layer_index: int) -> Tables:
@@ -108,10 +108,9 @@ class MpuEngine:
             return acc
         half = 1 << (layer.shift - 1)
         v = (acc * layer.mult + half) >> layer.shift
-        if layer.activation == ACT_RELU:
-            v = np.maximum(v, 0)
         lim = 1 << (layer.activation_bits - 1)
-        return np.clip(v, -lim, lim - 1)
+        np.maximum(v, 0 if layer.activation == ACT_RELU else -lim, out=v)
+        return np.minimum(v, lim - 1, out=v)
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Integer logits; u is (V,) or (batch, V) in the first layer's domain.
@@ -132,13 +131,7 @@ class MpuEngine:
         batch = u.shape[0]
         v = u  # one row per sample: (channels, time) into layer 0, (time, channels) after
         for li, layer in enumerate(self.model.layers):
-            if layer.kind == KIND_CONV1D:
-                acts = np.take(v, self._patches[li], axis=1).reshape(-1, layer.fan_in)
-            elif li:
-                channels = self.model.layers[li - 1].out_channels
-                acts = v.reshape(batch, -1, channels).transpose(0, 2, 1).reshape(batch, -1)
-            else:
-                acts = v
+            acts = np.take(v, self._patches[li], axis=1).reshape(-1, layer.fan_in)
             out = self._finish_layer(layer, self._layer_inner_products(li, acts))
             v = out.reshape(batch, -1)  # out is (batch * time, out_channels)
         return v[0] if squeeze else v

@@ -1,15 +1,18 @@
 """Reference implementations that avoid the table datapath entirely.
 
 Everything here computes with ordinary products: line indices are decoded
-back to signed codes and multiplied out, convolutions walk the input
-window by window, batch norm is applied by its definition instead of being
-folded.  Tests compare these against the MUX route, so nothing in this
-module may call into the table machinery or share its gather code.
+back to signed codes and multiplied out, a layer's windows are cut with
+``sliding_window_view`` and flattened channel-major (a linear layer is one
+window over its whole input), batch norm is applied by its definition
+instead of being folded.  Tests compare these against the MUX route, so
+nothing in this module may call into the table machinery or share its
+gather code.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .compiler import ACT_RELU, KIND_CONV1D, CompiledLayer, CompiledModel, FloatModel
 
@@ -38,44 +41,36 @@ def requant_reference(acc: np.ndarray, mult: np.ndarray, shift: int) -> np.ndarr
     return np.floor_divide(acc * np.asarray(mult, dtype=np.int64) + half, 1 << shift)
 
 
-def _clamp(v: np.ndarray, bits: int, signed: bool) -> np.ndarray:
-    if signed:
-        return np.clip(v, -(1 << (bits - 1)), (1 << (bits - 1)) - 1)
-    return np.clip(v, 0, (1 << bits) - 1)
-
-
 def reference_layer_forward(layer: CompiledLayer, u: np.ndarray, n: int) -> np.ndarray:
     """Integer forward of one compiled layer of chunk width ``n`` by direct MAC.
 
-    ``u`` is the flat integer input vector of this layer (already padded
-    nowhere: the real fan-in).  Returns the integer output vector, after
-    requantization and activation unless this is the raw final layer.
+    ``u`` is (batch, ...) rows of this layer's input, channel-major (the real
+    fan-in, padded nowhere).  A layer's inputs are its windows flattened
+    channel-major; a linear layer is one window spanning its whole input.
+    Returns (batch, out_channels, t_out), after requantization and
+    activation unless this is the raw final layer.
     """
     codes = decode_line_indices(layer.line_indices, n, layer.mode_m)[:, :layer.fan_in]
-    if layer.kind == KIND_CONV1D:
-        x = np.asarray(u, dtype=np.int64).reshape(layer.in_channels, -1)
-        t_out = (x.shape[1] - layer.kernel) // layer.stride + 1
-        acc = np.empty((layer.out_channels, t_out), dtype=np.int64)
-        for t in range(t_out):
-            window = x[:, t * layer.stride: t * layer.stride + layer.kernel].reshape(-1)
-            acc[:, t] = codes @ window
-        acc += layer.bias_q[:, None]
-    else:
-        acc = codes @ np.asarray(u, dtype=np.int64) + layer.bias_q
+    conv = layer.kind == KIND_CONV1D
+    channels, kernel, stride = (layer.in_channels, layer.kernel, layer.stride) if conv else (1, layer.fan_in, 1)
+    x = np.asarray(u, dtype=np.int64).reshape(len(u), channels, -1)
+    windows = sliding_window_view(x, kernel, axis=2)[:, :, ::stride]  # (batch, channels, t_out, kernel)
+    patches = windows.transpose(0, 2, 1, 3).reshape(len(u), -1, layer.fan_in)
+    acc = np.matmul(codes, patches.transpose(0, 2, 1)) + layer.bias_q[:, None]
     if not layer.requant:
         return acc
-    v = requant_reference(acc, layer.mult[:, None] if acc.ndim == 2 else layer.mult, layer.shift)
-    if layer.activation == ACT_RELU:
-        v = np.maximum(v, 0)
-    return _clamp(v, layer.activation_bits, signed=True)
+    v = requant_reference(acc, layer.mult[:, None], layer.shift)
+    lim = 1 << (layer.activation_bits - 1)
+    return np.clip(v, 0 if layer.activation == ACT_RELU else -lim, lim - 1)
 
 
 def reference_logits(model: CompiledModel, u: np.ndarray) -> np.ndarray:
-    """Integer logits of one sample by direct MAC through every layer."""
-    v = np.asarray(u, dtype=np.int64).reshape(-1)
+    """Integer logits by direct MAC through every layer; u is (V,) or (batch, V)."""
+    u = np.asarray(u, dtype=np.int64)
+    v = u.reshape(-1, u.shape[-1])
     for layer in model.layers:
-        v = reference_layer_forward(layer, v, model.n).reshape(-1)
-    return v
+        v = reference_layer_forward(layer, v, model.n)
+    return v.reshape(u.shape[:-1] + (-1,))
 
 
 def float_forward(model: FloatModel, x: np.ndarray) -> np.ndarray:

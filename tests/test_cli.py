@@ -25,6 +25,7 @@ from muxnet.cli import (
     load_config,
     main,
     make_loop_config,
+    verify_model,
 )
 from muxnet.compiler import (
     CompileConfig,
@@ -70,6 +71,25 @@ def test_verify_default_suite(artifacts, capsys):
     assert "ok   exhaustive n=2 m=3 (2^6 * 4^2 cases): 1024 cases checked" in out
     assert "engine vs direct-MAC reference" in out
     assert "FAIL" not in out
+
+
+def test_verify_model_names_the_first_mismatching_segment(monkeypatch):
+    # one batched reference call; the counterexample is still the first bad row
+    model = compile_model(default_float_model(seed=0))
+    real = muxnet.cli.reference_logits
+
+    def off_by_one(model, u):
+        want = real(model, u)
+        want[[4, 7], 1] += 1
+        return want
+
+    monkeypatch.setattr(muxnet.cli, "reference_logits", off_by_one)
+    checked, bad = verify_model(model, load_config(None), seed=3, segments=10)
+    assert checked == 10
+    head, _, tail = bad.partition(", reference ")
+    assert head.startswith("segment 4: engine ")
+    got, want = json.loads(head[len("segment 4: engine "):]), json.loads(tail)
+    assert want[1] == got[1] + 1 and want[:1] + want[2:] == got[:1] + got[2:]
 
 
 def test_verify_fault_injection_exits_one(capsys):

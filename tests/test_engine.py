@@ -1,11 +1,14 @@
 """Engine vs direct-MAC reference, counters, batching."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import muxnet.engine
+import muxnet.reference
 from muxnet.compiler import (
     ACT_NONE,
     KIND_CONV1D,
@@ -37,9 +40,7 @@ def test_engine_matches_reference(seed):
     engine = MpuEngine(model)
     rng = np.random.default_rng(seed + 100)
     u = _random_inputs(rng, model, 6)
-    got = engine.forward(u)
-    for i in range(u.shape[0]):
-        assert np.array_equal(got[i], reference_logits(model, u[i]))
+    assert np.array_equal(engine.forward(u), reference_logits(model, u))
 
 
 def test_batch_equals_single():
@@ -155,8 +156,7 @@ def test_input_outside_layer0_range_rejected():
         with pytest.raises(ValueError):
             engine.forward(np.stack([np.zeros_like(u), u]))
     edges = np.stack([np.zeros(model.input_len, dtype=np.int64), np.full(model.input_len, 255)])
-    for got, u in zip(engine.forward(edges), edges):
-        assert np.array_equal(got, reference_logits(model, u))
+    assert np.array_equal(engine.forward(edges), reference_logits(model, edges))
 
 
 def test_layer_profile_reports_storage_and_cycles():
@@ -176,9 +176,7 @@ def test_narrow_table_budget_forces_monolithic_conv():
     assert not any(layer.decomposed for layer in model.layers)
     engine = MpuEngine(model)
     u = _random_inputs(np.random.default_rng(4), model, 2)
-    got = engine.forward(u)
-    for i in range(2):
-        assert np.array_equal(got[i], reference_logits(model, u[i]))
+    assert np.array_equal(engine.forward(u), reference_logits(model, u))
 
 
 def test_layer_calls_pass_their_counter_by_keyword(monkeypatch):
@@ -235,11 +233,10 @@ def test_other_widths_and_chunk_sizes_match_reference(settings, group_vector_len
     lo, hi = activation_range(first.activation_bits, first.activation_signed)
     u = np.random.default_rng(1).integers(lo, hi + 1, size=(3, model.input_len))
     u[0] = hi
-    batched = engine.forward(u)
+    want = reference_logits(model, u)
+    assert np.array_equal(engine.forward(u), want)
     for i in range(u.shape[0]):
-        want = reference_logits(model, u[i])
-        assert np.array_equal(batched[i], want), i
-        assert np.array_equal(engine.forward(u[i]), want), i
+        assert np.array_equal(engine.forward(u[i]), want[i]), i
 
 
 def test_chunk_sums_take_the_narrowest_of_int16_int32_int64():
@@ -259,6 +256,7 @@ CONV_GEOMETRIES = [
     (3, 17, [(4, 5, 3), (2, 2, 1)]),   # stride 3 over three input channels
     (3, 9, [(4, 9, 1)]),               # kernel == input length: one window
     (1, 16, [(2, 2, 3), (3, 1, 2)]),   # stride > kernel, on the input and on a conv output
+    (3, 5, []),                        # a linear first layer over 3 channels, fan-in 15 (padded)
 ]
 
 
@@ -286,7 +284,22 @@ def test_conv_patch_index_cuts_the_reference_windows(channels, length, convs):
     engine = MpuEngine(model)
     u = rng.integers(0, 256, size=(5, channels * length))
     for batch in (u[:1], u):
-        got = engine.forward(batch)
-        for i in range(batch.shape[0]):
-            assert np.array_equal(got[i], reference_logits(model, batch[i])), i
+        assert np.array_equal(engine.forward(batch), reference_logits(model, batch))
     assert np.array_equal(engine.forward(u[3]), reference_logits(model, u[3]))
+    # a linear layer is one window spanning its whole input, flattened channel-major
+    x = np.arange(c * t).reshape(c, t)
+    for stored, time_major in ((x, False), (x.T, True)):
+        index = _patch_index(c, t, t, 1, time_major=time_major)
+        assert np.array_equal(stored.ravel()[index], x.reshape(1, -1)), time_major
+
+
+def test_reference_imports_nothing_of_the_datapath():
+    # the reference checks the table route only while it shares none of its code
+    tree = ast.parse(Path(muxnet.reference.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "numpy", "numpy.lib.stride_tricks", ".compiler"}
