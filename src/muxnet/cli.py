@@ -374,8 +374,9 @@ def cmd_eval(args) -> int:
         raise BadArtifact(f"unreadable dataset {args.data}: {exc}") from exc
     if segments is None:
         raise LoopConfigError("dataset must carry a 'segments' array")
-    if segments.ndim < 2:  # no votes axis to size the voting config by
-        raise SegmentLengthError(f"dataset must be (epochs, votes, samples), got {segments.shape}")
+    if segments.ndim < 2 or 0 in segments.shape[:2]:  # no votes axis, or nothing to vote on
+        raise SegmentLengthError(
+            f"dataset must be (epochs, votes, samples) with epochs, votes >= 1, got {segments.shape}")
     report = evaluate_dataset(engine, segments, labels, _voting(cfg, model, segments.shape[1]))
     with open(args.out, "w", newline="") as fh:
         write_report_csv(report, fh)

@@ -5,9 +5,13 @@ Weights live as signed m-bit codes sharing one positive scale per group
 codes of an n-vector are exactly the static-table line index, so this
 module is the front half of the weight-to-table translation.
 
-The pre-scale search is grid-vectorized: one ``(block, len)`` residual
-broadcast per block of scales, each row summed with ``np.dot`` as in
-``quantization_error``, so its errors match that function's bit for bit.
+The pre-scale search scores scales exactly with one ``(block, len)``
+residual broadcast per block of scales, each row summed with ``np.dot`` as
+in ``quantization_error``, so its errors match that function's bit for bit.
+Where it pays (``bound_pass_pays``), a bound pass first scores every scale
+from one sort and prefix sums of the weights, with a proven error bound,
+and only the scales it cannot rule out are scored exactly; so the chosen
+scale, ties included, is the one-scale-at-a-time loop's.
 
 The inner-product outputs of the table datapath are exact subset sums, so
 their reachable level set is denser than a uniform m-bit grid; that
@@ -153,11 +157,57 @@ def default_prescale_grid(weights, m: int, points: int = 64) -> np.ndarray:
     return np.geomspace(0.5 * center, 2.0 * center, points)
 
 
+def bound_pass_pays(size: int, m: int) -> bool:
+    """Whether ``choose_prescale`` shortlists from prefix sums: each scale's
+    bound costs about ``levels * log2(size)`` against the exact pass's ``size``."""
+    return (1 << (m - 1)) * math.log2(size) < size
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed score keeps every scale
+def _shortlist(w, m: int, grid) -> np.ndarray:
+    """The grid scales that may minimize the error, in grid order; every scale
+    left out is provably worse than one kept.
+
+    A weight's code magnitude is the number of edges ``(k - 1/2) s`` its
+    ``|w|`` reaches, k = 1 .. 2**(m-1) - 1 for w >= 0 and up to 2**(m-1)
+    for w < 0.  So from one sort and one prefix sum of ``w``, ``searchsorted``
+    of the edges gives ``sum |code| |w|`` and ``sum code**2`` for every scale,
+    and the error is ``sum w**2 - 2 s sum |code| |w| + s**2 sum code**2``.
+    ``delta`` bounds that expansion's rounding and cancellation, weights
+    within rounding of an edge, and the exact pass's own rounding (residual
+    and ``np.dot``).
+    """
+    levels = 1 << (m - 1)
+    w = np.sort(w)
+    p1 = np.zeros(w.size + 1)
+    np.cumsum(w, out=p1[1:])
+    k = np.arange(1, levels + 1)
+    edge = (k - 0.5) * grid[:, None]
+    below = np.searchsorted(w, edge[:, :-1])  # per scale and edge: weights under +edge ...
+    under = np.searchsorted(w, -edge, side="right")  # ... and at or under -edge
+    lin = (p1[-1] - p1[below]).sum(axis=1) - p1[under].sum(axis=1)
+    quad = ((2 * k[:-1] - 1) * (w.size - below)).sum(axis=1) + ((2 * k - 1) * under).sum(axis=1)
+    s2 = (w * w).sum()
+    s1 = p1[-1] - 2.0 * p1[np.searchsorted(w, 0.0)]
+    approx = s2 - 2.0 * grid * lin + grid * grid * quad
+    # With u = eps/2, N = len(w), K = levels: the prefix and plain sums err by
+    # at most ~N u times the sum of their terms' magnitudes (so the expansion
+    # by ~3(N + K) u spread), the exact pass's residuals and np.dot by
+    # ~(N + 8) u (8 S2 + 2 N s**2), and a weight within rounding of an edge
+    # by 2 u s (2|w| + s); 16 (N + K + 8) u spread covers all three, and the
+    # 2**-1074 term covers underflow.
+    spread = s2 + 2.0 * grid * levels * s1 + grid * grid * (quad + w.size)
+    delta = 16.0 * (w.size + levels + 8) * (np.finfo(np.float64).eps / 2 * spread + 2.0 ** -1074)
+    # NaN-safe: a scale is dropped only when its lower bound clears some upper bound
+    return grid[~(approx - delta > np.min(approx + delta))]
+
+
 def choose_prescale(weights, m: int, search_grid) -> float:
     """Pick the grid scale minimizing total squared quantization error.
 
     Ties break toward the smaller scale; all-zero weight vectors return the
-    smallest grid scale.
+    smallest grid scale.  Long vectors first shortlist the grid from sorted
+    prefix sums (``_shortlist``); the kept scales are then scored exactly.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.size == 0:
@@ -171,10 +221,14 @@ def choose_prescale(weights, m: int, search_grid) -> float:
         raise ValueError("search grid scales must be positive and finite")
     if not np.any(w):
         return float(grid[0])
+    if grid.size > 1 and bound_pass_pays(w.size, m):
+        grid = _shortlist(w, m, grid)
+    if grid.size == 1:
+        return float(grid[0])
+    w_abs = np.abs(w)
     rows = max(1, SEARCH_BLOCK_ELEMS // w.size)
     buf = np.empty((min(rows, grid.size), w.size))
     errs = np.empty(grid.size)
-    w_abs = np.abs(w)
     for start in range(0, grid.size, rows):
         s = grid[start:start + rows, None]
         r = _round_saturate(w, w_abs, s, m, out=buf[:len(s)])

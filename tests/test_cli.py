@@ -318,6 +318,18 @@ def test_dataset_without_votes_axis_is_input_error(artifacts, tmp_path, capsys):
         assert "SegmentLengthError" in capsys.readouterr().err
 
 
+def test_dataset_without_epochs_or_votes_is_input_error(artifacts, tmp_path, capsys):
+    # nothing to score is the input's fault: not nan accuracy, not a config error
+    _, _, compiled = artifacts
+    data = tmp_path / "empty.npz"
+    for shape in ((0, 6, 320), (3, 0, 320)):
+        np.savez(data, segments=np.zeros(shape))
+        rc = main(["eval", "--model", str(compiled), "--data", str(data),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_INPUT, shape
+        assert "SegmentLengthError" in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     rc = main(["compile", "--model", str(tmp_path / "nope.muxf"),
                "--out", str(tmp_path / "x.muxn")])

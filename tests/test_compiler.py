@@ -202,7 +202,7 @@ def test_a_zero_output_channel_compiles_as_the_scalar_search_does(monkeypatch):
     assert serialize_model(compiled) == _scalar_search_bytes(monkeypatch, model)
 
 
-@pytest.mark.parametrize("input_len, conv_m", [(320, 10), (640, 6), (640, 10)])  # default first
+@pytest.mark.parametrize("input_len, conv_m", [(320, 10), (640, 6), (640, 10), (1280, 6)])  # default first
 def test_artifact_bytes_match_the_scalar_prescale_search(monkeypatch, input_len, conv_m):
     model = default_float_model(0, input_len=input_len)
     cfg = CompileConfig(conv_m=conv_m)

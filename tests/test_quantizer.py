@@ -5,11 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from muxnet import quantizer
 from muxnet.errors import EnumerationTooLarge, NonFiniteWeight
 from muxnet.quantizer import (
     SEARCH_BLOCK_ELEMS,
     QParams,
     QuantizedWeightVector,
+    bound_pass_pays,
     choose_prescale,
     code_range,
     default_prescale_grid,
@@ -151,6 +153,12 @@ def _with_zeros(rng, m):
     return w, default_prescale_grid(w, m, 16)
 
 
+def _overflowing(rng, m):
+    # w**2 overflows: every error is inf, so the first grid scale wins
+    w = rng.normal(size=int(rng.integers(1, 24))) * 1e200
+    return w, default_prescale_grid(w, m, 16)
+
+
 def _unsorted_duplicates(rng, m):
     # w sits on the code grid at both s and s/2, so those two tie at zero error
     s = _dyadic_scale(rng)
@@ -159,8 +167,12 @@ def _unsorted_duplicates(rng, m):
     return w, rng.permutation(grid)
 
 
-def assert_matches_the_scalar_loop(w, m, grid):
-    assert choose_prescale(w, m, grid) == scalar_choose_prescale(w, m, grid), (w, m, grid)
+def assert_matches_the_scalar_loop(monkeypatch, w, m, grid):
+    want = scalar_choose_prescale(w, m, grid)
+    for shortlist in (True, False):  # both sides of the size rule, whatever the length
+        with monkeypatch.context() as patch:
+            patch.setattr(quantizer, "bound_pass_pays", lambda size, m: shortlist)
+            assert choose_prescale(w, m, grid) == want, (w, m, grid, shortlist)
     # the loop's errors follow the rounding rule as ``round_half_away`` spells it
     # out, so a broken rounding helper cannot pass by breaking the oracle too
     lo, hi = code_range(m)
@@ -169,24 +181,47 @@ def assert_matches_the_scalar_loop(w, m, grid):
         assert quantization_error(w, m, s) == float(np.dot(r, r)), (w, m, s)
 
 
-@pytest.mark.parametrize("make", [_halves, _saturating, _all_negative, _constant, _single,
-                                  _with_zeros, _unsorted_duplicates])
-def test_choose_prescale_matches_the_scalar_grid_loop(make):
+@pytest.mark.parametrize("make", [
+    _halves, _saturating, _all_negative, _constant, _single, _with_zeros, _unsorted_duplicates,
+    pytest.param(_overflowing, marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+])
+def test_choose_prescale_matches_the_scalar_grid_loop(monkeypatch, make):
     rng = np.random.default_rng(906)
     for _ in range(40):
         m = int(rng.integers(2, 9))
         w, grid = make(rng, m)
-        assert_matches_the_scalar_loop(w, m, grid)
+        assert_matches_the_scalar_loop(monkeypatch, w, m, grid)
 
 
-def test_choose_prescale_matches_the_scalar_grid_loop_across_blocks():
+def test_choose_prescale_matches_the_scalar_grid_loop_across_blocks(monkeypatch):
     rng = np.random.default_rng(907)
     w = rng.normal(size=SEARCH_BLOCK_ELEMS // 4 + 1)  # 3 scales per block
     w[:64] = (rng.integers(-16, 16, size=64) + 0.5) * 0.125  # exact halves at scale 0.125
     grid = np.concatenate([default_prescale_grid(w, 5, 9), [0.125]])
     assert -(-grid.size // (SEARCH_BLOCK_ELEMS // w.size)) >= 3
     for m in (4, 5, 6):
-        assert_matches_the_scalar_loop(w, m, grid)
+        assert_matches_the_scalar_loop(monkeypatch, w, m, grid)
+
+
+def test_exact_rescoring_breaks_a_tie_the_bound_pass_cannot_see():
+    # Every weight sits on the code grid of both s and 2s, or on an edge
+    # (k - 1/2) s, which is a quarter step off the code grid of 2s.  So each
+    # weight's residual is 0 at both scales or +-s/2 at both: their exact
+    # errors are equal and the tie goes to s.  s has 28 significant bits, so
+    # the prefix-sum expansion rounds, and differently at each scale.
+    m = 4
+    for seed in range(8):
+        rng = np.random.default_rng([908, seed])
+        s = 0.125 + int(rng.integers(1, 1 << 24)) * 2.0 ** -30
+        w = 2 * s * rng.integers(-4, 4, size=4096)
+        edge = rng.random(w.size) < 0.25
+        k = rng.integers(1, 8, size=w.size)
+        w[edge] = ((k - 0.5) * s * rng.choice([-1.0, 1.0], size=w.size))[edge]
+        grid = rng.permutation(np.array([0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 2.5, 3.0]) * s)
+        assert bound_pass_pays(w.size, m)
+        assert quantization_error(w, m, s) == quantization_error(w, m, 2 * s)
+        assert np.array_equal(quantizer._shortlist(w, m, np.sort(grid)), [s, 2 * s])
+        assert choose_prescale(w, m, grid) == scalar_choose_prescale(w, m, grid) == s
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (2, 5), (3, 4)])
