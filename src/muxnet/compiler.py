@@ -390,7 +390,14 @@ def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> Co
         codes = quantize_codes(w2d, m, scales[:, None])
 
         bias = layer.bias if layer.bias is not None else np.zeros(layer.out_channels)
-        bias_q = round_half_away(bias / (in_scale * scales)).astype(np.int64)
+        with np.errstate(all="ignore"):  # a subnormal scale divides by zero
+            ratio = bias / (in_scale * scales)
+        fits = np.abs(ratio) < 2.0**63  # false for inf and nan too
+        if not fits.all():
+            c = int(np.flatnonzero(~fits)[0])
+            raise BadArtifact(f"layer {li}: channel {c}'s bias is {ratio[c]} accumulator units "
+                              f"at weight scale {scales[c]}, past int64")
+        bias_q = round_half_away(ratio).astype(np.int64)
         bias_q -= zero_point * codes.sum(axis=1)
 
         chunks = math.ceil(fan_in / cfg.n)
@@ -408,7 +415,10 @@ def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> Co
             real_bounds = bounds * in_scale * scales
             peak = float(real_bounds.max())
             out_scale = peak / qmax if peak > 0 else in_scale
-            mult, shift = _requant_constants(in_scale * scales / out_scale)
+            try:
+                mult, shift = _requant_constants(in_scale * scales / out_scale)
+            except ValueError as exc:
+                raise BadArtifact(f"layer {li}: {exc}") from exc
             requant = True
 
         compiled.append(CompiledLayer(

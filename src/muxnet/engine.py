@@ -3,7 +3,7 @@
 The engine owns the static tables (one per distinct mode) and each
 layer's resident stage-1 rows, built once at init from that layer's
 weights (``mpu.stage_rows``, fused over as many activation bit-planes as
-fit the 64 KiB row budget).  It feeds every layer through ``pe_forward``
+fit the 512 KiB row budget).  It feeds every layer through ``pe_forward``
 with those rows and the layer's own cost counter, and applies the integer
 constants the compiler produced.  All value-path arithmetic is table
 gathers, adds, and shifts; the only products appear in cost counters,

@@ -49,7 +49,7 @@ from .static_table import DecomposedTable, StaticTable, pack_line_index, split_l
 Tables = StaticTable | DecomposedTable
 
 FUSE_DEPTHS = (4, 2, 1)  # bit-planes per gather, deepest first
-ROW_BUDGET_BYTES = 1 << 16  # resident rows of one layer at p > 1
+ROW_BUDGET_BYTES = 1 << 19  # resident rows of one layer at p > 1
 GATHER_ELEMS = 1 << 20  # gathered entries per block of plane groups
 
 
@@ -270,7 +270,8 @@ class StageRows:
     those p planes, shifted into place and added.  A signed layer at p > 1 has
     the same for the group holding its MSB plane from row ``top`` on; ``top``
     is None otherwise (at p = 1 the kernel negates that group's sum).
-    ``sum_dtype`` is wide enough for the sum over chunks.
+    ``rows`` is row-major, so one key reads one contiguous run of ``outputs``
+    entries.  ``sum_dtype`` is wide enough for the sum over chunks.
     """
 
     p: int
@@ -280,14 +281,16 @@ class StageRows:
     sum_dtype: np.dtype
 
 
-def _double(hi_rows: np.ndarray, lo_rows: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Depth-2q rows from depth-q ones: field ``hi << q | lo`` reads ``hi_rows[hi] << q``
-    plus ``lo_rows[lo]``, one broadcast over every (hi, lo) field pair."""
-    chunks, _, outputs = lo_rows.shape
+def _double(rows: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Depth-2q rows from depth-q ones, (copies, chunks, keys, outputs) with a signed
+    layer's MSB-group rows as copy 1: field ``hi << q | lo`` reads ``rows[:, hi] << q``
+    plus ``rows[0, lo]`` (the low planes are never the MSB), one broadcast over
+    every (hi, lo) field pair of every copy."""
+    copies, chunks, _, outputs = rows.shape
     side = 1 << q
-    hi = hi_rows.reshape(chunks, *(side, 1) * n, outputs)  # field n-1 is the most significant
-    lo = lo_rows.reshape(chunks, *(1, side) * n, outputs)
-    return ((hi << q) + lo).reshape(chunks, 1 << (2 * n * q), outputs)
+    hi = rows.reshape(copies, chunks, *(side, 1) * n, outputs)  # field n-1 is the most significant
+    lo = rows[0].reshape(chunks, *(1, side) * n, outputs)
+    return ((hi << q) + lo).reshape(copies, chunks, 1 << (2 * n * q), outputs)
 
 
 def stage_rows(
@@ -323,20 +326,20 @@ def stage_rows(
     elif p < 1 or k % p:
         raise ValueError(f"fusion depth {p} does not divide activation_bits {k}")
     max_abs = magnitude * ((1 << p) - 1)
-    rows = lines.transpose(1, 2, 0)  # (chunks, 2**n, outputs)
-    if p > 1:
-        rows = rows.astype(np.int64)  # headroom for the doubling
-    top = -rows if signed and p > 1 else None
+    # row-major in the final dtype from the start: a depth-2q entry and the hi << q
+    # in it are within magnitude * (2**(2q) - 1) <= max_abs, so doubling cannot wrap
+    rows = np.ascontiguousarray(lines.transpose(1, 2, 0), dtype=_narrowest(max_abs))[None]
+    if signed and p > 1:
+        rows = np.concatenate([rows, -rows])  # copy 1 subtracts the MSB plane
     q = 1
     while q < p:
-        rows, top = _double(rows, rows, n, q), (None if top is None else _double(top, rows, n, q))
+        rows = _double(rows, n, q)
         q <<= 1
     span = chunks << (n * p)
-    parts = (rows,) if top is None else (rows, top)
-    resident = np.concatenate([a.reshape(span, outputs) for a in parts], dtype=_narrowest(max_abs))
+    resident = rows.reshape(len(rows) * span, outputs)
     resident.flags.writeable = False
     offsets = (np.arange(chunks, dtype=np.int64) << (n * p))[:, None]
-    return StageRows(p=p, rows=resident, top=None if top is None else span,
+    return StageRows(p=p, rows=resident, top=span if len(rows) == 2 else None,
                      offsets=offsets, sum_dtype=sum_dtype(chunks, max_abs))
 
 

@@ -277,6 +277,19 @@ def test_compile_refuses_a_checkpoint_that_would_overflow(tmp_path, capsys):
     assert "past int64" in capsys.readouterr().err
 
 
+def test_compile_refuses_a_checkpoint_with_subnormal_weights(tmp_path, capsys):
+    # float32 in the checkpoint: the channel's scale is finite, its bias in
+    # accumulator units (about -1e48) is not an int64
+    model = default_float_model(seed=0)
+    model.layers[0].weight[3] = 1e-45
+    ckpt, out = tmp_path / "subnormal.muxf", tmp_path / "subnormal.muxn"
+    save_float_model(model, ckpt)
+    assert main(["compile", "--model", str(ckpt), "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "layer 0: channel 3's bias" in err and "past int64" in err
+
+
 def test_signal_samples_outside_declared_width_are_input_error(artifacts, tmp_path, capsys):
     _, _, compiled = artifacts
     config = tmp_path / "twelve-bit.json"

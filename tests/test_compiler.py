@@ -314,6 +314,24 @@ def test_compile_refuses_a_checkpoint_that_would_overflow():
         compile_model(model)
 
 
+def test_compile_refuses_a_channel_whose_bias_or_requant_ratio_does_not_fit():
+    # subnormal weights take a scale whose product with the input scale is 0,
+    # so the channel's bias in accumulator units divides by zero
+    model = default_float_model(seed=0)
+    model.layers[0].weight[3] = 1e-320
+    with pytest.raises(BadArtifact, match="layer 0: channel 3's bias is -inf"):
+        compile_model(model)
+    # a zero channel keeps scale 1 beside channels at 1e-30, so its requant
+    # ratio is too large for a 32-bit multiplier
+    model = default_float_model(seed=0)
+    layer = model.layers[1]
+    layer.bn, layer.bias = None, np.zeros(layer.out_channels)
+    layer.weight[:] = 1e-30
+    layer.weight[0] = 0.0
+    with pytest.raises(BadArtifact, match="layer 1: requant ratio .* too large"):
+        compile_model(model)
+
+
 def test_a_refused_mode_is_refused_everywhere():
     # decomposed m=2 would split into 1-bit halves
     model = compile_model(default_float_model(seed=4), CompileConfig(conv_m=2, linear_m=2))

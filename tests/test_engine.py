@@ -205,7 +205,7 @@ def test_resident_rows_take_the_deepest_fusion_that_fits():
     # fit ROW_BUDGET_BYTES (p = 1 always); the 616-chunk linear layer stays at p = 1
     model = compile_model(default_float_model(seed=0))
     engine = MpuEngine(model)
-    assert [rows.p for rows in engine.rows] == [4, 2, 1, 2]
+    assert [rows.p for rows in engine.rows] == [4, 4, 1, 4]
     for li, (layer, rows) in enumerate(zip(model.layers, engine.rows)):
         assert rows.p == 1 or rows.rows.nbytes <= ROW_BUDGET_BYTES
         cfg = MpuConfig(n=model.n, m=layer.mode_m, activation_bits=layer.activation_bits,
@@ -216,7 +216,16 @@ def test_resident_rows_take_the_deepest_fusion_that_fits():
                 assert deeper.rows.nbytes > ROW_BUDGET_BYTES, (li, p)
     # several engines stay alive at once in a compile sweep; the top rows of a
     # signed p > 1 layer share its one array and p = 1 adds no copy for them
-    assert sum(rows.rows.nbytes for rows in engine.rows) == 118_272
+    assert sum(rows.rows.nbytes for rows in engine.rows) == 504_832
+
+
+@pytest.mark.parametrize("input_len, conv_m", [(320, 10), (1280, 6)])
+def test_resident_rows_are_row_major_and_read_only(input_len, conv_m):
+    # one key's gather reads one contiguous run of `outputs` entries
+    model = compile_model(default_float_model(seed=0, input_len=input_len), CompileConfig(conv_m=conv_m))
+    for li, rows in enumerate(MpuEngine(model).rows):
+        assert rows.rows.flags.c_contiguous, li
+        assert not rows.rows.flags.writeable, li
 
 
 @pytest.mark.parametrize("settings, group_vector_len", [

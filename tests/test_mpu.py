@@ -12,6 +12,7 @@ import pytest
 import muxnet.mpu
 from muxnet.errors import AccumulatorOverflow, BadLineIndex, ModeMismatch, ShapeError
 from muxnet.mpu import (
+    FUSE_DEPTHS,
     CycleCount,
     MpuConfig,
     batch_inner_product,
@@ -187,6 +188,38 @@ def test_pe_forward_matches_matmul_oracle():
                 assert np.array_equal(got, (case_codes * acts).sum(axis=1)), (m, signed, bits)
                 one = batch_inner_product(case_idx[1:2], acts[1:2], cfg, tables)
                 assert np.array_equal(one, got[1:2])
+
+
+@pytest.mark.parametrize("n, m, tables", [
+    (3, 10, decompose_table(3, 10)),
+    (2, 3, build_static_table(2, 3)),  # 8 * 15 = 120: int8 rows at p = 4, right under its max
+    (2, 5, T5),  # 32 * 3 = 96 fits int8 but 32 * 15 = 480 does not: p = 4 widens to int16
+])
+def test_stage_rows_equal_a_brute_force_int64_build(n, m, tables):
+    # rows are built in their final narrow dtype; the worst-case codes put the
+    # largest entries of every depth in them, so a wrap in the doubling shows here
+    half = 1 << (m - 1)
+    codes = np.random.default_rng(m).integers(-half, half, size=(4, 2, n))  # (outputs, chunks, n)
+    codes[0], codes[1] = -half, half - 1
+    idx = pack_rows(codes.reshape(4, -1), n, m)
+    cfg = MpuConfig(n=n, m=m, groups=1, group_vector_len=n, activation_bits=16, activation_signed=True)
+    for p in FUSE_DEPTHS:
+        keys = np.arange(1 << (n * p))
+        fields = (keys[:, None] >> (p * np.arange(n))) & ((1 << p) - 1)  # (keys, n)
+        bits = (fields[:, :, None] >> np.arange(p)) & 1  # (keys, n, planes)
+        # plane j's selected-line entry, shifted into place: (chunks, keys, outputs, planes)
+        shifted = np.einsum("oci,kij->ckoj", codes, bits) << np.arange(p)
+        want = [shifted.sum(axis=-1)]
+        if p > 1:  # the group holding the MSB plane subtracts it
+            want.append(want[0] - 2 * shifted[..., -1])
+        want = np.concatenate([w.reshape(-1, 4) for w in want])
+        rows = stage_rows(idx, cfg, tables, p=p)
+        bound = n * half * ((1 << p) - 1)
+        narrowest = next(d for d in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
+        assert rows.rows.dtype == narrowest, (p, rows.rows.dtype)
+        assert rows.top == (None if p == 1 else 2 << (n * p))
+        assert np.array_equal(rows.offsets[:, 0], np.arange(2) << (n * p))
+        assert np.array_equal(rows.rows, want), p
 
 
 @pytest.mark.parametrize("per_block", [1, 3, 16])
