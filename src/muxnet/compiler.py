@@ -266,10 +266,11 @@ class CompiledModel:
 def validate(model: CompiledModel) -> CompiledModel:
     """``model`` if the table datapath runs it bit-exactly, else BadArtifact.
 
-    Checks modes, the layer chain (ending in a linear layer), chunks, index
-    range, class count, scales and the activation chain (unsigned layer 0,
-    then signed and no narrower, 2..16 bits, requantized but for the raw
-    last layer).  An output channel's accumulator is bounded by A =
+    Checks modes, the layer chain (ending in a linear layer), chunks (codes
+    past fan_in are 0: the engine's pad inputs meet them), index range,
+    class count, scales and the activation chain (unsigned layer 0, then
+    signed and no narrower, 2..16 bits, requantized but for the raw last
+    layer).  An output channel's accumulator is bounded by A =
     sum|code| * max|u| + |bias_q|; A * mult + 2**(shift-1), or A on the
     last layer, must stay below 2**63 so that int64 wraps in neither engine
     nor reference.
@@ -298,8 +299,11 @@ def validate(model: CompiledModel) -> CompiledModel:
         if layer.requant == last or (last and layer.out_scale is not None):
             raise BadArtifact(f"layer {li}: every layer but the last requantizes, the last reports "
                               f"raw accumulators")
+        codes = unpack_line_codes(idx, n, m).reshape(len(idx), -1)
+        if codes[:, layer.fan_in:].any():
+            raise BadArtifact(f"layer {li}: nonzero weight code past fan-in {layer.fan_in}")
         u_max = max(map(abs, activation_range(bits, layer.activation_signed)))
-        a = np.abs(unpack_line_codes(idx, n, m)).reshape(len(idx), -1)
+        a = np.abs(codes)
         # |code| < 2**40 (check_mode), so each 20-bit part sums exactly in int64
         code_sums = zip((a >> 20).sum(axis=1).tolist(), (a & 0xFFFFF).sum(axis=1).tolist())
         reach = [((h << 20) + low) * u_max + abs(b) for (h, low), b in zip(code_sums, layer.bias_q.tolist())]

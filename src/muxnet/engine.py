@@ -11,8 +11,10 @@ never in data.
 
 Each layer also gets a flat patch index at init (``_patch_index``): the
 positions of every window ``x[:, t*stride : t*stride + kernel]``,
-channel-major, in one sample's input row, so ``forward`` cuts all of a
-layer's inputs with one ``np.take``.  A linear layer is one window that
+channel-major, in one sample's input row, padded to whole chunks, so
+``forward`` cuts all of a layer's inputs with one ``np.take``.  A pad
+column reads position 0, which meets a zero code (``compiler.validate``
+refuses any other), so it adds nothing.  A linear layer is one window that
 spans its whole input, as in the reference.  Layer 0 reads the model input
 as (channels, time); every layer hands its output on as (time, channels),
 which the next layer's index reads as it lies.
@@ -33,17 +35,21 @@ from .quantizer import activation_range
 from .static_table import build_static_table, decompose_table
 
 
-def _patch_index(channels: int, length: int, kernel: int, stride: int, time_major: bool) -> np.ndarray:
-    """(t_out, channels * kernel) positions of each window in one sample's flat input.
+def _patch_index(channels: int, length: int, kernel: int, stride: int, time_major: bool,
+                 width: int) -> np.ndarray:
+    """(t_out, width) positions of each window in one sample's flat input.
 
-    Window t is ``x[:, t*stride : t*stride + kernel]`` flattened channel-major;
-    the input is stored (length, channels) if ``time_major``, else (channels, length).
+    Window t is ``x[:, t*stride : t*stride + kernel]`` flattened channel-major,
+    then position 0 up to ``width`` columns; the input is stored
+    (length, channels) if ``time_major``, else (channels, length).
     """
     t_out = (length - kernel) // stride + 1
     time = np.arange(t_out)[:, None, None] * stride + np.arange(kernel)  # (t_out, 1, kernel)
     chan = np.arange(channels)[:, None]
     flat = time * channels + chan if time_major else chan * length + time
-    return flat.reshape(t_out, channels * kernel)
+    index = np.zeros((t_out, width), dtype=np.int64)
+    index[:, :channels * kernel] = flat.reshape(t_out, channels * kernel)
+    return index
 
 
 class MpuEngine:
@@ -77,29 +83,14 @@ class MpuEngine:
             self.rows.append(stage_rows(layer.line_indices, cfg, self._tables[key]))
         shapes = [(model.input_channels, model.input_len), *model.shapes()]
         self._patches = [  # each layer's windows in its input row; a linear layer has one
-            _patch_index(c, t, layer.kernel, layer.stride, time_major=li > 0)
-            if layer.kind == KIND_CONV1D else _patch_index(c, t, t, 1, time_major=li > 0)
+            _patch_index(c, t, *((layer.kernel, layer.stride) if layer.kind == KIND_CONV1D else (t, 1)),
+                         time_major=li > 0, width=layer.chunks * model.n)
             for li, ((c, t), layer) in enumerate(zip(shapes, model.layers))
         ]
 
     def tables_for(self, layer_index: int) -> Tables:
         layer = self.model.layers[layer_index]
         return self._tables[(self.model.n, layer.mode_m, layer.decomposed)]
-
-    def _layer_inner_products(self, li: int, acts: np.ndarray) -> np.ndarray:
-        """pe_forward with padding to whole chunks; acts is (cases, fan_in)."""
-        layer = self.model.layers[li]
-        width = layer.chunks * self.model.n
-        if acts.shape[1] != layer.fan_in:
-            raise ShapeError(f"layer {li}: got {acts.shape[1]} inputs, fan-in is {layer.fan_in}")
-        if width != layer.fan_in:
-            padded = np.zeros((acts.shape[0], width), dtype=np.int64)
-            padded[:, :layer.fan_in] = acts
-            acts = padded
-        return pe_forward(
-            layer.line_indices, acts, self._configs[li], self.tables_for(li),
-            counters=self._layer_counters[li], rows=self.rows[li],
-        )
 
     @staticmethod
     def _finish_layer(layer: CompiledLayer, acc: np.ndarray) -> np.ndarray:
@@ -131,9 +122,10 @@ class MpuEngine:
         batch = u.shape[0]
         v = u  # one row per sample: (channels, time) into layer 0, (time, channels) after
         for li, layer in enumerate(self.model.layers):
-            acts = np.take(v, self._patches[li], axis=1).reshape(-1, layer.fan_in)
-            out = self._finish_layer(layer, self._layer_inner_products(li, acts))
-            v = out.reshape(batch, -1)  # out is (batch * time, out_channels)
+            acts = np.take(v, self._patches[li], axis=1).reshape(-1, layer.chunks * self.model.n)
+            acc = pe_forward(layer.line_indices, acts, self._configs[li], self.tables_for(li),
+                             counters=self._layer_counters[li], rows=self.rows[li])
+            v = self._finish_layer(layer, acc).reshape(batch, -1)  # from (batch * time, out_channels)
         return v[0] if squeeze else v
 
     def logits_float(self, u: np.ndarray) -> np.ndarray:

@@ -236,20 +236,13 @@ def run_closed_loop(
     dec = cic_decimate(samples, cfg.cic)
     scale = cfg.full_scale / (cfg.cic.dc_gain * (1 << (cfg.cic.input_bits - 1)))
     x = dec.astype(np.float64) * scale
-    seg_len = cfg.segment_samples
-    epochs = len(x) // seg_len // cfg.votes_per_epoch
+    seg_len, votes = cfg.segment_samples, cfg.votes_per_epoch
+    epochs = len(x) // seg_len // votes
     log = RunLog()
     active_until: dict[int, Fraction] = {s.channel: Fraction(0) for s in cfg.stim}
-    for e in range(epochs):
-        base = e * cfg.votes_per_epoch
-
-        def epoch_segments():
-            for v in range(cfg.votes_per_epoch):
-                lo = (base + v) * seg_len
-                yield x[lo:lo + seg_len]
-
-        result = epoch_stage(epoch_segments(), lambda s: classify_segment(engine, s), voting)
-        t_dec = (base + result.classifications_used) * cfg.segment_seconds
+    for e, epoch in enumerate(x[:epochs * votes * seg_len].reshape(epochs, votes, seg_len)):
+        result = epoch_stage(epoch, lambda s: classify_segment(engine, s), voting)
+        t_dec = (e * votes + result.classifications_used) * cfg.segment_seconds
         log.decisions.append(Decision(
             t=t_dec, epoch=e, stage=result.stage,
             classifications_used=result.classifications_used, votes=result.votes,

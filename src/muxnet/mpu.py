@@ -17,10 +17,11 @@ engine builds a layer's rows once: the selected lines
 (``DecomposedTable.select`` combines a decomposed table's hi and lo lines
 there), laid out chunk-major, then fused over p activation bit-planes by
 doubling, so one gather per chunk returns the shift-added sum of p planes.
-A signed layer at p > 1 keeps its MSB group's rows after the others, in
-one array.  Plane groups are independent until the merge, so the kernel
-keys a block of them at once (all, when they fit GATHER_ELEMS gathered
-entries) for one gather, one chunk sum and one shift-add per block.
+A signed layer keeps its MSB group's rows, which subtract the MSB plane,
+after the others in one array, at every p.  Plane groups are independent
+until the merge, so the kernel keys a block of them at once (all, when
+they fit GATHER_ELEMS gathered entries) for one gather, one chunk sum and
+one shift-add per block.
 ``batch_inner_product`` builds p=1 rows per call from its per-case indices.
 The scalar path selects each half on its own.
 
@@ -267,16 +268,16 @@ class StageRows:
     ``rows[offsets[c] + key, o]`` is what output ``o`` adds for chunk ``c`` when
     its n activations carry the p-bit fields ``f_i`` of one plane group, keyed
     field-major as ``key = sum(f_i << (i*p))``: the selected line's entries for
-    those p planes, shifted into place and added.  A signed layer at p > 1 has
-    the same for the group holding its MSB plane from row ``top`` on; ``top``
-    is None otherwise (at p = 1 the kernel negates that group's sum).
-    ``rows`` is row-major, so one key reads one contiguous run of ``outputs``
-    entries.  ``sum_dtype`` is wide enough for the sum over chunks.
+    those p planes, shifted into place and added.  A signed layer has the same
+    for the group holding its MSB plane, with that plane subtracted, from row
+    ``top`` on; ``top`` is 0 for an unsigned layer.  ``rows`` is row-major, so
+    one key reads one contiguous run of ``outputs`` entries.  ``sum_dtype`` is
+    wide enough for the sum over chunks.
     """
 
     p: int
-    rows: np.ndarray  # (chunks << (n*p), outputs), twice that with top; narrowest dtype holding the range
-    top: int | None  # first row of the MSB group's rows
+    rows: np.ndarray  # (chunks << (n*p) + top, outputs); narrowest dtype holding the range
+    top: int  # first row of the MSB group's rows: chunks << (n*p) if signed, else 0
     offsets: np.ndarray  # (chunks, 1) first row of each chunk; (chunks, cases) case-wise
     sum_dtype: np.dtype
 
@@ -316,7 +317,7 @@ def stage_rows(
     magnitude = max(-int(lines.min()), int(lines.max())) if lines.size else 0
 
     def row_bytes(depth: int) -> int:
-        copies = 2 if signed and depth > 1 else 1  # plus the top rows
+        copies = 2 if signed else 1  # plus the MSB group's rows
         dtype = _narrowest(magnitude * ((1 << depth) - 1))
         return copies * ((chunks * outputs) << (n * depth)) * dtype.itemsize
 
@@ -329,7 +330,7 @@ def stage_rows(
     # row-major in the final dtype from the start: a depth-2q entry and the hi << q
     # in it are within magnitude * (2**(2q) - 1) <= max_abs, so doubling cannot wrap
     rows = np.ascontiguousarray(lines.transpose(1, 2, 0), dtype=_narrowest(max_abs))[None]
-    if signed and p > 1:
+    if signed:
         rows = np.concatenate([rows, -rows])  # copy 1 subtracts the MSB plane
     q = 1
     while q < p:
@@ -339,7 +340,7 @@ def stage_rows(
     resident = rows.reshape(len(rows) * span, outputs)
     resident.flags.writeable = False
     offsets = (np.arange(chunks, dtype=np.int64) << (n * p))[:, None]
-    return StageRows(p=p, rows=resident, top=span if len(rows) == 2 else None,
+    return StageRows(p=p, rows=resident, top=span if signed else 0,
                      offsets=offsets, sum_dtype=sum_dtype(chunks, max_abs))
 
 
@@ -352,8 +353,8 @@ def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
     field-major keys for all its groups, laid out (groups, chunks, cases);
     one gather of resident rows through the chunk-major view of those keys;
     a sum over chunks in ``sum_dtype``; then one int64 shift-add over the
-    block's groups.  A signed layer's MSB group keys into the top rows
-    (p > 1) or has its sum negated before the merge (p = 1).
+    block's groups.  The last group keys from row ``top`` on, so a signed
+    layer's MSB group reads the rows that subtract its MSB plane.
     """
     p, k, n = rows.p, cfg.activation_bits, cfg.n
     cases, chunks, _ = acts.shape
@@ -363,7 +364,6 @@ def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
     u = np.ascontiguousarray((acts & ((1 << k) - 1)).transpose(2, 1, 0), dtype=kdt)  # (n, chunks, cases)
     offsets = rows.offsets.astype(kdt, copy=False)
     field, groups = (1 << p) - 1, k // p
-    negate = cfg.activation_signed and rows.top is None  # MSB plane of two's-complement inputs, p = 1
     block = max(1, GATHER_ELEMS // max(1, chunks * cases * outputs))
     acc = None
     for g0 in range(0, groups, block):
@@ -373,11 +373,9 @@ def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
         for i in range(1, n):
             keys += ((u[i] >> at) & field) << (i * p)
         keys += offsets
-        if g1 == groups and rows.top is not None:
+        if g1 == groups:
             keys[-1] += rows.top
         planes = np.take(rows.rows, keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.sum_dtype)
-        if g1 == groups and negate:
-            np.negative(planes[-1], out=planes[-1])
         part = np.left_shift(planes, at, dtype=np.int64).sum(axis=0)
         acc = part if acc is None else acc + part
     return acc
@@ -442,9 +440,8 @@ def pe_forward(
         rows = stage_rows(idx, cfg, tables)
     else:
         span = chunks << (cfg.n * rows.p)
-        top = span if cfg.activation_signed and rows.p > 1 else None
-        if (cfg.activation_bits % rows.p or rows.top != top
-                or rows.rows.shape != ((1 if top is None else 2) * span, outputs)):
+        top = span if cfg.activation_signed else 0
+        if cfg.activation_bits % rows.p or rows.top != top or rows.rows.shape != (span + top, outputs):
             raise ShapeError(f"stage rows (p={rows.p}, {rows.rows.shape}) were not built "
                              f"for line_indices {idx.shape} under this config")
     batch = acts.shape[0]

@@ -152,7 +152,7 @@ def evaluate_dataset(
             f"dataset carries {segs.shape[1]} segments per epoch, config wants {cfg.votes_per_epoch}"
         )
     rows = [
-        epoch_stage(list(epoch), lambda s: classify_segment(engine, s), cfg)
+        epoch_stage(epoch, lambda s: classify_segment(engine, s), cfg)
         for epoch in segs
     ]
     accuracy = None

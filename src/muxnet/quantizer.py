@@ -7,7 +7,10 @@ module is the front half of the weight-to-table translation.
 
 The pre-scale search scores scales exactly with one ``(block, len)``
 residual broadcast per block of scales, each row summed with ``np.dot`` as
-in ``quantization_error``, so its errors match that function's bit for bit.
+in ``quantization_error``.  It searches the weights and the grid times
+2**-e, e the binary exponent of max|w|, which is exact: its errors match
+that function's up to that exact power of two (4**-e), and the squared
+residuals neither overflow nor all underflow at any weight magnitude.
 Where it pays (``bound_pass_pays``), a bound pass first scores every scale
 from one sort and prefix sums of the weights, with a proven error bound,
 and only the scales it cannot rule out are scored exactly; so the chosen
@@ -206,23 +209,31 @@ def choose_prescale(weights, m: int, search_grid) -> float:
     """Pick the grid scale minimizing total squared quantization error.
 
     Ties break toward the smaller scale; all-zero weight vectors return the
-    smallest grid scale.  Long vectors first shortlist the grid from sorted
-    prefix sums (``_shortlist``); the kept scales are then scored exactly.
+    smallest grid scale.  The search runs on weights and grid normalized by
+    a power of two, and returns the original grid point it picks.  Long
+    vectors first shortlist the grid from sorted prefix sums
+    (``_shortlist``); the kept scales are then scored exactly.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.size == 0:
         raise ValueError("weights must be non-empty")
-    if not np.all(np.isfinite(w)):
+    peak = float(np.abs(w).max())  # nan if any weight is
+    if not math.isfinite(peak):
         raise NonFiniteWeight("weight vector contains nan/inf")
     grid = np.sort(np.asarray(search_grid, dtype=np.float64).ravel())
     if not grid.size:
         raise ValueError("search grid must be non-empty")
     if not np.all((grid > 0) & np.isfinite(grid)):
         raise ValueError("search grid scales must be positive and finite")
-    if not np.any(w):
+    if peak == 0.0:
         return float(grid[0])
+    # times 2**-e, max|w| lies in [0.5, 1): w**2 cannot overflow, and every
+    # error scales by exactly 4**-e, so ties stay ties
+    e = math.frexp(peak)[1]
+    w, scaled = np.ldexp(w, -e), np.ldexp(grid, -e)
     if grid.size > 1 and bound_pass_pays(w.size, m):
-        grid = _shortlist(w, m, grid)
+        keep = np.searchsorted(scaled, _shortlist(w, m, scaled))  # kept scales' grid indices
+        grid, scaled = grid[keep], scaled[keep]
     if grid.size == 1:
         return float(grid[0])
     w_abs = np.abs(w)
@@ -230,7 +241,7 @@ def choose_prescale(weights, m: int, search_grid) -> float:
     buf = np.empty((min(rows, grid.size), w.size))
     errs = np.empty(grid.size)
     for start in range(0, grid.size, rows):
-        s = grid[start:start + rows, None]
+        s = scaled[start:start + rows, None]
         r = _round_saturate(w, w_abs, s, m, out=buf[:len(s)])
         r *= s
         np.subtract(w, r, out=r)

@@ -242,7 +242,8 @@ def test_corrupt_model_is_input_error(artifacts, tmp_path, capsys):
 def test_artifacts_the_engine_cannot_run_are_input_errors(artifacts, tmp_path, capsys):
     # each of these used to load, then exit 3 (a 1-bit table half), 1 (an
     # OverflowError, or engine != reference) or 0 (int64 wrapping alike in
-    # engine and reference); the shared validity rules refuse them at load
+    # engine and reference, or a pad code both skip); the shared validity
+    # rules refuse them at load
     _, _, compiled = artifacts
 
     def with_layer(li: int, name: str, value: int):
@@ -256,12 +257,15 @@ def test_artifacts_the_engine_cannot_run_are_input_errors(artifacts, tmp_path, c
 
     found = compile_model(default_float_model(seed=0), CompileConfig(conv_m=2, linear_m=2))
     found.layers[0].decomposed = True
+    padded = load_model(compiled)
+    padded.layers[0].line_indices[:, -1] |= 5 << padded.layers[0].mode_m  # fan-in 7 in 8 codes
     bad = tmp_path / "bad.muxn"
     for what, model in (("decomposed mode_m 2", found),
                         ("bias_q 2**40", with_layer(0, "bias_q", 2 ** 40)),
                         ("shift 127", with_layer(0, "shift", 127)),
                         ("requant flag cleared", with_layer(1, "requant", False)),
-                        ("activation_bits 2 after 8", with_layer(2, "activation_bits", 2))):
+                        ("activation_bits 2 after 8", with_layer(2, "activation_bits", 2)),
+                        ("pad code 5 past fan-in 7", padded)):
         save_model(model, bad)
         assert main(["verify", "--model", str(bad), "--cases", "16"]) == EXIT_INPUT, what
         assert "BadArtifact" in capsys.readouterr().err

@@ -307,6 +307,21 @@ def test_validate_bounds_int64_headroom():
             deserialize_model(serialize_model(broken))
 
 
+def test_a_nonzero_pad_code_is_refused():
+    # layer 0's fan-in 7 fills 4 chunks of n = 2, so its last chunk's second
+    # code is padding; the engine pairs a pad code with whatever input its
+    # patch index reads there, which adds nothing only when the code is 0
+    model = compile_model(default_float_model(seed=0))
+    layer = model.layers[0]
+    assert (layer.fan_in, layer.chunks * model.n) == (7, 8)
+    assert validate(model) is model
+    layer.line_indices[:, -1] |= 5 << layer.mode_m
+    with pytest.raises(BadArtifact, match="layer 0: nonzero weight code past fan-in 7"):
+        validate(model)
+    with pytest.raises(BadArtifact, match="layer 0: nonzero weight code past fan-in 7"):
+        deserialize_model(serialize_model(model))
+
+
 def test_compile_refuses_a_checkpoint_that_would_overflow():
     model = default_float_model(seed=0)
     model.layers[0].bias[0] = 1e6  # exact arithmetic needs more than int64

@@ -215,8 +215,8 @@ def test_resident_rows_take_the_deepest_fusion_that_fits():
                 deeper = stage_rows(layer.line_indices, cfg, engine.tables_for(li), p=p)
                 assert deeper.rows.nbytes > ROW_BUDGET_BYTES, (li, p)
     # several engines stay alive at once in a compile sweep; the top rows of a
-    # signed p > 1 layer share its one array and p = 1 adds no copy for them
-    assert sum(rows.rows.nbytes for rows in engine.rows) == 504_832
+    # signed layer share its one array and double it at every p, p = 1 included
+    assert sum(rows.rows.nbytes for rows in engine.rows) == 583_680
 
 
 @pytest.mark.parametrize("input_len, conv_m", [(320, 10), (1280, 6)])
@@ -281,8 +281,9 @@ def test_conv_patch_index_cuts_the_reference_windows(channels, length, convs):
         t_out = (t - kernel) // stride + 1
         want = np.stack([x[:, i * stride:i * stride + kernel].ravel() for i in range(t_out)])
         for stored, time_major in ((x, False), (x.T, True)):
-            index = _patch_index(c, t, kernel, stride, time_major=time_major)
-            assert np.array_equal(stored.ravel()[index], want), (kernel, stride, time_major)
+            index = _patch_index(c, t, kernel, stride, time_major=time_major, width=c * kernel + 3)
+            assert np.array_equal(stored.ravel()[index[:, :c * kernel]], want), (kernel, stride, time_major)
+            assert np.all(index[:, c * kernel:] == 0)  # pad columns read position 0, always in range
         layers.append(FloatLayer(kind=KIND_CONV1D, stride=stride,
                                  weight=rng.normal(0.0, 0.5, size=(out_ch, c, kernel)),
                                  bias=rng.normal(0.0, 0.05, size=out_ch)))
@@ -298,8 +299,13 @@ def test_conv_patch_index_cuts_the_reference_windows(channels, length, convs):
     # a linear layer is one window spanning its whole input, flattened channel-major
     x = np.arange(c * t).reshape(c, t)
     for stored, time_major in ((x, False), (x.T, True)):
-        index = _patch_index(c, t, t, 1, time_major=time_major)
-        assert np.array_equal(stored.ravel()[index], x.reshape(1, -1)), time_major
+        index = _patch_index(c, t, t, 1, time_major=time_major, width=c * t + 1)
+        assert np.array_equal(stored.ravel()[index[:, :c * t]], x.reshape(1, -1)), time_major
+        assert np.all(index[:, c * t:] == 0)
+    # the engine's own index of each layer covers its chunk padding
+    for li, (layer, index) in enumerate(zip(model.layers, engine._patches)):
+        assert index.shape[1] == layer.chunks * model.n, li
+        assert np.all(index[:, layer.fan_in:] == 0), li
 
 
 def test_reference_imports_nothing_of_the_datapath():

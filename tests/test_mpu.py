@@ -150,7 +150,7 @@ def test_batch_decomposed_matches_oracle():
 
 def test_pe_forward_matches_matmul_oracle():
     # the one kernel at every fusion depth: p planes per gather, a signed
-    # layer's MSB plane in the top rows (p > 1) or subtracted (p = 1)
+    # layer's MSB plane subtracted in its top rows at every p
     rng = np.random.default_rng(7)
     for tables, m in ((T5, 5), (D10, 10)):
         for signed in (True, False):
@@ -170,9 +170,9 @@ def test_pe_forward_matches_matmul_oracle():
                         continue
                     rows = stage_rows(idx, cfg, tables, p=p)
                     span = 5 << (2 * p)  # 5 chunks, keys of 2*p bits
-                    top = span if signed and p > 1 else None  # MSB group rows follow the rest
+                    top = span if signed else 0  # MSB group rows follow the rest
                     assert rows.p == p and rows.top == top
-                    assert rows.rows.shape == ((1 if top is None else 2) * span, 6)
+                    assert rows.rows.shape == (span + top, 6)
                     got = pe_forward(idx, acts, cfg, tables, rows=rows)
                     assert np.array_equal(got, want), (m, signed, bits, p)
                     single = pe_forward(idx, acts[1], cfg, tables, rows=rows)
@@ -209,15 +209,14 @@ def test_stage_rows_equal_a_brute_force_int64_build(n, m, tables):
         bits = (fields[:, :, None] >> np.arange(p)) & 1  # (keys, n, planes)
         # plane j's selected-line entry, shifted into place: (chunks, keys, outputs, planes)
         shifted = np.einsum("oci,kij->ckoj", codes, bits) << np.arange(p)
-        want = [shifted.sum(axis=-1)]
-        if p > 1:  # the group holding the MSB plane subtracts it
-            want.append(want[0] - 2 * shifted[..., -1])
+        # the group holding the MSB plane subtracts it, at p = 1 too
+        want = [shifted.sum(axis=-1), shifted.sum(axis=-1) - 2 * shifted[..., -1]]
         want = np.concatenate([w.reshape(-1, 4) for w in want])
         rows = stage_rows(idx, cfg, tables, p=p)
         bound = n * half * ((1 << p) - 1)
         narrowest = next(d for d in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
         assert rows.rows.dtype == narrowest, (p, rows.rows.dtype)
-        assert rows.top == (None if p == 1 else 2 << (n * p))
+        assert rows.top == 2 << (n * p)
         assert np.array_equal(rows.offsets[:, 0], np.arange(2) << (n * p))
         assert np.array_equal(rows.rows, want), p
 

@@ -153,12 +153,6 @@ def _with_zeros(rng, m):
     return w, default_prescale_grid(w, m, 16)
 
 
-def _overflowing(rng, m):
-    # w**2 overflows: every error is inf, so the first grid scale wins
-    w = rng.normal(size=int(rng.integers(1, 24))) * 1e200
-    return w, default_prescale_grid(w, m, 16)
-
-
 def _unsorted_duplicates(rng, m):
     # w sits on the code grid at both s and s/2, so those two tie at zero error
     s = _dyadic_scale(rng)
@@ -183,7 +177,6 @@ def assert_matches_the_scalar_loop(monkeypatch, w, m, grid):
 
 @pytest.mark.parametrize("make", [
     _halves, _saturating, _all_negative, _constant, _single, _with_zeros, _unsorted_duplicates,
-    pytest.param(_overflowing, marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
 ])
 def test_choose_prescale_matches_the_scalar_grid_loop(monkeypatch, make):
     rng = np.random.default_rng(906)
@@ -201,6 +194,24 @@ def test_choose_prescale_matches_the_scalar_grid_loop_across_blocks(monkeypatch)
     assert -(-grid.size // (SEARCH_BLOCK_ELEMS // w.size)) >= 3
     for m in (4, 5, 6):
         assert_matches_the_scalar_loop(monkeypatch, w, m, grid)
+
+
+def test_choose_prescale_is_scale_invariant(monkeypatch):
+    # the same weights and grid at any magnitude pick the same grid point; at
+    # 1e300 the squared residuals would overflow and at 1e-300 underflow, so
+    # every scale would tie and the smallest win
+    m, rng = 5, np.random.default_rng(909)
+    w = rng.normal(size=400)
+    grid = default_prescale_grid(w, m, 64)
+    assert bound_pass_pays(w.size, m)
+    for shortlist in (True, False):
+        with monkeypatch.context() as patch:
+            patch.setattr(quantizer, "bound_pass_pays", lambda size, m: shortlist)
+            want = int(np.searchsorted(grid, choose_prescale(w, m, grid)))
+            assert 0 < want < grid.size - 1, shortlist  # an interior optimum, not a tie-break
+            for factor in (2.0 ** 600, 2.0 ** -600, 1e300, 1e-300):
+                scaled = grid * factor
+                assert choose_prescale(w * factor, m, scaled) == scaled[want], (shortlist, factor)
 
 
 def test_exact_rescoring_breaks_a_tie_the_bound_pass_cannot_see():
