@@ -334,15 +334,15 @@ def _accumulator_bounds(codes: np.ndarray, bias_q: np.ndarray, u_lo: int, u_hi: 
     the tempered bound are clamped identically by engine and reference, so
     bit-exactness is never at stake, only fidelity headroom.
     """
-    pos = np.clip(codes, 0, None)
-    neg = np.clip(codes, None, 0)
-    hi = (pos * u_hi + neg * u_lo).sum(axis=1) + bias_q
-    lo = (pos * u_lo + neg * u_hi).sum(axis=1) + bias_q
+    pos = np.clip(codes, 0, None).sum(axis=1)
+    neg = codes.sum(axis=1) - pos
+    hi = pos * u_hi + neg * u_lo + bias_q
+    lo = pos * u_lo + neg * u_hi + bias_q
     hard = np.maximum(np.abs(hi), np.abs(lo))
     mid = (u_lo + u_hi) / 2.0
     amp = (u_hi - u_lo) / 2.0
-    mean = np.abs(mid * codes.sum(axis=1) + bias_q)
-    spread = amp * np.sqrt((codes.astype(np.float64) ** 2).sum(axis=1))
+    mean = np.abs(mid * (pos + neg) + bias_q)
+    spread = amp * np.sqrt((codes.astype(np.float64) ** 2).sum(axis=1))  # int64 squares wrap at m > 32
     rss = np.ceil(mean + spread).astype(np.int64)
     return np.minimum(hard, rss)
 
@@ -381,16 +381,10 @@ def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> Co
         m = cfg.mode_m(layer.kind)
         w2d = layer.weight.reshape(layer.out_channels, -1)
         fan_in = w2d.shape[1]
-        per_channel = layer.kind == KIND_CONV1D and not last
-        if per_channel:
-            scales = np.array([
-                choose_prescale(row, m, default_prescale_grid(row, m, cfg.prescale_points))
-                for row in w2d
-            ])
-        else:
-            flat = w2d.ravel()
-            s = choose_prescale(flat, m, default_prescale_grid(flat, m, cfg.prescale_points))
-            scales = np.full(layer.out_channels, s)
+        # one pre-scale per output channel (conv) or per layer (linear, and the last layer)
+        rows = w2d if layer.kind == KIND_CONV1D and not last else w2d.reshape(1, -1)
+        grids = default_prescale_grid(rows, m, cfg.prescale_points)
+        scales = np.full(layer.out_channels, choose_prescale(rows, m, grids))
         codes = quantize_codes(w2d, m, scales[:, None])
 
         bias = layer.bias if layer.bias is not None else np.zeros(layer.out_channels)

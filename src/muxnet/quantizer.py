@@ -5,16 +5,15 @@ Weights live as signed m-bit codes sharing one positive scale per group
 codes of an n-vector are exactly the static-table line index, so this
 module is the front half of the weight-to-table translation.
 
-The pre-scale search scores scales exactly with one ``(block, len)``
-residual broadcast per block of scales, each row summed with ``np.dot`` as
-in ``quantization_error``.  It searches the weights and the grid times
-2**-e, e the binary exponent of max|w|, which is exact: its errors match
-that function's up to that exact power of two (4**-e), and the squared
-residuals neither overflow nor all underflow at any weight magnitude.
-Where it pays (``bound_pass_pays``), a bound pass first scores every scale
-from one sort and prefix sums of the weights, with a proven error bound,
-and only the scales it cannot rule out are scored exactly; so the chosen
-scale, ties included, is the one-scale-at-a-time loop's.
+The pre-scale search runs once per weight matrix, each row on its own grid,
+times 2**-e for e the binary exponent of the row's max|w|: exact, so errors
+match ``quantization_error``'s up to 4**-e and never overflow or all
+underflow.  Where it pays (``bound_pass_pays``), a bound pass scores a row's
+scales from sorted prefix sums with a proven error bound; else one
+``(rows, scales, len)`` residual broadcast per block and one batched
+reduction score every row.  Only the scales either pass cannot rule out are
+rescored with ``np.dot``, so the chosen scale, ties included, is the
+one-scale-at-a-time loop's.
 
 The inner-product outputs of the table datapath are exact subset sums, so
 their reachable level set is denser than a uniform m-bit grid; that
@@ -150,14 +149,18 @@ def default_prescale_grid(weights, m: int, points: int = 64) -> np.ndarray:
     """Search grid for the pre-scale: log-spaced around the max-abs mapping.
 
     Spans max|w| / 2**(m-1) times [0.5, 2.0].  All-zero weights get the
-    degenerate grid [1.0] (every scale is equally good there).
+    degenerate grid [1.0] (every scale is equally good there).  A
+    ``(rows, len)`` matrix gets ``(rows, points)`` grids, 1.0s for a zero row.
     """
     w = np.asarray(weights, dtype=np.float64)
-    peak = float(np.max(np.abs(w))) if w.size else 0.0
-    if peak == 0.0:
+    peak = np.abs(w if w.ndim == 2 else w.reshape(1, -1)).max(axis=1, initial=0.0)
+    if w.ndim < 2 and peak[0] == 0.0:
         return np.array([1.0])
-    center = peak / (1 << (m - 1))
-    return np.geomspace(0.5 * center, 2.0 * center, points)
+    # no zero-width row: np.linspace would round every row another way
+    center = np.where(peak > 0.0, peak, 1.0) / (1 << (m - 1))
+    grid = np.geomspace(0.5 * center, 2.0 * center, points, axis=1)
+    grid[peak == 0.0] = 1.0
+    return grid if w.ndim == 2 else grid[0]
 
 
 def bound_pass_pays(size: int, m: int) -> bool:
@@ -205,48 +208,73 @@ def _shortlist(w, m: int, grid) -> np.ndarray:
     return grid[~(approx - delta > np.min(approx + delta))]
 
 
-def choose_prescale(weights, m: int, search_grid) -> float:
+def _errors(w, m: int, scaled, exact: bool) -> np.ndarray:
+    """(rows, points) squared errors of each row of ``w`` at its row of ``scaled``, from
+    one residual broadcast per block of SEARCH_BLOCK_ELEMS, summed with ``np.dot``
+    as in ``quantization_error`` if ``exact``, else in one batched reduction."""
+    (rows, size), points = w.shape, scaled.shape[1]
+    w, w_abs = w[:, None], np.abs(w)[:, None]
+    step_r = max(1, SEARCH_BLOCK_ELEMS // (points * size))
+    step_p = min(points, max(1, SEARCH_BLOCK_ELEMS // size))
+    buf = np.empty((min(step_r, rows), step_p, size))
+    errs = np.empty((rows, points))
+    for r in range(0, rows, step_r):
+        for p in range(0, points, step_p):
+            s = scaled[r:r + step_r, p:p + step_p, None]
+            res = _round_saturate(w[r:r + step_r], w_abs[r:r + step_r], s, m, out=buf[:len(s), :s.shape[1]])
+            res *= s
+            np.subtract(w[r:r + step_r], res, out=res)
+            errs[r:r + step_r, p:p + step_p] = (
+                [[np.dot(x, x) for x in row] for row in res] if exact else np.einsum("rpl,rpl->rp", res, res))
+    return errs
+
+
+def choose_prescale(weights, m: int, search_grid):
     """Pick the grid scale minimizing total squared quantization error.
 
     Ties break toward the smaller scale; all-zero weight vectors return the
-    smallest grid scale.  The search runs on weights and grid normalized by
-    a power of two, and returns the original grid point it picks.  Long
-    vectors first shortlist the grid from sorted prefix sums
-    (``_shortlist``); the kept scales are then scored exactly.
+    smallest grid scale.  1-d weights and grid return a float; ``(rows, len)``
+    weights with ``(rows, points)`` grids return each row's pick.  Rows are
+    searched normalized by a power of two, and the original grid point is
+    returned.  A row's grid is shortlisted from sorted prefix sums
+    (``_shortlist``) or one batched score, and the kept scales scored exactly.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    one = np.ndim(weights) < 2
+    w, grid = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (weights, search_grid))
+    if w.ndim != 2 or grid.ndim != 2 or len(grid) != len(w):
+        raise ValueError(f"need (rows, len) weights and (rows, points) grids, got {w.shape} and {grid.shape}")
     if w.size == 0:
         raise ValueError("weights must be non-empty")
-    peak = float(np.abs(w).max())  # nan if any weight is
-    if not math.isfinite(peak):
+    peak = np.abs(w).max(axis=1)  # nan if any weight of the row is
+    if not np.isfinite(peak).all():
         raise NonFiniteWeight("weight vector contains nan/inf")
-    grid = np.sort(np.asarray(search_grid, dtype=np.float64).ravel())
-    if not grid.size:
-        raise ValueError("search grid must be non-empty")
-    if not np.all((grid > 0) & np.isfinite(grid)):
-        raise ValueError("search grid scales must be positive and finite")
-    if peak == 0.0:
-        return float(grid[0])
-    # times 2**-e, max|w| lies in [0.5, 1): w**2 cannot overflow, and every
-    # error scales by exactly 4**-e, so ties stay ties
-    e = math.frexp(peak)[1]
+    grid = np.sort(grid, axis=1)
+    if not grid.size or not np.all((grid > 0) & np.isfinite(grid)):
+        raise ValueError("search grid must be non-empty, its scales positive and finite")
+    # times 2**-e per row, max|w| lies in [0.5, 1): w**2 cannot overflow, and
+    # every error scales by exactly 4**-e, so ties stay ties
+    e = np.frexp(peak)[1][:, None]
     w, scaled = np.ldexp(w, -e), np.ldexp(grid, -e)
-    if grid.size > 1 and bound_pass_pays(w.size, m):
-        keep = np.searchsorted(scaled, _shortlist(w, m, scaled))  # kept scales' grid indices
-        grid, scaled = grid[keep], scaled[keep]
-    if grid.size == 1:
-        return float(grid[0])
-    w_abs = np.abs(w)
-    rows = max(1, SEARCH_BLOCK_ELEMS // w.size)
-    buf = np.empty((min(rows, grid.size), w.size))
-    errs = np.empty(grid.size)
-    for start in range(0, grid.size, rows):
-        s = scaled[start:start + rows, None]
-        r = _round_saturate(w, w_abs, s, m, out=buf[:len(s)])
-        r *= s
-        np.subtract(w, r, out=r)
-        errs[start:start + len(s)] = [np.dot(row, row) for row in r]
-    return float(grid[np.argmin(errs)])  # first minimum: the smaller scale
+    pick = np.zeros(len(w), dtype=np.intp)  # all-zero rows and one-point grids take the smallest
+    live = np.flatnonzero((peak > 0.0) & (grid.shape[1] > 1))
+    if bound_pass_pays(w.shape[1], m):
+        kept = [np.searchsorted(scaled[r], _shortlist(w[r], m, scaled[r])) for r in live]
+    else:
+        errs = _errors(w[live], m, scaled[live], exact=False)
+        # Keep every scale whose np.dot error may be the minimum.  With u = eps/2
+        # and N = len, any order of summing N non-negative products, rounded or
+        # fused, errs by at most N u / (1 - N u) times the exact sum T, plus
+        # U = N 2**-1074 of underflow.  So both sums lie in [(1 - g) T - U,
+        # (1 + g) T + U], and np.dot's minimum has a batched error at most
+        # r**2 min + (1 + r)**2 U, r = (1 + g) / (1 - g); g = (N + 2) u and 8 U
+        # cover this test's own rounding.  NaN-safe: a nan keeps its whole row.
+        g = (w.shape[1] + 2) * np.finfo(np.float64).eps / 2
+        bound = errs.min(axis=1, keepdims=True) * ((1 + g) / (1 - g)) ** 2 + 8.0 * w.shape[1] * 2.0 ** -1074
+        kept = [np.flatnonzero(row) for row in ~(errs > bound)]
+    for r, keep in zip(live, kept):  # first exact minimum: the smaller scale
+        pick[r] = keep[np.argmin(_errors(w[r:r + 1], m, scaled[r:r + 1, keep], exact=True)) if len(keep) > 1 else 0]
+    best = grid[np.arange(len(w)), pick]
+    return float(best[0]) if one else best
 
 
 def effective_output_levels(n: int, m: int) -> np.ndarray:

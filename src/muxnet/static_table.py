@@ -30,22 +30,29 @@ from .quantizer import ENUM_BUDGET_BITS
 def pack_line_index(codes, m: int) -> np.ndarray:
     """(..., n) signed codes to (...) n*m-bit line indices, code[0] least significant.
 
-    One code vector gives a scalar index.
+    Fields are masked, shifted and or-ed in one at a time; one code vector gives a scalar.
     """
     c = np.asarray(codes, dtype=np.int64)
-    shifts = np.arange(0, c.shape[-1] * m, m, dtype=np.int64)
-    return ((c & ((1 << m) - 1)) << shifts).sum(axis=-1)
+    mask = (1 << m) - 1
+    index = c[..., 0] & mask
+    for i in range(1, c.shape[-1]):
+        index |= (c[..., i] & mask) << (i * m)
+    return index
 
 
 def unpack_line_codes(index, n: int, m: int, signed: bool = True) -> np.ndarray:
     """Inverse of pack_line_index: (...) indices to (..., n) codes.
 
-    ``signed=False`` reads the fields as plain magnitudes.
+    Fields are shifted and masked out one at a time, then sign-extended
+    (``^= half; -= half``) unless ``signed=False`` reads them as magnitudes.
     """
-    shifts = np.arange(0, n * m, m, dtype=np.int64)
-    fields = (np.asarray(index, dtype=np.int64)[..., None] >> shifts) & ((1 << m) - 1)
+    idx = np.asarray(index, dtype=np.int64)
+    fields = np.empty(idx.shape + (n,), dtype=np.int64)
+    for i in range(n):
+        np.bitwise_and(idx >> (i * m), (1 << m) - 1, out=fields[..., i])
     if signed:
-        fields = fields - ((fields >> (m - 1)) << m)
+        fields ^= 1 << (m - 1)
+        fields -= 1 << (m - 1)
     return fields
 
 

@@ -188,9 +188,14 @@ def scalar_choose_prescale(weights, m, search_grid):
     return grid[errs.index(min(errs))]
 
 
+def scalar_choose_prescale_rows(weights, m, search_grids):
+    """The compiler's (rows, len) call, one row and its grid at a time through the scalar search."""
+    return np.array([scalar_choose_prescale(w, m, grid) for w, grid in zip(weights, search_grids)])
+
+
 def _scalar_search_bytes(monkeypatch, model, cfg=CompileConfig()):
     with monkeypatch.context() as patch:
-        patch.setattr(compiler, "choose_prescale", scalar_choose_prescale)
+        patch.setattr(compiler, "choose_prescale", scalar_choose_prescale_rows)
         return serialize_model(compile_model(model, cfg))
 
 
@@ -202,11 +207,43 @@ def test_a_zero_output_channel_compiles_as_the_scalar_search_does(monkeypatch):
     assert serialize_model(compiled) == _scalar_search_bytes(monkeypatch, model)
 
 
-@pytest.mark.parametrize("input_len, conv_m", [(320, 10), (640, 6), (640, 10), (1280, 6)])  # default first
+@pytest.mark.parametrize("input_len, conv_m", [(320, 10), (320, 6), (640, 10), (640, 6), (1280, 10), (1280, 6)])
 def test_artifact_bytes_match_the_scalar_prescale_search(monkeypatch, input_len, conv_m):
     model = default_float_model(0, input_len=input_len)
     cfg = CompileConfig(conv_m=conv_m)
     assert serialize_model(compile_model(model, cfg)) == _scalar_search_bytes(monkeypatch, model, cfg)
+
+
+def accumulator_bounds_oracle(codes, bias_q, u_lo, u_hi):
+    """Per channel, corner sums in Python ints: the worse of the two input corners, tempered
+    by the root-sum-square estimate around the range's midpoint."""
+    mid, amp = (u_lo + u_hi) / 2.0, (u_hi - u_lo) / 2.0
+    out = []
+    for row, b in zip(codes.tolist(), bias_q.tolist()):
+        hi = sum(c * (u_hi if c > 0 else u_lo) for c in row) + b
+        lo = sum(c * (u_lo if c > 0 else u_hi) for c in row) + b
+        rss = math.ceil(abs(mid * sum(row) + b) + amp * math.sqrt(sum(c * c for c in row)))
+        out.append(min(max(abs(hi), abs(lo)), rss))
+    return out
+
+
+@pytest.mark.parametrize("u_lo, u_hi", [(0, 255), (0, 127), (-128, 127)])
+def test_accumulator_bounds_match_a_per_channel_oracle(u_lo, u_hi):
+    rng = np.random.default_rng([u_lo + 128, u_hi])
+    for fan_in, m in ((1, 10), (2, 5), (7, 10), (40, 6), (2464, 5)):
+        codes = rng.integers(-(1 << (m - 1)), 1 << (m - 1), size=(9, fan_in))
+        codes[0] = 0  # a zero channel
+        codes[1] = -(1 << (m - 1))
+        codes[2, 1:] = 0  # one live code: the corner bound and the estimate meet
+        bias_q = rng.integers(-(1 << 20), 1 << 20, size=9)
+        bias_q[3] = 0
+        got = compiler._accumulator_bounds(codes, bias_q, u_lo, u_hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == accumulator_bounds_oracle(codes, bias_q, u_lo, u_hi), (fan_in, m)
+    wide = np.full((1, 4), -(1 << 39))  # m = 40 (n = 1, decomposed): each square is 2**78, past int64
+    zero = np.zeros(1, dtype=np.int64)
+    assert compiler._accumulator_bounds(wide, zero, u_lo, u_hi).tolist() == \
+        accumulator_bounds_oracle(wide, zero, u_lo, u_hi)
 
 
 def test_compile_is_deterministic():

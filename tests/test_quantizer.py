@@ -235,6 +235,105 @@ def test_exact_rescoring_breaks_a_tie_the_bound_pass_cannot_see():
         assert choose_prescale(w, m, grid) == scalar_choose_prescale(w, m, grid) == s
 
 
+def assert_rows_match_the_scalar_loop(monkeypatch, w, m, grids):
+    want = [scalar_choose_prescale(row, m, grid) for row, grid in zip(w, grids)]
+    for shortlist in (True, False):  # both sides of the size rule, whatever the length
+        with monkeypatch.context() as patch:
+            patch.setattr(quantizer, "bound_pass_pays", lambda size, m: shortlist)
+            got = choose_prescale(w, m, grids)
+            assert got.shape == (len(w),) and got.tolist() == want, (m, shortlist)
+
+
+def _stacked(make, rng, m, rows=6):
+    """A (rows, len) matrix of a generator's vectors and its (rows, points) grids,
+    each tiled to the longest; row 2 is all zero among live rows."""
+    pairs = [make(rng, m) for _ in range(rows)]
+    size, points = max(np.size(w) for w, _ in pairs), max(np.size(g) for _, g in pairs)
+    w = np.stack([np.resize(np.asarray(w, dtype=np.float64), size) for w, _ in pairs])
+    w[2] = 0.0
+    return w, np.stack([np.resize(np.ravel(g), points) for _, g in pairs])
+
+
+@pytest.mark.parametrize("make", [
+    _halves, _saturating, _all_negative, _constant, _single, _with_zeros, _unsorted_duplicates,
+])
+def test_batched_search_matches_the_scalar_loop_row_by_row(monkeypatch, make):
+    rng = np.random.default_rng(910)
+    for _ in range(20):
+        m = int(rng.integers(2, 9))
+        w, grids = _stacked(make, rng, m)
+        assert_rows_match_the_scalar_loop(monkeypatch, w, m, grids)
+
+
+def test_batched_search_normalizes_each_row(monkeypatch):
+    # rows 2**1200 and 1e600 apart: one exponent for the whole matrix would
+    # underflow the small rows' residuals, so their scales would tie
+    m, rng = 5, np.random.default_rng(909)
+    w = rng.normal(size=400)
+    grid = default_prescale_grid(w, m, 64)
+    factors = np.array([1.0, 2.0 ** 600, 2.0 ** -600, 1e300, 1e-300, 0.0])[:, None]
+    for shortlist in (True, False):
+        with monkeypatch.context() as patch:
+            patch.setattr(quantizer, "bound_pass_pays", lambda size, m: shortlist)
+            want = int(np.searchsorted(grid, choose_prescale(w, m, grid)))
+            assert 0 < want < grid.size - 1, shortlist  # an interior optimum, not a tie-break
+            grids = np.where(factors > 0, grid * factors, grid)  # the zero row keeps the x1 grid
+            got = choose_prescale(w * factors, m, grids)
+            assert got.tolist() == grids[:-1, want].tolist() + [grid[0]], shortlist
+
+
+def test_batched_search_with_one_point_grids(monkeypatch):
+    rng = np.random.default_rng(911)
+    w = rng.normal(size=(5, 12))
+    w[1] = 0.0
+    grids = np.abs(rng.normal(size=(5, 1)))
+    assert np.array_equal(choose_prescale(w, 4, grids), grids[:, 0])
+    assert_rows_match_the_scalar_loop(monkeypatch, w, 4, grids)
+
+
+def test_batched_search_matches_the_scalar_loop_across_blocks(monkeypatch):
+    rng = np.random.default_rng(912)
+    m = 10
+    for rows, size in ((64, 50), (2, 5000)):  # many rows per block; several blocks per row
+        w = rng.normal(size=(rows, size))
+        w[:, :8] = (rng.integers(-16, 16, size=(rows, 8)) + 0.5) * 0.125  # exact halves at scale 0.125
+        w[1] = 0.0
+        grids = np.concatenate([default_prescale_grid(w, m, 63), np.full((rows, 1), 0.125)], axis=1)
+        assert not bound_pass_pays(size, m) and w.size * grids.shape[1] >= 3 * SEARCH_BLOCK_ELEMS
+        assert_rows_match_the_scalar_loop(monkeypatch, w, m, grids)
+
+
+def test_exact_rescoring_breaks_a_tie_the_batched_pass_cannot_see(monkeypatch):
+    # Each pair of weights 4 + x and 3 + x, x in (-1, 0), has residuals
+    # (x, x + 1) at scale 2 and (x + 1, x) at scale 3, all exact, so the
+    # squared residuals at the two scales are one multiset in two orders: the
+    # exact errors tie, and each reduction breaks the tie by its own rounding.
+    m, rng = 4, np.random.default_rng(914)
+    x = -rng.random((32, 64))
+    w = rng.choice([-1.0, 1.0], size=(32, 1)) * np.concatenate([4.0 + x, 3.0 + x], axis=1)
+    w = np.take_along_axis(w, np.argsort(rng.random(w.shape), axis=1), axis=1)
+    for s, t in ((2.0, 3.0), (3.0, 2.0)):
+        r_s = w - s * quantize_codes(w, m, s)
+        r_t = w - t * quantize_codes(w, m, t)
+        assert np.array_equal(np.sort(r_s ** 2, axis=1), np.sort(r_t ** 2, axis=1))
+    errs = np.array([[quantization_error(row, m, s) for s in (2.0, 3.0)] for row in w])
+    assert (errs[:, 0] < errs[:, 1]).any() and (errs[:, 0] > errs[:, 1]).any()
+    grids = np.stack([rng.permutation([2.0, 3.0, 6.0]) for _ in w])
+    assert_rows_match_the_scalar_loop(monkeypatch, w, m, grids)
+
+
+def test_2d_default_grid_equals_the_stacked_1d_grids():
+    rng = np.random.default_rng(913)
+    for points in (1, 5, 64):
+        for m in (2, 5, 10):
+            w = rng.normal(size=(12, 9)) * 10.0 ** rng.uniform(-100, 100, size=(12, 1))
+            w[[3, 7]] = 0.0  # zero rows among live rows
+            grids = default_prescale_grid(w, m, points)
+            assert grids.shape == (12, points)
+            for row, grid in zip(w, grids):
+                assert np.array_equal(grid, default_prescale_grid(row, m, points) if row.any() else np.ones(points))
+
+
 @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (2, 5), (3, 4)])
 def test_effective_levels_match_brute_force(n, m):
     oracle = brute_force_levels(n, m)  # computed first, independently

@@ -53,6 +53,32 @@ def test_pack_unpack_roundtrip_exhaustive():
             assert pack_line_index(codes, m) == index
 
 
+def oracle_pack(codes, m: int) -> int:
+    """Oracle: field concatenation written as integer arithmetic on two's-complement values."""
+    return sum((int(c) % (1 << m)) * (1 << (m * i)) for i, c in enumerate(codes))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_codec_round_trips_code_arrays(n):
+    rng = np.random.default_rng(31 + n)
+    for m in range(2, 2 * ENUM_BUDGET_BITS // n + 1):  # up to a decomposed mode's n*m
+        lo, hi = -(1 << (m - 1)), (1 << (m - 1)) - 1
+        codes = rng.integers(lo, hi + 1, size=(5, 7, n))  # (outputs, chunks, n)
+        codes[0, :2] = lo
+        codes[1, :2] = hi
+        codes[2, 0] = [lo, hi, 0][:n]
+        index = pack_line_index(codes, m)
+        assert index.shape == (5, 7) and index.dtype == np.int64
+        assert index.tolist() == [[oracle_pack(c, m) for c in row] for row in codes]
+        assert np.array_equal(unpack_line_codes(index, n, m), codes), m
+        assert np.array_equal(unpack_line_codes(index, n, m, signed=False), codes % (1 << m)), m
+        # one code vector and one index stay a scalar and an (n,) vector
+        flat = int(index[2, 0])
+        assert pack_line_index(codes[2, 0].tolist(), m) == flat and np.ndim(pack_line_index(codes[2, 0], m)) == 0
+        assert unpack_line_codes(flat, n, m).tolist() == oracle_decode(flat, n, m, signed=True)
+        assert unpack_line_codes(flat, n, m, signed=False).tolist() == oracle_decode(flat, n, m, signed=False)
+
+
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (2, 5)])
 def test_line_count_is_2_pow_nm(n, m):
     table = build_static_table(n, m)
