@@ -3,7 +3,7 @@
 The engine owns the static tables (one per distinct mode) and each
 layer's resident stage-1 rows, built once at init from that layer's
 weights (``mpu.stage_rows``, fused over as many activation bit-planes as
-fit the 512 KiB row budget).  It feeds every layer through ``pe_forward``
+fit the 1 MiB row budget).  It feeds every layer through ``pe_forward``
 with those rows and the layer's own cost counter, and applies the integer
 constants the compiler produced.  All value-path arithmetic is table
 gathers, adds, and shifts; the only products appear in cost counters,
@@ -94,14 +94,15 @@ class MpuEngine:
 
     @staticmethod
     def _finish_layer(layer: CompiledLayer, acc: np.ndarray) -> np.ndarray:
-        acc = acc + layer.bias_q
+        acc = acc + layer.bias_q  # a new array: the caller's accumulator stays as it was
         if not layer.requant:
             return acc
-        half = 1 << (layer.shift - 1)
-        v = (acc * layer.mult + half) >> layer.shift
+        acc *= layer.mult
+        acc += 1 << (layer.shift - 1)
+        acc >>= layer.shift
         lim = 1 << (layer.activation_bits - 1)
-        np.maximum(v, 0 if layer.activation == ACT_RELU else -lim, out=v)
-        return np.minimum(v, lim - 1, out=v)
+        np.maximum(acc, 0 if layer.activation == ACT_RELU else -lim, out=acc)
+        return np.minimum(acc, lim - 1, out=acc)
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Integer logits; u is (V,) or (batch, V) in the first layer's domain.

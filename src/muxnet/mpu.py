@@ -20,8 +20,11 @@ doubling, so one gather per chunk returns the shift-added sum of p planes.
 A signed layer keeps its MSB group's rows, which subtract the MSB plane,
 after the others in one array, at every p.  Plane groups are independent
 until the merge, so the kernel keys a block of them at once (all, when
-they fit GATHER_ELEMS gathered entries) for one gather, one chunk sum and
-one shift-add per block.
+they fit GATHER_ELEMS gathered entries) for one gather and one chunk sum
+per block.  It merges the groups Horner-style, highest first, into one
+int64 accumulator (shift it by p, add the next group's sum): each partial
+value is the inner product with the activations' low planes cleared, an
+in-range code, so it is exact wherever the result is.
 ``batch_inner_product`` builds p=1 rows per call from its per-case indices.
 The scalar path selects each half on its own.
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache, reduce
 from typing import IO, Sequence
 
 import numpy as np
@@ -50,7 +54,7 @@ from .static_table import DecomposedTable, StaticTable, pack_line_index, split_l
 Tables = StaticTable | DecomposedTable
 
 FUSE_DEPTHS = (4, 2, 1)  # bit-planes per gather, deepest first
-ROW_BUDGET_BYTES = 1 << 19  # resident rows of one layer at p > 1
+ROW_BUDGET_BYTES = 1 << 20  # resident rows of one layer at p > 1
 GATHER_ELEMS = 1 << 20  # gathered entries per block of plane groups
 
 
@@ -271,8 +275,10 @@ class StageRows:
     those p planes, shifted into place and added.  A signed layer has the same
     for the group holding its MSB plane, with that plane subtracted, from row
     ``top`` on; ``top`` is 0 for an unsigned layer.  ``rows`` is row-major, so
-    one key reads one contiguous run of ``outputs`` entries.  ``sum_dtype`` is
-    wide enough for the sum over chunks.
+    one key reads one contiguous run of ``outputs`` entries.  ``sum_dtype``, the
+    narrowest of int16/int32/int64 for the sum over chunks, is proven per chunk:
+    no group's sum for output ``o`` exceeds (2**p - 1) times the sum over chunks
+    of that chunk's largest p=1 |entry| (``stage_rows``).
     """
 
     p: int
@@ -282,16 +288,26 @@ class StageRows:
     sum_dtype: np.dtype
 
 
+@cache
+def _key_maps(n: int, q: int) -> np.ndarray:
+    """(2, 2**(2*n*q)): the depth-q hi and lo keys of each depth-2q key, field n-1 first."""
+    side = 1 << q
+    wide = (side,) * (2 * n)  # the hi and lo digits of every field, hi first
+    maps = np.stack([np.broadcast_to(np.arange(side ** n).reshape(digit * n), wide).ravel()
+                     for digit in ((side, 1), (1, side))])
+    maps.flags.writeable = False  # shared by every call
+    return maps
+
+
 def _double(rows: np.ndarray, n: int, q: int) -> np.ndarray:
     """Depth-2q rows from depth-q ones, (copies, chunks, keys, outputs) with a signed
     layer's MSB-group rows as copy 1: field ``hi << q | lo`` reads ``rows[:, hi] << q``
-    plus ``rows[0, lo]`` (the low planes are never the MSB), one broadcast over
-    every (hi, lo) field pair of every copy."""
-    copies, chunks, _, outputs = rows.shape
-    side = 1 << q
-    hi = rows.reshape(copies, chunks, *(side, 1) * n, outputs)  # field n-1 is the most significant
-    lo = rows[0].reshape(chunks, *(1, side) * n, outputs)
-    return ((hi << q) + lo).reshape(copies, chunks, 1 << (2 * n * q), outputs)
+    plus ``rows[0, lo]`` (the low planes are never the MSB), two gathers along the
+    key axis through ``_key_maps``."""
+    hi, lo = _key_maps(n, q)
+    out = np.take(rows << q, hi, axis=2)  # shifted before the gather: 2**(n*q) times fewer entries
+    out += np.take(rows[0], lo, axis=1)
+    return out
 
 
 def stage_rows(
@@ -330,6 +346,14 @@ def stage_rows(
     # row-major in the final dtype from the start: a depth-2q entry and the hi << q
     # in it are within magnitude * (2**(2q) - 1) <= max_abs, so doubling cannot wrap
     rows = np.ascontiguousarray(lines.transpose(1, 2, 0), dtype=_narrowest(max_abs))[None]
+    sums = sum_dtype(chunks, max_abs)
+    if sums != np.int16:
+        # a depth-p entry of chunk c, the MSB group's too, adds p=1 entries of that
+        # chunk weighted +-2**j, j < p: at most (2**p - 1) * peak[c, o], its largest
+        # p=1 |entry| (which fits the rows' dtype, so abs cannot wrap).  So any partial
+        # sum over chunks is within (2**p - 1) * sum_c peak[c, o], whatever the keys
+        peak = reduce(np.maximum, np.abs(rows[0]).swapaxes(0, 1))  # key slices: no short-axis reduce
+        sums = sum_dtype((1 << p) - 1, int(peak.sum(axis=0, dtype=np.int64).max()))
     if signed:
         rows = np.concatenate([rows, -rows])  # copy 1 subtracts the MSB plane
     q = 1
@@ -341,7 +365,7 @@ def stage_rows(
     resident.flags.writeable = False
     offsets = (np.arange(chunks, dtype=np.int64) << (n * p))[:, None]
     return StageRows(p=p, rows=resident, top=span if signed else 0,
-                     offsets=offsets, sum_dtype=sum_dtype(chunks, max_abs))
+                     offsets=offsets, sum_dtype=sums)
 
 
 def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
@@ -352,22 +376,24 @@ def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
     gathered entries (every group at once when they fit).  Per block:
     field-major keys for all its groups, laid out (groups, chunks, cases);
     one gather of resident rows through the chunk-major view of those keys;
-    a sum over chunks in ``sum_dtype``; then one int64 shift-add over the
-    block's groups.  The last group keys from row ``top`` on, so a signed
-    layer's MSB group reads the rows that subtract its MSB plane.
+    a sum over chunks in ``sum_dtype``.  Blocks and groups go from the highest
+    down, each merged as ``acc <<= p; acc += sum``.  The last group keys from
+    row ``top`` on, so a signed layer's MSB group reads the rows that subtract
+    its MSB plane.
     """
     p, k, n = rows.p, cfg.activation_bits, cfg.n
     cases, chunks, _ = acts.shape
     outputs = rows.rows.shape[1]
     # the key arithmetic is the hot loop: int32 whenever it holds the k bits and every row
     kdt = np.int32 if k < 32 and rows.rows.shape[0] < 1 << 31 else np.int64
-    u = np.ascontiguousarray((acts & ((1 << k) - 1)).transpose(2, 1, 0), dtype=kdt)  # (n, chunks, cases)
+    u = np.bitwise_and(acts, (1 << k) - 1, dtype=kdt)  # cast first: it keeps the low k bits
+    u = np.ascontiguousarray(u.transpose(2, 1, 0))  # (n, chunks, cases)
     offsets = rows.offsets.astype(kdt, copy=False)
     field, groups = (1 << p) - 1, k // p
     block = max(1, GATHER_ELEMS // max(1, chunks * cases * outputs))
     acc = None
-    for g0 in range(0, groups, block):
-        g1 = min(g0 + block, groups)
+    for g1 in range(groups, 0, -block):  # highest groups first
+        g0 = max(0, g1 - block)
         at = (np.arange(g0, g1, dtype=kdt) * p)[:, None, None]  # each group's lowest plane
         keys = (u[0] >> at) & field  # (groups, chunks, cases)
         for i in range(1, n):
@@ -376,8 +402,12 @@ def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
         if g1 == groups:
             keys[-1] += rows.top
         planes = np.take(rows.rows, keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.sum_dtype)
-        part = np.left_shift(planes, at, dtype=np.int64).sum(axis=0)
-        acc = part if acc is None else acc + part
+        for plane in planes[::-1]:  # Horner: acc is the sum over the groups merged so far
+            if acc is None:
+                acc = plane.astype(np.int64)
+            else:
+                acc <<= p
+                acc += plane
     return acc
 
 

@@ -202,10 +202,11 @@ def test_layer_calls_pass_their_counter_by_keyword(monkeypatch):
 
 def test_resident_rows_take_the_deepest_fusion_that_fits():
     # built once at init: the largest p dividing activation_bits whose rows
-    # fit ROW_BUDGET_BYTES (p = 1 always); the 616-chunk linear layer stays at p = 1
+    # fit ROW_BUDGET_BYTES (p = 1 always); the 616-chunk linear layer fits p = 2 in int8
+    # rows, but its int16 rows at p = 4 do not
     model = compile_model(default_float_model(seed=0))
     engine = MpuEngine(model)
-    assert [rows.p for rows in engine.rows] == [4, 4, 1, 4]
+    assert [rows.p for rows in engine.rows] == [4, 4, 2, 4]
     for li, (layer, rows) in enumerate(zip(model.layers, engine.rows)):
         assert rows.p == 1 or rows.rows.nbytes <= ROW_BUDGET_BYTES
         cfg = MpuConfig(n=model.n, m=layer.mode_m, activation_bits=layer.activation_bits,
@@ -216,7 +217,7 @@ def test_resident_rows_take_the_deepest_fusion_that_fits():
                 assert deeper.rows.nbytes > ROW_BUDGET_BYTES, (li, p)
     # several engines stay alive at once in a compile sweep; the top rows of a
     # signed layer share its one array and double it at every p, p = 1 included
-    assert sum(rows.rows.nbytes for rows in engine.rows) == 583_680
+    assert sum(rows.rows.nbytes for rows in engine.rows) == 1_056_768
 
 
 @pytest.mark.parametrize("input_len, conv_m", [(320, 10), (1280, 6)])

@@ -22,6 +22,7 @@ from muxnet.mpu import (
     stage1_select,
     stage2_select,
     stage_rows,
+    sum_dtype,
 )
 from muxnet.quantizer import QParams, QuantizedWeightVector, activation_range
 from muxnet.reference import decode_line_indices, reference_inner_product
@@ -219,6 +220,44 @@ def test_stage_rows_equal_a_brute_force_int64_build(n, m, tables):
         assert rows.top == 2 << (n * p)
         assert np.array_equal(rows.offsets[:, 0], np.arange(2) << (n * p))
         assert np.array_equal(rows.rows, want), p
+
+
+def peak_codes(total: int, chunks: int, code: int) -> list[int]:
+    """n=2 codes of ``chunks`` chunks whose same-sign peaks |c0 + c1| add up to ``total``."""
+    pairs = [(code, code)] * (total // (2 * abs(code)))
+    rem = total % (2 * abs(code))
+    one = min(rem, abs(code))
+    pairs.append((one, rem - one) if code > 0 else (-one, one - rem))
+    pairs += [(0, 0)] * (chunks - len(pairs))
+    return [c for pair in pairs for c in pair]
+
+
+@pytest.mark.parametrize("deepest", FUSE_DEPTHS)
+@pytest.mark.parametrize("signed", [False, True])
+def test_chunk_sums_are_exact_at_their_per_chunk_bound(deepest, signed):
+    # each output's chunk peaks add up to (2**15 - 1) // (2**deepest - 1), so at
+    # p = deepest the all-ones activations drive one group's chunk sum to within a
+    # few units of 2**15 - 1; the zero chunks make the layer-wide rule pick int32
+    total = (2**15 - 1) // ((1 << deepest) - 1)
+    chunks = total // 30 + 8
+    codes = np.array([peak_codes(total, chunks, -16), peak_codes(total, chunks, 15)])
+    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=8, activation_signed=signed)
+    lo, hi = activation_range(8, signed)
+    acts = np.random.default_rng(deepest).integers(lo, hi + 1, size=(6, 2 * chunks))
+    acts[:4] = [[-1 if signed else hi], [lo], [hi], [lo + 1]]  # -1 and 255 select each peak on every plane
+    idx = pack_rows(codes, 2, 5)
+    want = acts @ codes.T  # oracle first
+    peak = max(sum(max(abs(c0 * b0 + c1 * b1) for b0 in (0, 1) for b1 in (0, 1))
+                   for c0, c1 in zip(row[::2], row[1::2])) for row in codes.tolist())
+    assert peak == total
+    for p in FUSE_DEPTHS:
+        rows = stage_rows(idx, cfg, T5, p=p)
+        assert np.array_equal(pe_forward(idx, acts, cfg, T5, rows=rows), want), p
+        bound = ((1 << p) - 1) * peak
+        assert rows.sum_dtype == next(d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
+        if p == deepest:
+            assert 2**15 - 8 <= bound < 2**15 and rows.sum_dtype == np.int16
+            assert sum_dtype(chunks, 16 * 2 * ((1 << p) - 1)) == np.int32  # the layer-wide rule
 
 
 @pytest.mark.parametrize("per_block", [1, 3, 16])

@@ -1,0 +1,98 @@
+"""Paired timing of two muxnet source trees in one process.
+
+    python3 tools/ab_forward.py BASE_ROOT CHANGE_ROOT [--rounds 200] [--seed 0]
+
+Each root is a checkout holding ``src/muxnet`` (for example one unpacked
+with ``git archive``).  Both packages are copied into a temporary directory
+as ``muxnet_a`` (BASE_ROOT) and ``muxnet_b`` (CHANGE_ROOT) and imported side
+by side; each compiles the default float model of ``--seed`` with its own
+compiler.  It checks that both sides return the same logits, then times
+``engine.forward`` at batch 1, then at batch 100, then ``MpuEngine(model)``
+(``--rounds`` rounds each, in thread CPU time), strictly alternating which
+side goes first.  It prints each side's median and the median of the
+per-round ratios b/a.
+
+Timings of separate processes on a shared host can differ by far more than
+a change moves them; a ratio taken within one round compares the two sides
+under the same conditions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+BATCHES = (1, 100)
+
+
+def load(root: Path, name: str, into: Path):
+    """Import the muxnet package under ``root/src`` as package ``name``."""
+    package = root / "src" / "muxnet"
+    if not (package / "__init__.py").is_file():
+        raise SystemExit(f"ab_forward: no muxnet package under {root / 'src'}")
+    shutil.copytree(package, into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return [importlib.import_module(f"{name}.{module}") for module in ("compiler", "engine", "quantizer")]
+
+
+def timed(fn, *args) -> float:
+    start = time.thread_time_ns()
+    fn(*args)
+    return (time.thread_time_ns() - start) / 1e6
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--rounds", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        sides = {}
+        for name, root in (("a", args.base), ("b", args.change)):
+            compiler, engine, quantizer = load(root.resolve(), f"muxnet_{name}", Path(tmp))
+            model = compiler.compile_model(compiler.default_float_model(seed=args.seed))
+            sides[name] = (engine.MpuEngine, model)
+
+        model, first = sides["a"][1], sides["a"][1].layers[0]
+        lo, hi = quantizer.activation_range(first.activation_bits, first.activation_signed)
+        rng = np.random.default_rng(args.seed)
+        inputs = {b: rng.integers(lo, hi + 1, size=(b, model.input_channels * model.input_len))
+                  for b in BATCHES}
+        engines = {name: cls(m) for name, (cls, m) in sides.items()}
+        for b, u in inputs.items():
+            if not np.array_equal(engines["a"].forward(u), engines["b"].forward(u)):
+                raise SystemExit(f"ab_forward: the two trees disagree on the logits at batch {b}")
+
+        calls = {f"forward b={b}": {name: (engines[name].forward, u) for name in sides}
+                 for b, u in inputs.items()}
+        calls["init"] = {name: (cls, m) for name, (cls, m) in sides.items()}
+        times = {}
+        for label, call in calls.items():  # one call at a time, so an init does not evict a forward's rows
+            for r in range(args.rounds):
+                for name in ("ab" if r % 2 == 0 else "ba"):
+                    times.setdefault((name, label), []).append(timed(*call[name]))
+
+    print(f"{args.rounds} rounds, seed {args.seed}; thread CPU ms")
+    print(f"{'':14}{'a median':>10}{'b median':>10}{'b/a paired':>12}")
+    for label in calls:
+        a, b = times["a", label], times["b", label]
+        ratio = statistics.median(y / x for x, y in zip(a, b) if x > 0)
+        print(f"{label:14}{statistics.median(a):10.3f}{statistics.median(b):10.3f}{ratio:12.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
