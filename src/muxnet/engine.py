@@ -129,11 +129,6 @@ class MpuEngine:
             v = self._finish_layer(layer, acc).reshape(batch, -1)  # from (batch * time, out_channels)
         return v[0] if squeeze else v
 
-    def logits_float(self, u: np.ndarray) -> np.ndarray:
-        """Raw accumulators mapped back to real units."""
-        last = self.model.layers[-1]
-        return self.forward(u) * (last.in_scale * last.weight_scales)
-
     def classify(self, u: np.ndarray) -> np.ndarray | int:
         """Argmax class; ties resolve to the lowest class id."""
         logits = self.forward(u)

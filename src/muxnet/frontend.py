@@ -141,7 +141,9 @@ def trigger_schedule(decision: int, at, cfg: StimChannelConfig) -> list[PulseEve
 
     floor(duration_s * pwm_freq_hz) whole periods starting at ``at``; the
     final partial period is truncated.  duty = 1 degenerates to one
-    continuous pulse spanning duration_s.
+    continuous pulse spanning duration_s.  Pulse times are integers over one
+    common denominator of start, period and width, so each pulse is built
+    from integer adds, with no rational multiply-add.
     """
     if decision not in cfg.trigger_classes:
         return []
@@ -154,9 +156,11 @@ def trigger_schedule(decision: int, at, cfg: StimChannelConfig) -> list[PulseEve
     period = 1 / freq
     width = duty * period
     count = math.floor(duration * freq)
+    den = math.lcm(start.denominator, period.denominator, width.denominator)
+    t0, step, on = (v.numerator * (den // v.denominator) for v in (start, period, width))
     return [
-        PulseEvent(start + i * period, start + i * period + width, cfg.channel)
-        for i in range(count)
+        PulseEvent(Fraction(t, den), Fraction(t + on, den), cfg.channel)
+        for t in range(t0, t0 + count * step, step)
     ]
 
 

@@ -18,13 +18,18 @@ engine builds a layer's rows once: the selected lines
 there), laid out chunk-major, then fused over p activation bit-planes by
 doubling, so one gather per chunk returns the shift-added sum of p planes.
 A signed layer keeps its MSB group's rows, which subtract the MSB plane,
-after the others in one array, at every p.  Plane groups are independent
-until the merge, so the kernel keys a block of them at once (all, when
-they fit GATHER_ELEMS gathered entries) for one gather and one chunk sum
-per block.  It merges the groups Horner-style, highest first, into one
-int64 accumulator (shift it by p, add the next group's sum): each partial
-value is the inner product with the activations' low planes cleared, an
-in-range code, so it is exact wherever the result is.
+after the others in one array, at every p.  The key constants that depend
+only on the layer (each group's plane shift, and its first row per chunk,
+the MSB group's from the signed rows on) are built with the rows too, so
+a call derives nothing from the layer: it makes one casting copy of the
+activations, unmasked, and keys from slices of those constants.  Plane
+groups are independent until the merge, so the kernel keys a block of
+them at once (all, when they fit GATHER_ELEMS gathered entries) for one
+gather and one chunk sum per block.  It merges the groups Horner-style,
+highest first, into one int64 accumulator (shift it by p, add the next
+group's sum): each partial value is the inner product with the
+activations' low planes cleared, an in-range code, so it is exact
+wherever the result is.
 ``batch_inner_product`` builds p=1 rows per call from its per-case indices.
 The scalar path selects each half on its own.
 
@@ -158,12 +163,14 @@ def stage2_select(line: np.ndarray, key: int, counters: CycleCount | None = None
 def _count_call(counters: CycleCount, cfg: MpuConfig, tables: Tables,
                 cases: int, outputs: int, chunks: int) -> None:
     """Add one vectorized call's modeled cost to ``counters``."""
-    cost = datapath_cost(
+    cycles, selects, bits, _ = datapath_cost(  # adder ops have no live counter
         n=cfg.n, m=cfg.m, decomposed=isinstance(tables, DecomposedTable),
         outputs=outputs, chunks=chunks, cases=cases, groups=cfg.groups,
         group_vector_len=cfg.group_vector_len, activation_bits=cfg.activation_bits,
     )
-    counters.merge(CycleCount(*cost[:3]))  # adder ops have no live counter
+    counters.cycles += cycles
+    counters.mux_selects += selects
+    counters.memory_bits_read += bits
 
 
 def _check_tables(cfg: MpuConfig, tables: Tables) -> None:
@@ -279,6 +286,11 @@ class StageRows:
     narrowest of int16/int32/int64 for the sum over chunks, is proven per chunk:
     no group's sum for output ``o`` exceeds (2**p - 1) times the sum over chunks
     of that chunk's largest p=1 |entry| (``stage_rows``).
+
+    The kernel's key constants are built with the rows, in the key dtype (int32
+    when it holds the k activation bits and every row, else int64): ``shifts``
+    holds each plane group's lowest plane g*p, and ``base`` each group's first
+    row per chunk, ``offsets`` plus ``top`` for the MSB group.
     """
 
     p: int
@@ -286,6 +298,8 @@ class StageRows:
     top: int  # first row of the MSB group's rows: chunks << (n*p) if signed, else 0
     offsets: np.ndarray  # (chunks, 1) first row of each chunk; (chunks, cases) case-wise
     sum_dtype: np.dtype
+    shifts: np.ndarray  # (groups, 1, 1) g*p, in the key dtype
+    base: np.ndarray  # (groups, *offsets.shape) offsets, + top for the MSB group, in the key dtype
 
 
 @cache
@@ -361,11 +375,26 @@ def stage_rows(
         rows = _double(rows, n, q)
         q <<= 1
     span = chunks << (n * p)
-    resident = rows.reshape(len(rows) * span, outputs)
-    resident.flags.writeable = False
+    resident = _frozen(rows.reshape(len(rows) * span, outputs))
     offsets = (np.arange(chunks, dtype=np.int64) << (n * p))[:, None]
-    return StageRows(p=p, rows=resident, top=span if signed else 0,
-                     offsets=offsets, sum_dtype=sums)
+    top, groups = span if signed else 0, k // p
+    # the key arithmetic is the kernel's hot loop: int32 whenever it holds the k bits and every row
+    kdt = np.int32 if k < 32 and len(resident) < 1 << 31 else np.int64
+    return StageRows(p=p, rows=resident, top=top, offsets=offsets, sum_dtype=sums,
+                     shifts=_frozen(np.arange(groups, dtype=kdt)[:, None, None] * p),
+                     base=_key_base(offsets, groups, top, kdt))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _key_base(offsets: np.ndarray, groups: int, top: int, kdt) -> np.ndarray:
+    """Each plane group's first row per chunk: ``offsets``, from row ``top`` on for the MSB group."""
+    base = np.repeat(offsets.astype(kdt)[None], groups, axis=0)
+    base[-1] += top
+    return _frozen(base)
 
 
 def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
@@ -374,33 +403,32 @@ def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
     acts: (cases, chunks, n) activations; returns (cases, outputs) int64.
     The k/p groups of p planes are taken in blocks of up to GATHER_ELEMS
     gathered entries (every group at once when they fit).  Per block:
-    field-major keys for all its groups, laid out (groups, chunks, cases);
-    one gather of resident rows through the chunk-major view of those keys;
-    a sum over chunks in ``sum_dtype``.  Blocks and groups go from the highest
-    down, each merged as ``acc <<= p; acc += sum``.  The last group keys from
-    row ``top`` on, so a signed layer's MSB group reads the rows that subtract
-    its MSB plane.
+    field-major keys for all its groups, laid out (groups, chunks, cases),
+    from slices of the rows' ``shifts`` and ``base``; one gather of resident
+    rows through the chunk-major view of those keys; a sum over chunks in
+    ``sum_dtype``.  Blocks and groups go from the highest down, each merged as
+    ``acc <<= p; acc += sum``.  The MSB group's base starts at row ``top``, so a
+    signed layer's MSB group reads the rows that subtract its MSB plane.
+
+    The activations are read without a mask, in one casting copy to the key
+    dtype: a group's field ``(u >> g*p) & (2**p - 1)`` has g*p + p <= k, so it
+    reads only the low k bits of the two's-complement value, which the cast
+    keeps even where it wraps int64 to int32.
     """
-    p, k, n = rows.p, cfg.activation_bits, cfg.n
+    p, n = rows.p, cfg.n
     cases, chunks, _ = acts.shape
     outputs = rows.rows.shape[1]
-    # the key arithmetic is the hot loop: int32 whenever it holds the k bits and every row
-    kdt = np.int32 if k < 32 and rows.rows.shape[0] < 1 << 31 else np.int64
-    u = np.bitwise_and(acts, (1 << k) - 1, dtype=kdt)  # cast first: it keeps the low k bits
-    u = np.ascontiguousarray(u.transpose(2, 1, 0))  # (n, chunks, cases)
-    offsets = rows.offsets.astype(kdt, copy=False)
-    field, groups = (1 << p) - 1, k // p
+    u = np.asarray(acts.transpose(2, 1, 0), dtype=rows.base.dtype, order="C")  # (n, chunks, cases)
+    field, groups = (1 << p) - 1, len(rows.shifts)
     block = max(1, GATHER_ELEMS // max(1, chunks * cases * outputs))
     acc = None
     for g1 in range(groups, 0, -block):  # highest groups first
         g0 = max(0, g1 - block)
-        at = (np.arange(g0, g1, dtype=kdt) * p)[:, None, None]  # each group's lowest plane
+        at = rows.shifts[g0:g1]
         keys = (u[0] >> at) & field  # (groups, chunks, cases)
         for i in range(1, n):
             keys += ((u[i] >> at) & field) << (i * p)
-        keys += offsets
-        if g1 == groups:
-            keys[-1] += rows.top
+        keys += rows.base[g0:g1]
         planes = np.take(rows.rows, keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.sum_dtype)
         for plane in planes[::-1]:  # Horner: acc is the sum over the groups merged so far
             if acc is None:
@@ -433,7 +461,9 @@ def batch_inner_product(
         )
     cases, chunks = idx.shape
     flat = stage_rows(idx.reshape(1, -1), cfg, tables, p=1)  # one output, cases*chunks chunks
-    rows = replace(flat, offsets=flat.offsets.reshape(cases, chunks).T)
+    offsets = flat.offsets.reshape(cases, chunks).T
+    rows = replace(flat, offsets=offsets,
+                   base=_key_base(offsets, len(flat.shifts), flat.top, flat.base.dtype))
     acc = _kernel(rows, acts.reshape(cases, chunks, cfg.n), cfg)[:, 0]
     if counters is not None:
         _count_call(counters, cfg, tables, cases=cases, outputs=1, chunks=chunks)
@@ -471,7 +501,8 @@ def pe_forward(
     else:
         span = chunks << (cfg.n * rows.p)
         top = span if cfg.activation_signed else 0
-        if cfg.activation_bits % rows.p or rows.top != top or rows.rows.shape != (span + top, outputs):
+        if (rows.p * len(rows.shifts) != cfg.activation_bits or rows.top != top
+                or rows.rows.shape != (span + top, outputs)):
             raise ShapeError(f"stage rows (p={rows.p}, {rows.rows.shape}) were not built "
                              f"for line_indices {idx.shape} under this config")
     batch = acts.shape[0]

@@ -1,4 +1,4 @@
-"""Fixed-point weight codes, pre-scaled weight scaling, and output level sets.
+"""Fixed-point weight codes and pre-scaled weight scaling.
 
 Weights live as signed m-bit codes sharing one positive scale per group
 (per layer, or per output channel for convolutions).  The concatenated
@@ -14,12 +14,6 @@ scales from sorted prefix sums with a proven error bound; else one
 reduction score every row.  Only the scales either pass cannot rule out are
 rescored with ``np.dot``, so the chosen scale, ties included, is the
 one-scale-at-a-time loop's.
-
-The inner-product outputs of the table datapath are exact subset sums, so
-their reachable level set is denser than a uniform m-bit grid; that
-effective non-uniform quantization is characterized here
-(``effective_output_levels`` / ``level_gap_stats``) rather than applied as
-a separate re-encoding step.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, NonFiniteWeight
+from .errors import NonFiniteWeight
 
 # Largest n*m this package will enumerate (2**(n*m) table lines).
 ENUM_BUDGET_BITS = 20
@@ -43,8 +37,13 @@ def code_range(m: int) -> tuple[int, int]:
 
 
 def round_half_away(x):
-    """Round to nearest integer with halves away from zero (symmetric in sign)."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """Round to nearest integer with halves away from zero (symmetric in sign).
+
+    ``x + copysign(0.5, x)`` rounds to the same magnitude as ``|x| + 0.5``, as
+    round-to-nearest is sign-symmetric, so truncating it equals ``sign(x) *
+    floor(|x| + 0.5)`` for every float, infinities and nan included.
+    """
+    return np.trunc(x + np.copysign(0.5, x))
 
 
 @dataclass(frozen=True)
@@ -125,16 +124,6 @@ def quantize_codes(weights: np.ndarray, m: int, scale) -> np.ndarray:
     if not (np.asarray(scale) > 0).all():
         raise ValueError(f"scale must be positive, got {scale}")
     return _round_saturate(w, np.abs(w), scale, m).astype(np.int64)
-
-
-def quantize_weights(weights, m: int, scale: float) -> QuantizedWeightVector:
-    """Quantize one weight vector onto the m-bit grid defined by ``scale``."""
-    w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-    if w.ndim != 1:
-        raise ValueError(f"expected a 1-d weight vector, got shape {w.shape}")
-    qp = QParams(m=m, scale=float(scale))
-    codes = quantize_codes(w, m, qp.scale)
-    return QuantizedWeightVector(codes=tuple(int(c) for c in codes), qparams=qp)
 
 
 def quantization_error(weights, m: int, scale: float) -> float:
@@ -275,43 +264,3 @@ def choose_prescale(weights, m: int, search_grid):
         pick[r] = keep[np.argmin(_errors(w[r:r + 1], m, scaled[r:r + 1, keep], exact=True)) if len(keep) > 1 else 0]
     best = grid[np.arange(len(w)), pick]
     return float(best[0]) if one else best
-
-
-def effective_output_levels(n: int, m: int) -> np.ndarray:
-    """All subset-sum values reachable by any m-bit code vector of length n.
-
-    Grown position by position: each position either contributes nothing or
-    any code in range, so the reachable set after i positions is
-    A_i = A_{i-1} | (A_{i-1} + [lo, hi]).  Equivalent to brute force over
-    all 2**(n*m) code vectors and 2**n subsets, verified by test.
-    """
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
-    if n * m > ENUM_BUDGET_BITS:
-        raise EnumerationTooLarge(f"n*m = {n * m} exceeds the enumeration budget of {ENUM_BUDGET_BITS}")
-    lo, hi = code_range(m) if m >= 2 else (-1, 0)
-    rng = np.arange(lo, hi + 1, dtype=np.int64)
-    levels = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        levels = np.union1d(levels, (levels[:, None] + rng[None, :]).ravel())
-    return levels
-
-
-@dataclass(frozen=True)
-class GapStats:
-    """Adjacent-level spacing of the reachable output set vs a uniform grid."""
-
-    mean_gap: float
-    uniform_gap: float
-    ratio: float  # mean_gap / uniform_gap; < 1 means finer than the m-bit grid
-
-
-def level_gap_stats(n: int, m: int) -> GapStats:
-    """Mean adjacent gap of reachable levels vs a uniform m-bit grid on the same range."""
-    levels = effective_output_levels(n, m)
-    span = float(levels[-1] - levels[0])
-    if len(levels) < 2 or span == 0.0:
-        return GapStats(0.0, 0.0, 0.0)
-    mean_gap = span / (len(levels) - 1)
-    uniform_gap = span / ((1 << m) - 1)
-    return GapStats(mean_gap, uniform_gap, mean_gap / uniform_gap)

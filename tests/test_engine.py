@@ -59,7 +59,8 @@ def test_classify_and_float_logits_agree():
     rng = np.random.default_rng(44)
     u = _random_inputs(rng, model, 8)
     logits = engine.forward(u)
-    floats = engine.logits_float(u)
+    last = model.layers[-1]
+    floats = logits * (last.in_scale * last.weight_scales)  # raw accumulators in real units
     assert np.array_equal(np.argmax(logits, axis=1), np.argmax(floats, axis=1))
     assert np.array_equal(engine.classify(u), np.argmax(logits, axis=1))
     one = engine.classify(u[0])

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muxnet.compiler import (
     ACT_NONE,
@@ -131,6 +133,30 @@ def test_trigger_schedule_duty_one_is_a_single_pulse():
     cfg = StimChannelConfig(duty=1.0, duration_s=5.0)
     pulses = trigger_schedule(2, Fraction(7, 2), cfg)
     assert pulses == [PulseEvent(Fraction(7, 2), Fraction(7, 2) + 5, 0)]
+
+
+def positive_fractions(top: int):
+    return st.builds(Fraction, st.integers(1, top), st.integers(1, 60))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(start=st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**4)),
+       freq=positive_fractions(120),
+       duty=st.one_of(st.just(Fraction(1)),
+                      st.integers(1, 60).flatmap(lambda d: st.builds(Fraction, st.integers(1, d), st.just(d)))),
+       duration=positive_fractions(40))
+def test_trigger_schedule_equals_the_rational_formula(start, freq, duty, duration):
+    # the pulse i at start + i/freq, duty/freq wide, in Fraction arithmetic
+    if duty == 1:
+        want = [(start, start + duration)]
+    else:
+        period = 1 / freq
+        want = [(start + i * period, start + i * period + duty * period)
+                for i in range(math.floor(duration * freq))]
+    cfg = StimChannelConfig(pwm_freq_hz=freq, duty=duty, duration_s=duration)
+    pulses = trigger_schedule(2, start, cfg)
+    assert [(p.t_on, p.t_off) for p in pulses] == want
+    assert all(type(t) is Fraction for p in pulses for t in (p.t_on, p.t_off))
 
 
 def test_stim_config_validation():

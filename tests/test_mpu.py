@@ -5,6 +5,7 @@ multiplies. Keeping both routes alive is the point of every test here.
 """
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,30 @@ def test_pe_forward_matches_matmul_oracle():
                 assert np.array_equal(one, got[1:2])
 
 
+@pytest.mark.parametrize("bits", [8, 32])  # int32 keys, then int64 keys
+@pytest.mark.parametrize("signed", [False, True])
+def test_activations_are_read_as_their_low_bits(bits, signed):
+    # the kernel keys from the activations with no mask: high bits (negatives on
+    # an unsigned layer, values past 2**31 that wrap in an int32 cast) must not
+    # reach a key, so any input acts as its low ``bits`` bits, sign-extended if signed
+    rng = np.random.default_rng(bits + signed)
+    codes = rng.integers(-16, 16, size=(6, 10))
+    idx = pack_rows(codes, 2, 5)
+    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=bits, activation_signed=signed)
+    acts = rng.integers(-2**62, 2**62, size=(17, 10))
+    acts[0], acts[1], acts[2] = -1, 2**31, -2**31 - 1
+    acts[3] = rng.integers(-(1 << bits), 0, size=10) if bits < 32 else -(2**40)
+    wrapped = acts & ((1 << bits) - 1)
+    if signed:
+        wrapped -= (wrapped >> (bits - 1)) << bits
+    want = wrapped @ codes.T  # oracle first
+    for p in FUSE_DEPTHS:
+        rows = stage_rows(idx, cfg, T5, p=p)
+        got = pe_forward(idx, acts, cfg, T5, rows=rows)
+        assert np.array_equal(got, pe_forward(idx, wrapped, cfg, T5, rows=rows)), p
+        assert np.array_equal(got, want), p
+
+
 @pytest.mark.parametrize("n, m, tables", [
     (3, 10, decompose_table(3, 10)),
     (2, 3, build_static_table(2, 3)),  # 8 * 15 = 120: int8 rows at p = 4, right under its max
@@ -356,6 +381,9 @@ def test_shape_and_mode_validation():
     rows = stage_rows(np.zeros((2, 3), dtype=np.int64), cfg, T5)
     with pytest.raises(ShapeError):  # rows of another weight matrix
         pe_forward(np.zeros((3, 3), dtype=np.int64), np.zeros((1, 6)), cfg, T5, rows=rows)
+    with pytest.raises(ShapeError):  # rows keyed for another activation width
+        pe_forward(np.zeros((2, 3), dtype=np.int64), np.zeros((1, 6)),
+                   replace(cfg, activation_bits=16), T5, rows=rows)
 
 
 def test_config_validation():

@@ -6,11 +6,14 @@ Each root is a checkout holding ``src/muxnet`` (for example one unpacked
 with ``git archive``).  Both packages are copied into a temporary directory
 as ``muxnet_a`` (BASE_ROOT) and ``muxnet_b`` (CHANGE_ROOT) and imported side
 by side; each compiles the default float model of ``--seed`` with its own
-compiler.  It checks that both sides return the same logits, then times
-``engine.forward`` at batch 1, then at batch 100, then ``MpuEngine(model)``
-(``--rounds`` rounds each, in thread CPU time), strictly alternating which
-side goes first.  It prints each side's median and the median of the
-per-round ratios b/a.
+compiler.  It checks that both sides return the same logits at batch 1
+and 100, and that ``run_closed_loop`` on one loop window (the first eighth
+of the benchmark's 3600 s ``synthetic_source`` signal of ``--seed``,
+triggering on class 4) writes byte-identical run logs.  Then it times
+``engine.forward`` at batch 1, then at batch 100, then that loop window,
+then ``MpuEngine(model)`` (``--rounds`` rounds each, in thread CPU time),
+strictly alternating which side goes first.  It prints each side's median
+and the median of the per-round ratios b/a.
 
 Timings of separate processes on a shared host can differ by far more than
 a change moves them; a ratio taken within one round compares the two sides
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import shutil
 import statistics
 import sys
@@ -39,7 +43,8 @@ def load(root: Path, name: str, into: Path):
     if not (package / "__init__.py").is_file():
         raise SystemExit(f"ab_forward: no muxnet package under {root / 'src'}")
     shutil.copytree(package, into / name, ignore=shutil.ignore_patterns("__pycache__"))
-    return [importlib.import_module(f"{name}.{module}") for module in ("compiler", "engine", "quantizer")]
+    return [importlib.import_module(f"{name}.{module}")
+            for module in ("compiler", "engine", "frontend", "quantizer")]
 
 
 def timed(fn, *args) -> float:
@@ -60,9 +65,9 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sides = {}
+        sides, frontends = {}, {}
         for name, root in (("a", args.base), ("b", args.change)):
-            compiler, engine, quantizer = load(root.resolve(), f"muxnet_{name}", Path(tmp))
+            compiler, engine, frontends[name], quantizer = load(root.resolve(), f"muxnet_{name}", Path(tmp))
             model = compiler.compile_model(compiler.default_float_model(seed=args.seed))
             sides[name] = (engine.MpuEngine, model)
 
@@ -76,8 +81,22 @@ def main(argv: list[str] | None = None) -> int:
             if not np.array_equal(engines["a"].forward(u), engines["b"].forward(u)):
                 raise SystemExit(f"ab_forward: the two trees disagree on the logits at batch {b}")
 
+        loop_cfgs = {name: f.LoopConfig(stim=(f.StimChannelConfig(trigger_classes=(4,)),))
+                     for name, f in frontends.items()}
+        samples, _ = frontends["a"].synthetic_source(args.seed, 3600, loop_cfgs["a"],
+                                                     class_count=model.class_count)
+        window = samples[:len(samples) // 8]  # one of the benchmark's eight loop windows
+        loops = {name: (frontends[name].run_closed_loop, engines[name], window, loop_cfgs[name])
+                 for name in sides}
+        logs = {name: io.StringIO() for name in sides}
+        for name, (run, *loop_args) in loops.items():
+            frontends[name].write_run_log(run(*loop_args), logs[name])
+        if logs["a"].getvalue() != logs["b"].getvalue():
+            raise SystemExit("ab_forward: the two trees write different run logs for the loop window")
+
         calls = {f"forward b={b}": {name: (engines[name].forward, u) for name in sides}
                  for b, u in inputs.items()}
+        calls["loop window"] = loops
         calls["init"] = {name: (cls, m) for name, (cls, m) in sides.items()}
         times = {}
         for label, call in calls.items():  # one call at a time, so an init does not evict a forward's rows
