@@ -47,6 +47,15 @@ def test_quantize_codes_rounding_and_clamp():
     assert codes.tolist() == [1, 2, -2, 3, -4]
 
 
+def test_quantize_weights_builds_vector():
+    # quantized codes and their scale make a weight vector, as the CLI builds one
+    qp = QParams(m=3, scale=1.0)
+    codes = quantize_codes(np.array([1.0, -2.0]), qp.m, qp.scale)
+    qwv = QuantizedWeightVector(codes=tuple(int(c) for c in codes), qparams=qp)
+    assert qwv.codes == (1, -2)
+    assert qwv.n == 2 and qwv.m == 3 and qwv.scale == 1.0
+
+
 def test_quantize_rejects_nonfinite():
     with pytest.raises(NonFiniteWeight):
         quantize_codes(np.array([np.nan]), m=3, scale=1.0)
