@@ -24,6 +24,7 @@ Integer conventions, shared by the engine and the reference path:
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -268,12 +269,15 @@ def validate(model: CompiledModel) -> CompiledModel:
 
     Checks modes, the layer chain (ending in a linear layer), chunks (codes
     past fan_in are 0: the engine's pad inputs meet them), index range,
-    class count, scales and the activation chain (unsigned layer 0, then
+    class count, scales, the activation chain (unsigned layer 0, then
     signed and no narrower, 2..16 bits, requantized but for the raw last
-    layer).  An output channel's accumulator is bounded by A =
-    sum|code| * max|u| + |bias_q|; A * mult + 2**(shift-1), or A on the
-    last layer, must stay below 2**63 so that int64 wraps in neither engine
-    nor reference.
+    layer) and multipliers in [0, 2**32).  An output channel's accumulator
+    is bounded by A = sum|code| * max|u| + |bias_q|; A * mult +
+    2**(shift-1), or A on the last layer, must stay below 2**63 so that
+    int64 wraps in neither engine nor reference.  Every m-bit code is at
+    most 2**(m-1) in magnitude, so the rule is first tried with
+    fan_in * 2**(m-1) for sum|code|, and the codes are decoded only when
+    that bound fails.
     """
     if not model.layers or not 1 <= model.class_count <= MAX_CLASSES:
         raise BadArtifact(f"need 1 to {MAX_CLASSES} classes from at least one layer")
@@ -299,22 +303,36 @@ def validate(model: CompiledModel) -> CompiledModel:
         if layer.requant == last or (last and layer.out_scale is not None):
             raise BadArtifact(f"layer {li}: every layer but the last requantizes, the last reports "
                               f"raw accumulators")
-        codes = unpack_line_codes(idx, n, m).reshape(len(idx), -1)
-        if codes[:, layer.fan_in:].any():
+        # only the last chunk reaches past fan_in; its first `kept` codes are weights
+        kept = layer.fan_in - (layer.chunks - 1) * n
+        if (idx[:, -1] >> (kept * m)).any():
             raise BadArtifact(f"layer {li}: nonzero weight code past fan-in {layer.fan_in}")
+        if layer.requant and not 1 <= layer.shift < 63:
+            raise BadArtifact(f"layer {li}: requant shift {layer.shift} outside 1..62")
+        if layer.mult.min() < 0 or layer.mult.max() >= 1 << 32:
+            raise BadArtifact(f"layer {li}: requant multiplier outside [0, 2**32), the range of its u32 field")
         u_max = max(map(abs, activation_range(bits, layer.activation_signed)))
-        a = np.abs(codes)
-        # |code| < 2**40 (check_mode), so each 20-bit part sums exactly in int64
-        code_sums = zip((a >> 20).sum(axis=1).tolist(), (a & 0xFFFFF).sum(axis=1).tolist())
-        reach = [((h << 20) + low) * u_max + abs(b) for (h, low), b in zip(code_sums, layer.bias_q.tolist())]
-        if layer.requant:
-            if not 1 <= layer.shift < 63:
-                raise BadArtifact(f"layer {li}: requant shift {layer.shift} outside 1..62")
-            reach = [r * w + (1 << (layer.shift - 1)) for r, w in zip(reach, layer.mult.tolist())]
-        if max(reach) >= 1 << 63:
-            raise BadArtifact(f"layer {li}: accumulator may reach {max(reach)}, past int64")
+        if _max_reach(layer, itertools.repeat(layer.fan_in << (m - 1)), u_max) >= 1 << 63:
+            a = np.abs(unpack_line_codes(idx, n, m).reshape(len(idx), -1))
+            # |code| < 2**40 (check_mode), so each 20-bit part sums exactly in int64
+            parts = zip((a >> 20).sum(axis=1).tolist(), (a & 0xFFFFF).sum(axis=1).tolist())
+            reach = _max_reach(layer, ((h << 20) + low for h, low in parts), u_max)
+            if reach >= 1 << 63:
+                raise BadArtifact(f"layer {li}: accumulator may reach {reach}, past int64")
         prev_bits = bits
     return model
+
+
+def _max_reach(layer: CompiledLayer, code_sums, u_max: int) -> int:
+    """Largest A * mult + 2**(shift-1) (A on the last layer) over the channels, in Python ints.
+
+    ``code_sums`` gives each channel's sum|code|; A grows with it, and so
+    does the result, since multipliers are non-negative.
+    """
+    reach = [s * u_max + abs(b) for s, b in zip(code_sums, layer.bias_q.tolist())]
+    if layer.requant:
+        reach = [r * w + (1 << (layer.shift - 1)) for r, w in zip(reach, layer.mult.tolist())]
+    return max(reach)
 
 
 def _check_layer_mode(li: int, n: int, m: int, decomposed: bool) -> None:
@@ -493,15 +511,19 @@ def _index_bytes(n: int, m: int) -> int:
 
 
 def _pack_index_array(indices: np.ndarray, nbytes: int) -> bytes:
-    words = indices.astype("<u8").reshape(-1).view(np.uint8).reshape(-1, 8)
+    """The low ``nbytes`` bytes of each index, little-endian, read from the narrowest word that holds them."""
+    width = 1 << (nbytes - 1).bit_length()  # 1, 2, 4 or 8 bytes
+    words = indices.reshape(-1).astype(f"<u{width}").view(np.uint8).reshape(-1, width)
     return words[:, :nbytes].tobytes()
 
 
 def _unpack_index_array(data: bytes, count: int, nbytes: int) -> np.ndarray:
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(count, nbytes)
-    words = np.zeros((count, 8), dtype=np.uint8)
-    words[:, :nbytes] = raw
-    return words.view("<u8").reshape(count).astype(np.int64)
+    width = 1 << (nbytes - 1).bit_length()
+    if width == nbytes:
+        return np.frombuffer(data, dtype=f"<u{width}", count=count).astype(np.int64)
+    words = np.zeros((count, width), dtype=np.uint8)
+    words[:, :nbytes] = np.frombuffer(data, dtype=np.uint8).reshape(count, nbytes)
+    return words.view(f"<u{width}").reshape(count).astype(np.int64)
 
 
 def serialize_model(model: CompiledModel) -> bytes:

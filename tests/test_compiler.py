@@ -1,5 +1,6 @@
 """Compiler: BN folding, quantization plumbing, containers, validity rules."""
 
+import copy
 import functools
 import math
 from dataclasses import replace
@@ -43,7 +44,7 @@ from muxnet.errors import (
     ShapeError,
     UnsupportedLayer,
 )
-from muxnet.quantizer import quantization_error
+from muxnet.quantizer import activation_range, quantization_error
 from muxnet.reference import decode_line_indices, float_forward, reference_logits
 from muxnet.static_table import unpack_line_codes
 
@@ -344,6 +345,118 @@ def test_validate_bounds_int64_headroom():
             deserialize_model(serialize_model(broken))
 
 
+def test_validate_refuses_a_multiplier_outside_its_u32_field():
+    # a negative multiplier would make the headroom bound negative, and one of
+    # 2**32 or more reloads from its u32 field as another number
+    model = compile_model(default_float_model(seed=4))
+    for value in (-(2 ** 60), 2 ** 32 + 7, 2 ** 60):
+        broken = copy.deepcopy(model)
+        broken.layers[1].mult[0] = value
+        with pytest.raises(BadArtifact, match=r"layer 1: requant multiplier outside \[0, 2\*\*32\)"):
+            validate(broken)
+    broken.layers[1].mult[0] = 2 ** 32 + 7
+    assert deserialize_model(serialize_model(broken)).layers[1].mult[0] == 7
+
+
+def validate_oracle(model) -> str | None:
+    """The pad, shift, multiplier and headroom rules of ``validate``, every code decoded
+    and summed in Python ints: the first broken rule's message, or None."""
+    for li, layer in enumerate(model.layers):
+        codes = decode_line_indices(layer.line_indices, model.n, layer.mode_m).tolist()
+        if any(any(row[layer.fan_in:]) for row in codes):
+            return f"layer {li}: nonzero weight code past fan-in {layer.fan_in}"
+        if layer.requant and not 1 <= layer.shift < 63:
+            return f"layer {li}: requant shift {layer.shift} outside 1..62"
+        if not all(0 <= w < 2 ** 32 for w in layer.mult.tolist()):
+            return f"layer {li}: requant multiplier outside [0, 2**32), the range of its u32 field"
+        u_max = max(map(abs, activation_range(layer.activation_bits, layer.activation_signed)))
+        reach = []
+        for row, b, w in zip(codes, layer.bias_q.tolist(), layer.mult.tolist()):
+            a = sum(map(abs, row)) * u_max + abs(b)
+            reach.append(a * w + 2 ** (layer.shift - 1) if layer.requant else a)
+        if max(reach) >= 2 ** 63:
+            return f"layer {li}: accumulator may reach {max(reach)}, past int64"
+    return None
+
+
+def loose_reach(layer) -> int:
+    """The headroom rule's largest value over the channels with fan_in * 2**(m-1) for sum|code|."""
+    u_max = max(map(abs, activation_range(layer.activation_bits, layer.activation_signed)))
+    a = [layer.fan_in * 2 ** (layer.mode_m - 1) * u_max + abs(b) for b in layer.bias_q.tolist()]
+    if layer.requant:
+        return max(r * w + 2 ** (layer.shift - 1) for r, w in zip(a, layer.mult.tolist()))
+    return max(a)
+
+
+def validate_message(model) -> str | None:
+    try:
+        validate(model)
+    except BadArtifact as exc:
+        return str(exc)
+    return None
+
+
+@functools.cache
+def _wide_model():
+    """16-bit activations at 6-bit linear codes: layer 2 fails the loose bound and clears the exact one."""
+    model = compile_model(default_float_model(seed=4, input_len=1280),
+                          CompileConfig(activation_bits=16, linear_m=6))
+    assert loose_reach(model.layers[2]) >= 2 ** 63
+    return model
+
+
+def test_validate_decodes_the_codes_where_the_loose_bound_fails():
+    model = copy.deepcopy(_wide_model())
+    assert validate_oracle(model) is None
+    assert validate(model) is model
+    deserialize_model(serialize_model(model))  # the loader's validate accepts it too
+    layer = model.layers[2]
+    layer.bias_q[0] = abs(int(layer.bias_q[0])) + 2 ** 63 // int(layer.mult[0]) + 1
+    want = validate_oracle(model)
+    reach = int(want.removeprefix("layer 2: accumulator may reach ").removesuffix(", past int64"))
+    assert 2 ** 63 <= reach < loose_reach(layer)  # the exact value, not the bound
+    assert validate_message(model) == want
+    with pytest.raises(BadArtifact) as refused:
+        deserialize_model(serialize_model(model))
+    assert str(refused.value) == want
+
+
+@functools.cache
+def _validate_cases():
+    return (compile_model(default_float_model(seed=0)),
+            compile_model(default_float_model(seed=0), CompileConfig(n=3, conv_m=6, linear_m=4)),
+            compile_model(default_float_model(seed=4), CompileConfig(activation_bits=16, linear_m=8)))
+
+
+def _magnitude(bits: int):
+    """Nonzero integers below 2**bits in magnitude, of either sign, every bit length about as likely."""
+    magnitudes = st.sampled_from(range(bits)).flatmap(lambda e: st.integers(2 ** e, 2 ** (e + 1) - 1))
+    return st.tuples(magnitudes, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_validate_decides_as_the_decoding_oracle(data):
+    model = copy.deepcopy(data.draw(st.sampled_from(_validate_cases())))
+    for _ in range(data.draw(st.integers(1, 3))):
+        layer = data.draw(st.sampled_from(model.layers))
+        c = data.draw(st.integers(0, layer.out_channels - 1))
+        field = data.draw(st.sampled_from(["pad", "bias_q", "mult", "shift"]))
+        kept = layer.fan_in - (layer.chunks - 1) * model.n
+        if field == "pad" and kept < model.n:
+            at = data.draw(st.integers(kept, model.n - 1)) * layer.mode_m
+            code = data.draw(st.integers(0, 2 ** layer.mode_m - 1))
+            cleared = int(layer.line_indices[c, -1]) & ~((2 ** layer.mode_m - 1) << at)
+            layer.line_indices[c, -1] = cleared | code << at
+        elif field == "bias_q":
+            layer.bias_q[c] = data.draw(st.one_of(_magnitude(63), st.sampled_from([0, -(2 ** 63)])))
+        elif field == "mult":
+            layer.mult[c] = data.draw(st.one_of(_magnitude(63), st.sampled_from([0, 2 ** 32 - 1, 2 ** 32])))
+        elif field == "shift":
+            layer.shift = data.draw(st.sampled_from([-1, 0, 1, 2, 40, 62, 63, 64, 255]))
+    assert validate_message(model) == validate_oracle(model)
+
+
 def test_a_nonzero_pad_code_is_refused():
     # layer 0's fan-in 7 fills 4 chunks of n = 2, so its last chunk's second
     # code is padding; the engine pairs a pad code with whatever input its
@@ -443,6 +556,30 @@ def test_mutated_artifact_runs_bit_exact_or_is_refused(data):
     u = rng.integers(0, 1 << model.layers[0].activation_bits,
                      size=(2, model.input_channels * model.input_len))
     assert np.array_equal(MpuEngine(model).forward(u), reference_logits(model, u))
+
+
+def eight_byte_words(indices, nbytes):
+    """The index codec as an 8-byte word per index, cut to its low ``nbytes`` bytes."""
+    return indices.astype("<u8").reshape(-1).view(np.uint8).reshape(-1, 8)[:, :nbytes].tobytes()
+
+
+@pytest.mark.parametrize("bits", range(2, 41))
+def test_the_index_codec_writes_the_low_bytes_of_an_eight_byte_word(bits):
+    nbytes = compiler._index_bytes(1, bits)
+    rng = np.random.default_rng(bits)
+    in_range = np.concatenate([[0, 1, 2 ** bits - 1], rng.integers(0, 2 ** bits, size=61)]).reshape(8, 8)
+    wild = np.array([-1, -(2 ** bits), -(2 ** 63), 2 ** bits, 2 ** 40 + 5, 2 ** 63 - 1])
+    wild = np.concatenate([wild, rng.integers(-(2 ** 63), 2 ** 63 - 1, size=10, endpoint=True)])
+    for indices in (in_range, wild, in_range[:0]):
+        assert compiler._pack_index_array(indices, nbytes) == eight_byte_words(indices, nbytes)
+    blob = compiler._pack_index_array(in_range, nbytes)
+    back = compiler._unpack_index_array(blob, in_range.size, nbytes)
+    assert back.dtype == np.int64 and np.array_equal(back, in_range.reshape(-1))
+    raw = rng.bytes(16 * nbytes)  # any bytes, past 2**bits too
+    words = np.zeros((16, 8), dtype=np.uint8)
+    words[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(16, nbytes)
+    assert np.array_equal(compiler._unpack_index_array(raw, 16, nbytes), words.view("<u8").reshape(16))
+    assert compiler._unpack_index_array(b"", 0, nbytes).shape == (0,)
 
 
 def test_deserialize_rejects_truncation():

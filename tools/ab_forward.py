@@ -11,9 +11,14 @@ and 100, and that ``run_closed_loop`` on one loop window (the first eighth
 of the benchmark's 3600 s ``synthetic_source`` signal of ``--seed``,
 triggering on class 4) writes byte-identical run logs.  Then it times
 ``engine.forward`` at batch 1, then at batch 100, then that loop window,
-then ``MpuEngine(model)`` (``--rounds`` rounds each, in thread CPU time),
-strictly alternating which side goes first.  It prints each side's median
-and the median of the per-round ratios b/a.
+then ``MpuEngine(model)``, then one sweep window (``--rounds`` rounds each,
+in thread CPU time), strictly alternating which side goes first.  It prints
+each side's median and the median of the per-round ratios b/a.  A sweep
+window, as in the benchmark's compile_sweep, takes the six checkpoints of
+``--seed`` (input lengths 320, 640 and 1280 times conv m 10 and 6, model
+``i`` seeded ``seed * 1000 + i``) from checkpoint to loaded engine:
+compile, serialize, deserialize, ``MpuEngine``; both trees must write
+byte-identical artifacts for them.
 
 Timings of separate processes on a shared host can differ by far more than
 a change moves them; a ratio taken within one round compares the two sides
@@ -35,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 BATCHES = (1, 100)
+SWEEP = [(length, conv_m) for length in (320, 640, 1280) for conv_m in (10, 6)]
 
 
 def load(root: Path, name: str, into: Path):
@@ -53,6 +59,15 @@ def timed(fn, *args) -> float:
     return (time.thread_time_ns() - start) / 1e6
 
 
+def sweep_window(compiler, engine_cls, cases) -> list[bytes]:
+    """Checkpoint to loaded engine for every case; the artifacts."""
+    blobs = []
+    for checkpoint, cfg in cases:
+        blobs.append(compiler.serialize_model(compiler.compile_model(checkpoint, cfg)))
+        engine_cls(compiler.deserialize_model(blobs[-1]))
+    return blobs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
@@ -65,11 +80,16 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sides, frontends = {}, {}
+        sides, frontends, sweeps = {}, {}, {}
         for name, root in (("a", args.base), ("b", args.change)):
             compiler, engine, frontends[name], quantizer = load(root.resolve(), f"muxnet_{name}", Path(tmp))
             model = compiler.compile_model(compiler.default_float_model(seed=args.seed))
             sides[name] = (engine.MpuEngine, model)
+            cases = [(compiler.default_float_model(seed=args.seed * 1000 + i, input_len=length),
+                      compiler.CompileConfig(conv_m=conv_m)) for i, (length, conv_m) in enumerate(SWEEP)]
+            sweeps[name] = (sweep_window, compiler, engine.MpuEngine, cases)
+        if sweep_window(*sweeps["a"][1:]) != sweep_window(*sweeps["b"][1:]):
+            raise SystemExit("ab_forward: the two trees write different artifacts for the sweep window")
 
         model, first = sides["a"][1], sides["a"][1].layers[0]
         lo, hi = quantizer.activation_range(first.activation_bits, first.activation_signed)
@@ -98,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                  for b, u in inputs.items()}
         calls["loop window"] = loops
         calls["init"] = {name: (cls, m) for name, (cls, m) in sides.items()}
+        calls["sweep window"] = sweeps
         times = {}
         for label, call in calls.items():  # one call at a time, so an init does not evict a forward's rows
             for r in range(args.rounds):
