@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,25 +81,29 @@ def cic_decimate(x: np.ndarray, cfg: CicConfig) -> np.ndarray:
 
     Registers wrap modulo 2**register_bits; because that width meets the
     worst-case growth bound, the recovered two's-complement output equals
-    the infinite-precision moving-average cascade exactly.
+    the infinite-precision moving-average cascade exactly.  ``x`` (any
+    integer dtype) is never widened: one uint64 working copy is all it takes.
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        raise ValueError(f"CIC input must be integers, got {x.dtype}")
     lim = 1 << (cfg.input_bits - 1)
-    if x.size and (x.min() < -lim or x.max() >= lim):
+    if x.size and (int(x.min()) < -lim or int(x.max()) >= lim):
         raise ValueError(f"samples exceed {cfg.input_bits}-bit input range")
     # mod-2**64 arithmetic contains mod-2**W for every W <= 64, so wrapping
     # is free until the final mask
     v = x.astype(np.uint64)
     for _ in range(cfg.stages):
-        v = np.cumsum(v, dtype=np.uint64)
-    v = v[cfg.decimation - 1::cfg.decimation]
+        np.cumsum(v, out=v)
+    v = v[cfg.decimation - 1::cfg.decimation].copy()
     m = cfg.diff_delay
     for _ in range(cfg.stages):
-        prev = np.concatenate([np.zeros(min(m, v.size), dtype=np.uint64), v[:-m] if v.size > m else v[:0]])
-        v = v - prev
+        v[m:] -= v[:-m]  # numpy buffers the overlapping operand, so this reads the old registers
     # sign-extend the low register_bits of each register (exact for any w <= 64)
-    w = cfg.register_bits
-    return (v << np.uint64(64 - w)).view(np.int64) >> np.int64(64 - w)
+    v <<= np.uint64(64 - cfg.register_bits)
+    out = v.view(np.int64)
+    out >>= 64 - cfg.register_bits
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +244,7 @@ def run_closed_loop(
         raise LoopConfigError("voting config disagrees with loop votes_per_epoch")
     dec = cic_decimate(samples, cfg.cic)
     scale = cfg.full_scale / (cfg.cic.dc_gain * (1 << (cfg.cic.input_bits - 1)))
-    x = dec.astype(np.float64) * scale
+    x = np.multiply(dec, scale)
     seg_len, votes = cfg.segment_samples, cfg.votes_per_epoch
     epochs = len(x) // seg_len // votes
     log = RunLog()
@@ -304,28 +309,27 @@ def synthetic_source(
     """Seeded toy signal: per-epoch sinusoid signature plus noise.
 
     Exists to exercise the loop deterministically; the per-class spectral
-    shapes make no biological claims.  Returns (samples, epoch labels).
+    shapes make no biological claims.  Returns (samples, epoch labels), the
+    samples in the narrowest signed dtype that holds ``cfg.cic.input_bits``.
     """
     rng = np.random.default_rng(seed)
     epoch_seconds = float(cfg.segment_seconds) * cfg.votes_per_epoch
     epochs = int(seconds / epoch_seconds)
     rate = cfg.input_rate_hz
     n_epoch = int(epoch_seconds * rate)
-    amp = 0.4 * (1 << (cfg.cic.input_bits - 1))
+    lim = 1 << (cfg.cic.input_bits - 1)
+    amp = 0.4 * lim
+    t = np.arange(n_epoch) / rate
+    samples = np.empty(epochs * n_epoch, dtype=np.min_scalar_type(-lim))
     labels: list[int] = []
-    chunks: list[np.ndarray] = []
-    for _ in range(epochs):
+    for out in samples.reshape(epochs, n_epoch):
         stage = int(rng.integers(class_count))
         labels.append(stage)
-        t = np.arange(n_epoch) / rate
         tone = np.sin(2 * np.pi * (1.0 + 2.0 * stage) * t + rng.uniform(0, 2 * np.pi))
         noise = rng.normal(0.0, 0.3, size=n_epoch)
-        chunks.append(np.round(amp * (0.7 * tone + noise)).astype(np.int64))
-    if not chunks:
-        return np.zeros(0, dtype=np.int64), []
-    samples = np.concatenate(chunks)
-    lim = 1 << (cfg.cic.input_bits - 1)
-    return np.clip(samples, -lim, lim - 1), labels
+        # a rounded value clips to the same whole number before the cast as after
+        np.clip(np.round(amp * (0.7 * tone + noise)), -lim, lim - 1, out=out, casting="unsafe")
+    return samples, labels
 
 
 _SIGNAL_HEADER = struct.Struct("<4sHIHHQ")
@@ -334,34 +338,41 @@ SIGNAL_VERSION = 1
 
 
 def write_signal(path, samples: np.ndarray, rate_hz: int, bits: int = 16, channels: int = 1) -> None:
-    """Raw signed little-endian sample container with a small header."""
-    s = np.asarray(samples, dtype=np.int64)
-    dtype = "<i2" if bits <= 16 else "<i4"
+    """Raw signed little-endian sample container; refuses, before creating
+    the file, a sample that narrowing to the declared ``bits`` would wrap."""
+    if not 1 <= bits <= 32:
+        raise ValueError(f"signal bits must be in 1..32, got {bits}")
+    s = np.asarray(samples)
+    lim = 1 << (bits - 1)
+    if s.size and (int(s.min()) < -lim or int(s.max()) >= lim):
+        raise ValueError(f"samples outside the declared signed {bits}-bit range")
     with open(path, "wb") as fh:
         fh.write(_SIGNAL_HEADER.pack(SIGNAL_MAGIC, SIGNAL_VERSION, rate_hz, bits, channels, s.size))
-        fh.write(s.astype(dtype).tobytes())
+        fh.write(np.ascontiguousarray(s, dtype="<i2" if bits <= 16 else "<i4"))
 
 
 def read_signal(path) -> tuple[np.ndarray, int, int, int]:
-    """Returns (samples, rate_hz, bits, channels)."""
+    """Returns (samples, rate_hz, bits, channels), the samples at the
+    payload's own width (``<i2`` or ``<i4``), read straight into one array."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _SIGNAL_HEADER.size:
-        raise CorruptArtifact("signal file shorter than its header")
-    magic, version, rate, bits, channels, count = _SIGNAL_HEADER.unpack_from(data)
-    if magic != SIGNAL_MAGIC:
-        raise BadArtifact(f"bad magic {magic!r}, expected {SIGNAL_MAGIC!r}")
-    if version != SIGNAL_VERSION:
-        raise BadArtifact(f"unsupported signal version {version}")
-    if rate < 1 or bits < 1 or bits > 32 or channels < 1:
-        raise BadArtifact("non-positive signal geometry")
-    dtype = "<i2" if bits <= 16 else "<i4"
-    width = 2 if bits <= 16 else 4
-    body = data[_SIGNAL_HEADER.size:]
-    if len(body) != count * width:
-        raise CorruptArtifact(f"signal payload is {len(body)} bytes, header promises {count * width}")
-    samples = np.frombuffer(body, dtype=dtype).astype(np.int64)
+        head = fh.read(_SIGNAL_HEADER.size)
+        if len(head) < _SIGNAL_HEADER.size:
+            raise CorruptArtifact("signal file shorter than its header")
+        magic, version, rate, bits, channels, count = _SIGNAL_HEADER.unpack(head)
+        if magic != SIGNAL_MAGIC:
+            raise BadArtifact(f"bad magic {magic!r}, expected {SIGNAL_MAGIC!r}")
+        if version != SIGNAL_VERSION:
+            raise BadArtifact(f"unsupported signal version {version}")
+        if rate < 1 or bits < 1 or bits > 32 or channels < 1:
+            raise BadArtifact("non-positive signal geometry")
+        width = 2 if bits <= 16 else 4
+        body = os.fstat(fh.fileno()).st_size - _SIGNAL_HEADER.size  # checked before allocating
+        if body != count * width:
+            raise CorruptArtifact(f"signal payload is {body} bytes, header promises {count * width}")
+        samples = np.empty(count, dtype=f"<i{width}")
+        if fh.readinto(samples) != samples.nbytes:  # the file shrank after the size check
+            raise CorruptArtifact("signal payload ended early")
     lim = 1 << (bits - 1)
-    if samples.size and (samples.min() < -lim or samples.max() >= lim):
+    if samples.size and (int(samples.min()) < -lim or int(samples.max()) >= lim):
         raise BadArtifact(f"samples outside the declared signed {bits}-bit range")
     return samples, rate, bits, channels

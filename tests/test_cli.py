@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +36,7 @@ from muxnet.compiler import (
     save_float_model,
     save_model,
 )
-from muxnet.frontend import LoopConfig, StimChannelConfig, write_signal
+from muxnet.frontend import LoopConfig, StimChannelConfig
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +300,10 @@ def test_signal_samples_outside_declared_width_are_input_error(artifacts, tmp_pa
     config = tmp_path / "twelve-bit.json"
     config.write_text(json.dumps({"loop": {"cic": {"input_bits": 12}}}))
     sig = tmp_path / "wide.muxs"
-    write_signal(sig, np.full(512 * 30, 3000), rate_hz=512, bits=12)
+    # write_signal refuses such samples, so the file is built from the header
+    # struct and the raw payload
+    header = struct.pack("<4sHIHHQ", b"MUXS", 1, 512, 12, 1, 512 * 30)
+    sig.write_bytes(header + np.full(512 * 30, 3000, dtype="<i2").tobytes())
     rc = main(["loop", "--model", str(compiled), "--signal", str(sig),
                "--out", str(tmp_path / "x.jsonl"), "--config", str(config)])
     assert rc == EXIT_INPUT

@@ -1,7 +1,10 @@
 """CIC decimation vs FIR oracle, exact schedules, closed loop, containers."""
 
+import hashlib
 import json
 import math
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -74,18 +77,60 @@ def test_cic_dc_gain_reached_on_constant_input():
     assert out[-1] == 5 * cfg.dc_gain
 
 
-@pytest.mark.parametrize("stages,decimation,diff_delay", [
-    (1, 4, 1), (2, 2, 1), (3, 8, 1), (3, 8, 2), (4, 16, 1), (2, 5, 2),
-])
+CIC_GEOMETRIES = [(1, 4, 1), (2, 2, 1), (3, 8, 1), (3, 8, 2), (4, 16, 1), (2, 5, 2)]
+
+
+@pytest.mark.parametrize("stages,decimation,diff_delay", CIC_GEOMETRIES)
 def test_cic_matches_fir_reference(stages, decimation, diff_delay):
     cfg = CicConfig(stages=stages, decimation=decimation,
                     diff_delay=diff_delay, input_bits=16)
     rng = np.random.default_rng(stages * 100 + decimation)
     x = rng.integers(-32768, 32768, size=4096, dtype=np.int64)
-    got = cic_decimate(x, cfg)
     want = cic_reference(x, stages, decimation, diff_delay)
-    assert np.array_equal(got, want)
+    # the samples are taken at their own width, unsigned ones too
+    for dtype, low in ((np.int64, -32768), (np.int32, -32768), (np.int16, -32768), (np.uint16, 0)):
+        y = np.maximum(x, low).astype(dtype)
+        got = cic_decimate(y, cfg)
+        assert got.dtype == np.int64, dtype
+        assert np.array_equal(got, want if low else cic_reference(y, stages, decimation, diff_delay)), dtype
     assert cfg.dc_gain == cic_dc_gain(stages, decimation, diff_delay)
+
+
+@pytest.mark.parametrize("stages,decimation,diff_delay", CIC_GEOMETRIES)
+def test_cic_edge_lengths_match_fir_reference(stages, decimation, diff_delay):
+    # empty, shorter than R, not a multiple of R, and decimated lengths of
+    # diff_delay - 1 and diff_delay, where the in-place comb has no or
+    # only its unchanged leading registers
+    cfg = CicConfig(stages=stages, decimation=decimation,
+                    diff_delay=diff_delay, input_bits=16)
+    rng = np.random.default_rng(stages * 100 + decimation)
+    r, m = decimation, diff_delay
+    for n in (0, r - 1, 3 * r + 1, r * m - 1, r * m, r * m + r - 1):
+        x = rng.integers(-32768, 32768, size=n).astype(np.int16)
+        got = cic_decimate(x, cfg)
+        want = cic_reference(x, stages, r, m) if n else np.zeros(0, dtype=np.int64)
+        assert got.shape == (n // r,) and np.array_equal(got, want), n
+
+
+def test_cic_rejects_non_integer_samples():
+    with pytest.raises(ValueError):
+        cic_decimate(np.zeros(16), CicConfig())
+
+
+def test_cic_peak_memory_is_one_uint64_copy():
+    # one uint64 working copy of the window plus the decimated output; the
+    # input is neither widened nor copied per integrator
+    cfg = CicConfig()
+    n = 8 * 28_800
+    x = np.random.default_rng(0).integers(-32768, 32768, size=n).astype(np.int16)
+    tracemalloc.start()
+    try:
+        out = cic_decimate(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * (n // cfg.decimation)
+    assert peak <= 8 * n + out.nbytes + 64 * 1024
 
 
 def test_cic_integrator_wrap_is_invisible():
@@ -299,6 +344,41 @@ def test_synthetic_source_is_seeded_and_in_range():
     assert a.min() >= -lim and a.max() < lim
 
 
+def test_synthetic_source_draws_pinned_samples():
+    # digest of the int64 values that the list-and-concatenate generator
+    # returned; the narrow in-place generator must draw the same numbers
+    samples, labels = synthetic_source(7, 60.0, LoopConfig())
+    assert labels == [4, 3]
+    digest = hashlib.sha256(samples.astype("<i8").tobytes()).hexdigest()
+    assert digest == "06ad6797254d920637cc96014048d8558255d3c4cb17dc3a67b8be489c2c572b"
+
+
+def test_synthetic_source_dtype_follows_input_bits():
+    for bits, dtype in ((8, np.int8), (12, np.int16), (20, np.int32)):
+        cfg = LoopConfig(cic=CicConfig(input_bits=bits))
+        samples, _ = synthetic_source(7, 30.0, cfg)
+        assert samples.dtype == dtype
+        lim = 1 << (bits - 1)
+        assert samples.min() >= -lim and samples.max() < lim
+    empty, labels = synthetic_source(7, 1.0, LoopConfig())
+    assert empty.size == 0 and empty.dtype == np.int16 and labels == []
+
+
+def test_synthetic_source_peak_memory_is_its_output():
+    # the int16 output plus a few epochs of float64 temporaries, not a list
+    # of int64 epochs, their concatenation and a clipped copy
+    cfg = LoopConfig()
+    n_epoch = cfg.input_rate_hz * int(cfg.segment_seconds) * cfg.votes_per_epoch
+    tracemalloc.start()
+    try:
+        samples, _ = synthetic_source(11, 600.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.dtype == np.int16 and samples.size == 20 * n_epoch
+    assert peak <= samples.nbytes + 8 * n_epoch * 8
+
+
 def test_closed_loop_end_to_end_deterministic():
     model = compile_model(default_float_model(seed=0))
     cfg = LoopConfig()
@@ -319,6 +399,44 @@ def test_signal_container_roundtrip(tmp_path):
     assert (rate, bits, channels) == (512, 16, 1)
 
 
+def test_signal_container_keeps_the_payload_width(tmp_path):
+    path = tmp_path / "sig.muxs"
+    for bits, dtype in ((12, np.int16), (16, np.int16), (24, np.int32)):
+        lim = 1 << (bits - 1)
+        samples = np.array([-lim, -1, 0, 1, lim - 1])
+        write_signal(path, samples, rate_hz=512, bits=bits)
+        back, _, got_bits, _ = read_signal(path)
+        assert back.dtype == dtype and got_bits == bits
+        assert np.array_equal(back, samples)
+
+
+def test_write_signal_refuses_samples_outside_declared_width(tmp_path):
+    # narrowing would wrap them: 40000 and 70000 read back as -25536 and
+    # 4464 at 16 bits, and 3000 at 12 bits makes a file the reader refuses
+    for samples, bits in (([0, 40000, 70000], 16), ([3000], 12), ([-2049], 12)):
+        path = tmp_path / f"bad{bits}.muxs"
+        with pytest.raises(ValueError, match=f"signed {bits}-bit"):
+            write_signal(path, np.array(samples), rate_hz=512, bits=bits)
+        assert not path.exists()
+    with pytest.raises(ValueError):
+        write_signal(tmp_path / "wide.muxs", np.zeros(4), rate_hz=512, bits=40)
+    assert not (tmp_path / "wide.muxs").exists()
+
+
+def test_read_signal_peak_memory_is_its_payload(tmp_path):
+    path = tmp_path / "sig.muxs"
+    samples = np.random.default_rng(0).integers(-32768, 32768, size=200_000).astype(np.int16)
+    write_signal(path, samples, rate_hz=512)
+    tracemalloc.start()
+    try:
+        back, *_ = read_signal(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, samples)
+    assert peak <= samples.nbytes + 64 * 1024
+
+
 def test_signal_container_rejects_damage(tmp_path):
     path = tmp_path / "sig.muxs"
     write_signal(path, np.arange(10), rate_hz=512)
@@ -335,3 +453,11 @@ def test_signal_container_rejects_damage(tmp_path):
     stub.write_bytes(data[:5])
     with pytest.raises(CorruptArtifact):
         read_signal(stub)
+    long = tmp_path / "long.muxs"
+    long.write_bytes(data + b"\0\0")
+    with pytest.raises(CorruptArtifact):
+        read_signal(long)
+    huge = tmp_path / "huge.muxs"  # a count no file could hold is refused before allocating
+    huge.write_bytes(data[:14] + struct.pack("<Q", 1 << 62) + data[22:])
+    with pytest.raises(CorruptArtifact, match="header promises"):
+        read_signal(huge)

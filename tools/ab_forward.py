@@ -7,13 +7,17 @@ with ``git archive``).  Both packages are copied into a temporary directory
 as ``muxnet_a`` (BASE_ROOT) and ``muxnet_b`` (CHANGE_ROOT) and imported side
 by side; each compiles the default float model of ``--seed`` with its own
 compiler.  It checks that both sides return the same logits at batch 1
-and 100, and that ``run_closed_loop`` on one loop window (the first eighth
-of the benchmark's 3600 s ``synthetic_source`` signal of ``--seed``,
-triggering on class 4) writes byte-identical run logs.  Then it times
-``engine.forward`` at batch 1, then at batch 100, then that loop window,
-then ``MpuEngine(model)``, then one sweep window (``--rounds`` rounds each,
-in thread CPU time), strictly alternating which side goes first.  It prints
-each side's median and the median of the per-round ratios b/a.  A sweep
+and 100, that both trees' ``synthetic_source`` draw the same samples and
+labels for the benchmark's 3600 s signal of ``--seed``, and that
+``run_closed_loop`` on one loop window (the first eighth of each tree's own
+signal, triggering on class 4) writes byte-identical run logs.  Then it
+times ``engine.forward`` at batch 1, then at batch 100, then that loop
+window, then ``MpuEngine(model)``, then one sweep window (``--rounds``
+rounds each, in thread CPU time), strictly alternating which side goes
+first.  It prints each side's median and the median of the per-round
+ratios b/a, then a memory row: each side's tracemalloc peak for the 3600 s
+``synthetic_source`` call and for the loop window (both include the
+call's result; a traced peak repeats exactly, so one call each).  A sweep
 window, as in the benchmark's compile_sweep, takes the six checkpoints of
 ``--seed`` (input lengths 320, 640 and 1280 times conv m 10 and 6, model
 ``i`` seeded ``seed * 1000 + i``) from checkpoint to loaded engine:
@@ -35,6 +39,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +62,16 @@ def timed(fn, *args) -> float:
     start = time.thread_time_ns()
     fn(*args)
     return (time.thread_time_ns() - start) / 1e6
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """tracemalloc peak of one call, its result included, in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def sweep_window(compiler, engine_cls, cases) -> list[bytes]:
@@ -103,11 +118,16 @@ def main(argv: list[str] | None = None) -> int:
 
         loop_cfgs = {name: f.LoopConfig(stim=(f.StimChannelConfig(trigger_classes=(4,)),))
                      for name, f in frontends.items()}
-        samples, _ = frontends["a"].synthetic_source(args.seed, 3600, loop_cfgs["a"],
-                                                     class_count=model.class_count)
-        window = samples[:len(samples) // 8]  # one of the benchmark's eight loop windows
-        loops = {name: (frontends[name].run_closed_loop, engines[name], window, loop_cfgs[name])
-                 for name in sides}
+        sources = {name: (frontends[name].synthetic_source, args.seed, 3600, loop_cfgs[name],
+                          model.class_count) for name in sides}
+        signals = {name: source[0](*source[1:]) for name, source in sources.items()}
+        if not (np.array_equal(signals["a"][0], signals["b"][0])
+                and signals["a"][1] == signals["b"][1]):
+            raise SystemExit("ab_forward: the two trees draw different synthetic signals")
+        loops = {}
+        for name, (samples, _) in signals.items():
+            window = samples[:len(samples) // 8]  # one of the benchmark's eight loop windows
+            loops[name] = (frontends[name].run_closed_loop, engines[name], window, loop_cfgs[name])
         logs = {name: io.StringIO() for name in sides}
         for name, (run, *loop_args) in loops.items():
             frontends[name].write_run_log(run(*loop_args), logs[name])
@@ -124,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
             for r in range(args.rounds):
                 for name in ("ab" if r % 2 == 0 else "ba"):
                     times.setdefault((name, label), []).append(timed(*call[name]))
+        peaks = {label: {name: traced_peak_mb(*call[name]) for name in sides}
+                 for label, call in (("source", sources), ("loop window", loops))}
 
     print(f"{args.rounds} rounds, seed {args.seed}; thread CPU ms")
     print(f"{'':14}{'a median':>10}{'b median':>10}{'b/a paired':>12}")
@@ -131,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         a, b = times["a", label], times["b", label]
         ratio = statistics.median(y / x for x, y in zip(a, b) if x > 0)
         print(f"{label:14}{statistics.median(a):10.3f}{statistics.median(b):10.3f}{ratio:12.3f}")
+    print(f"tracemalloc peak MB\n{'':14}{'a':>10}{'b':>10}{'b/a':>12}")
+    for label, peak in peaks.items():
+        print(f"{label:14}{peak['a']:10.2f}{peak['b']:10.2f}{peak['b'] / peak['a']:12.3f}")
     return 0
 
 
