@@ -18,19 +18,29 @@ refuses any other), so it adds nothing.  A linear layer is one window that
 spans its whole input, as in the reference.  Layer 0 reads the model input
 as (channels, time); every layer hands its output on as (time, channels),
 which the next layer's index reads as it lies.
+
+Activations travel at their width, never widened to int64 between layers:
+the input after its range check in the narrowest dtype that holds layer
+0's range (uint8 for 8-bit codes), and each hidden layer's codes in the
+one that holds its clamp (int8 up to 8 bits, else int16), which the clamp
+writes directly.  ``pe_forward`` reads any integer dtype as it is.  A
+requantizing layer folds its bias into the rounding constant at init,
+``bias_q * mult + 2**(shift-1)``, so a finish is one product, an add, a
+shift and the clamp.  Batch size is not tiled here: the kernel tiles its
+cases, and each layer's counters take one ``pe_forward`` call per forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
 from .compiler import ACT_RELU, KIND_CONV1D, CompiledLayer, CompiledModel
 from .costmodel import predict_model_costs
 from .errors import ShapeError
-from .mpu import CycleCount, MpuConfig, StageRows, Tables, pe_forward, stage_rows
+from .mpu import CycleCount, MpuConfig, StageRows, Tables, _integers, pe_forward, stage_rows
 from .quantizer import activation_range
 from .static_table import build_static_table, decompose_table
 
@@ -50,6 +60,24 @@ def _patch_index(channels: int, length: int, kernel: int, stride: int, time_majo
     index = np.zeros((t_out, width), dtype=np.int64)
     index[:, :channels * kernel] = flat.reshape(t_out, channels * kernel)
     return index
+
+
+@cache
+def _width(lo: int, hi: int) -> np.dtype:
+    """Narrowest integer dtype that holds [lo, hi]."""
+    return next(d for d in map(np.dtype, (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.int64))
+                if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
+
+
+def _requant_step(layer: CompiledLayer) -> tuple[np.ndarray, int, int, np.dtype]:
+    """A requantizing layer's constants: the offset ``bias_q * mult + 2**(shift-1)``, so that
+    ``(acc * mult + offset) >> shift`` is ``(acc + bias_q) * mult`` rounded half up in one
+    pass fewer (``acc * mult``, the offset and their sum each stay within the reach that
+    ``compiler.validate`` bounds below 2**63); the clamp; and the dtype that holds it, in
+    which the codes are handed on."""
+    lim = 1 << (layer.activation_bits - 1)
+    lo = 0 if layer.activation == ACT_RELU else -lim
+    return layer.bias_q * layer.mult + (1 << (layer.shift - 1)), lo, lim - 1, _width(lo, lim - 1)
 
 
 class MpuEngine:
@@ -87,22 +115,26 @@ class MpuEngine:
                          time_major=li > 0, width=layer.chunks * model.n)
             for li, ((c, t), layer) in enumerate(zip(shapes, model.layers))
         ]
+        self._row_widths = [c * t for c, t in shapes[1:]]  # each layer's output row
+        first = self._configs[0]
+        self._input_range = activation_range(first.activation_bits, first.activation_signed)
+        self._input_width = _width(*self._input_range)
+        self._requant = [_requant_step(layer) if layer.requant else None for layer in model.layers]
 
     def tables_for(self, layer_index: int) -> Tables:
         layer = self.model.layers[layer_index]
         return self._tables[(self.model.n, layer.mode_m, layer.decomposed)]
 
-    @staticmethod
-    def _finish_layer(layer: CompiledLayer, acc: np.ndarray) -> np.ndarray:
-        acc = acc + layer.bias_q  # a new array: the caller's accumulator stays as it was
-        if not layer.requant:
-            return acc
-        acc *= layer.mult
-        acc += 1 << (layer.shift - 1)
+    def _finish_layer(self, li: int, acc: np.ndarray) -> np.ndarray:
+        layer, step = self.model.layers[li], self._requant[li]
+        if step is None:
+            return acc + layer.bias_q  # a new array: the caller's accumulator stays as it was
+        offset, lo, hi, width = step
+        acc = acc * layer.mult  # a new array too
+        acc += offset
         acc >>= layer.shift
-        lim = 1 << (layer.activation_bits - 1)
-        np.maximum(acc, 0 if layer.activation == ACT_RELU else -lim, out=acc)
-        return np.minimum(acc, lim - 1, out=acc)
+        np.maximum(acc, lo, out=acc)
+        return np.minimum(acc, hi, out=np.empty(acc.shape, width), casting="unsafe")
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Integer logits; u is (V,) or (batch, V) in the first layer's domain.
@@ -110,23 +142,26 @@ class MpuEngine:
         ValueError if a value lies outside layer 0's activation range, which
         the datapath would otherwise mask to its low bits.
         """
-        u = np.asarray(u, dtype=np.int64)
+        u = _integers(u)
         squeeze = u.ndim == 1
         if squeeze:
             u = u[None, :]
         want = self.model.input_channels * self.model.input_len
         if u.ndim != 2 or u.shape[1] != want:
             raise ShapeError(f"input shape {u.shape} does not carry {want} samples")
-        lo, hi = activation_range(self._configs[0].activation_bits, self._configs[0].activation_signed)
+        lo, hi = self._input_range
         if u.size and (u.min() < lo or u.max() > hi):
             raise ValueError(f"input outside layer 0's range [{lo}, {hi}]")
         batch = u.shape[0]
-        v = u  # one row per sample: (channels, time) into layer 0, (time, channels) after
+        # one row per sample at its activation width: (channels, time) into layer 0, (time, channels) after
+        v = u.astype(self._input_width, copy=False)
         for li, layer in enumerate(self.model.layers):
-            acts = np.take(v, self._patches[li], axis=1).reshape(-1, layer.chunks * self.model.n)
+            acts = v.take(self._patches[li], axis=1).reshape(-1, layer.chunks * self.model.n)
             acc = pe_forward(layer.line_indices, acts, self._configs[li], self.tables_for(li),
                              counters=self._layer_counters[li], rows=self.rows[li])
-            v = self._finish_layer(layer, acc).reshape(batch, -1)  # from (batch * time, out_channels)
+            # from (batch * time, out_channels); the width is explicit, as batch may be 0
+            v = self._finish_layer(li, acc).reshape(batch, self._row_widths[li])
+            del acc  # not alive through the next layer's kernel
         return v[0] if squeeze else v
 
     def classify(self, u: np.ndarray) -> np.ndarray | int:

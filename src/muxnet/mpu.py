@@ -21,15 +21,16 @@ A signed layer keeps its MSB group's rows, which subtract the MSB plane,
 after the others in one array, at every p.  The key constants that depend
 only on the layer (each group's plane shift, and its first row per chunk,
 the MSB group's from the signed rows on) are built with the rows too, so
-a call derives nothing from the layer: it makes one casting copy of the
-activations, unmasked, and keys from slices of those constants.  Plane
-groups are independent until the merge, so the kernel keys a block of
-them at once (all, when they fit GATHER_ELEMS gathered entries) for one
-gather and one chunk sum per block.  It merges the groups Horner-style,
-highest first, into one int64 accumulator (shift it by p, add the next
-group's sum): each partial value is the inner product with the
-activations' low planes cleared, an in-range code, so it is exact
-wherever the result is.
+a call derives nothing from the layer.  Cases are independent, so the
+kernel takes them in tiles of at most GATHER_ELEMS gathered entries, with
+every plane group in each tile: it makes one casting copy of the tile's
+activations (any integer dtype, unmasked), keys from those constants, one
+gather and one chunk sum, and merges the groups Horner-style, highest
+first, into the tile's rows of one preallocated int64 result (shift by p,
+add the next group's sum): each partial value is the inner product with
+the activations' low planes cleared, an in-range code, so it is exact
+wherever the result is.  A call's transients are bounded by the tile
+whatever the batch; only the result grows with it.
 ``batch_inner_product`` builds p=1 rows per call from its per-case indices.
 The scalar path selects each half on its own.
 
@@ -38,15 +39,16 @@ vectorized entry points add ``costmodel.datapath_cost`` to their counters,
 whose module docstring holds the cycle accounting conventions.  Those
 counters model the hardware, which selects one plane per cycle from a
 stage-1 line it reads per task: building rows once, fusing planes and
-gathering groups in blocks only reorder the software's evaluation, so the
-counts do not change with p or the block size.
+tiling cases only reorder the software's evaluation, so the counts do not
+change with p or the tile size; they are added once per call, whose cost
+``costmodel.datapath_cost`` gives from ints alone, memoized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from typing import IO, Sequence
 
 import numpy as np
@@ -60,7 +62,7 @@ Tables = StaticTable | DecomposedTable
 
 FUSE_DEPTHS = (4, 2, 1)  # bit-planes per gather, deepest first
 ROW_BUDGET_BYTES = 1 << 20  # resident rows of one layer at p > 1
-GATHER_ELEMS = 1 << 20  # gathered entries per block of plane groups
+GATHER_ELEMS = 1 << 19  # gathered entries per tile of cases, all plane groups
 
 
 @dataclass(frozen=True)
@@ -163,14 +165,19 @@ def stage2_select(line: np.ndarray, key: int, counters: CycleCount | None = None
 def _count_call(counters: CycleCount, cfg: MpuConfig, tables: Tables,
                 cases: int, outputs: int, chunks: int) -> None:
     """Add one vectorized call's modeled cost to ``counters``."""
-    cycles, selects, bits, _ = datapath_cost(  # adder ops have no live counter
-        n=cfg.n, m=cfg.m, decomposed=isinstance(tables, DecomposedTable),
-        outputs=outputs, chunks=chunks, cases=cases, groups=cfg.groups,
-        group_vector_len=cfg.group_vector_len, activation_bits=cfg.activation_bits,
-    )
+    cycles, selects, bits = _call_cost(cfg.n, cfg.m, isinstance(tables, DecomposedTable), outputs,
+                                       chunks, cases, cfg.groups, cfg.group_vector_len, cfg.activation_bits)
     counters.cycles += cycles
     counters.mux_selects += selects
     counters.memory_bits_read += bits
+
+
+@lru_cache(maxsize=256)  # a call's cost depends on its ints only; an engine makes a few shapes
+def _call_cost(n: int, m: int, decomposed: bool, outputs: int, chunks: int, cases: int,
+               groups: int, group_vector_len: int, activation_bits: int) -> tuple[int, int, int]:
+    return datapath_cost(  # adder ops have no live counter
+        n=n, m=m, decomposed=decomposed, outputs=outputs, chunks=chunks, cases=cases, groups=groups,
+        group_vector_len=group_vector_len, activation_bits=activation_bits)[:3]
 
 
 def _check_tables(cfg: MpuConfig, tables: Tables) -> None:
@@ -400,43 +407,50 @@ def _key_base(offsets: np.ndarray, groups: int, top: int, kdt) -> np.ndarray:
 def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
     """The vectorized datapath shared by every batched entry point.
 
-    acts: (cases, chunks, n) activations; returns (cases, outputs) int64.
-    The k/p groups of p planes are taken in blocks of up to GATHER_ELEMS
-    gathered entries (every group at once when they fit).  Per block:
-    field-major keys for all its groups, laid out (groups, chunks, cases),
-    from slices of the rows' ``shifts`` and ``base``; one gather of resident
-    rows through the chunk-major view of those keys; a sum over chunks in
-    ``sum_dtype``.  Blocks and groups go from the highest down, each merged as
-    ``acc <<= p; acc += sum``.  The MSB group's base starts at row ``top``, so a
-    signed layer's MSB group reads the rows that subtract its MSB plane.
+    acts: (cases, chunks, n) activations of any integer dtype; returns
+    (cases, outputs) int64, preallocated.  The cases are taken in tiles of
+    up to GATHER_ELEMS gathered entries, every k/p plane group at once, so a
+    call's transients are bounded by the tile, not the batch.  Per tile:
+    field-major keys for all groups, laid out (groups, chunks, tile), from
+    the rows' ``shifts`` and ``base`` (a case-wise base sliced with the
+    tile); one gather of resident rows through the chunk-major view of those
+    keys; a sum over chunks in ``sum_dtype``; and a Horner merge of the
+    groups, highest first (``acc <<= p; acc += sum``), into the tile's rows
+    of the result.  The MSB group's base starts at row ``top``, so a signed
+    layer's MSB group reads the rows that subtract its MSB plane.
 
-    The activations are read without a mask, in one casting copy to the key
-    dtype: a group's field ``(u >> g*p) & (2**p - 1)`` has g*p + p <= k, so it
-    reads only the low k bits of the two's-complement value, which the cast
-    keeps even where it wraps int64 to int32.
+    The activations are read without a mask, in one casting copy per tile to
+    the key dtype: a group's field ``(u >> g*p) & (2**p - 1)`` has g*p + p <= k,
+    so it reads only the low k bits of the two's-complement value, which the
+    cast keeps even where it wraps a wider integer to int32.
     """
     p, n = rows.p, cfg.n
     cases, chunks, _ = acts.shape
     outputs = rows.rows.shape[1]
-    u = np.asarray(acts.transpose(2, 1, 0), dtype=rows.base.dtype, order="C")  # (n, chunks, cases)
     field, groups = (1 << p) - 1, len(rows.shifts)
-    block = max(1, GATHER_ELEMS // max(1, chunks * cases * outputs))
-    acc = None
-    for g1 in range(groups, 0, -block):  # highest groups first
-        g0 = max(0, g1 - block)
-        at = rows.shifts[g0:g1]
-        keys = (u[0] >> at) & field  # (groups, chunks, cases)
+    case_wise = rows.base.shape[-1] > 1
+    out = np.empty((cases, outputs), dtype=np.int64)
+    tile = max(1, GATHER_ELEMS // max(1, groups * chunks * outputs))
+    for c0 in range(0, cases, tile):
+        c1 = c0 + tile
+        u = np.asarray(acts[c0:c1].transpose(2, 1, 0), dtype=rows.base.dtype, order="C")  # (n, chunks, tile)
+        keys = (u[0] >> rows.shifts) & field  # (groups, chunks, tile)
         for i in range(1, n):
-            keys += ((u[i] >> at) & field) << (i * p)
-        keys += rows.base[g0:g1]
-        planes = np.take(rows.rows, keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.sum_dtype)
-        for plane in planes[::-1]:  # Horner: acc is the sum over the groups merged so far
-            if acc is None:
-                acc = plane.astype(np.int64)
-            else:
-                acc <<= p
-                acc += plane
-    return acc
+            keys += ((u[i] >> rows.shifts) & field) << (i * p)
+        keys += rows.base[:, :, c0:c1] if case_wise else rows.base
+        planes = rows.rows.take(keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.sum_dtype)
+        acc = out[c0:c1]
+        acc[...] = planes[-1]
+        for plane in planes[-2::-1]:  # Horner: acc is the sum over the groups merged so far
+            acc <<= p
+            acc += plane
+    return out
+
+
+def _integers(a) -> np.ndarray:
+    """``a`` as it is if it holds integers (the kernel reads its low bits in any width), else int64."""
+    a = np.asarray(a)
+    return a if a.dtype.kind in "iu" else a.astype(np.int64)
 
 
 def batch_inner_product(
@@ -454,7 +468,7 @@ def batch_inner_product(
     """
     _check_tables(cfg, tables)
     idx = np.asarray(line_indices, dtype=np.int64)
-    acts = np.asarray(activations, dtype=np.int64)
+    acts = _integers(activations)
     if idx.ndim != 2 or acts.ndim != 2 or acts.shape != (idx.shape[0], idx.shape[1] * cfg.n):
         raise ShapeError(
             f"line_indices {idx.shape} inconsistent with activations {acts.shape} at n={cfg.n}"
@@ -487,7 +501,7 @@ def pe_forward(
     """
     _check_tables(cfg, tables)
     idx = np.asarray(line_indices, dtype=np.int64)
-    acts = np.asarray(activations, dtype=np.int64)
+    acts = _integers(activations)
     squeeze = acts.ndim == 1
     if squeeze:
         acts = acts[None, :]

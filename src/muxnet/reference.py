@@ -53,9 +53,10 @@ def reference_layer_forward(layer: CompiledLayer, u: np.ndarray, n: int) -> np.n
     codes = decode_line_indices(layer.line_indices, n, layer.mode_m)[:, :layer.fan_in]
     conv = layer.kind == KIND_CONV1D
     channels, kernel, stride = (layer.in_channels, layer.kernel, layer.stride) if conv else (1, layer.fan_in, 1)
-    x = np.asarray(u, dtype=np.int64).reshape(len(u), channels, -1)
+    x = np.asarray(u, dtype=np.int64)  # every width given, as the batch may be 0
+    x = x.reshape(len(x), channels, np.prod(x.shape[1:], dtype=int) // channels)
     windows = sliding_window_view(x, kernel, axis=2)[:, :, ::stride]  # (batch, channels, t_out, kernel)
-    patches = windows.transpose(0, 2, 1, 3).reshape(len(u), -1, layer.fan_in)
+    patches = windows.transpose(0, 2, 1, 3).reshape(len(x), windows.shape[2], layer.fan_in)
     acc = np.matmul(codes, patches.transpose(0, 2, 1)) + layer.bias_q[:, None]
     if not layer.requant:
         return acc
@@ -70,7 +71,7 @@ def reference_logits(model: CompiledModel, u: np.ndarray) -> np.ndarray:
     v = u.reshape(-1, u.shape[-1])
     for layer in model.layers:
         v = reference_layer_forward(layer, v, model.n)
-    return v.reshape(u.shape[:-1] + (-1,))
+    return v.reshape(u.shape[:-1] + (np.prod(v.shape[1:], dtype=int),))
 
 
 def float_forward(model: FloatModel, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -147,17 +148,74 @@ def test_input_shape_rejected():
 
 
 def test_input_outside_layer0_range_rejected():
-    # the datapath would mask these to their low 8 bits, the reference not
+    # the datapath would mask these to their low 8 bits, the reference not;
+    # the input is checked in the dtype it comes in, before it is narrowed
     model = compile_model(default_float_model(seed=0))
     engine = MpuEngine(model)
-    for value in (300, -1):
-        u = np.full(model.input_len, value, dtype=np.int64)
+    for value, dtype in ((300, np.int64), (-1, np.int64), (256, np.int16), (-1, np.int8)):
+        u = np.full(model.input_len, value, dtype=dtype)
         with pytest.raises(ValueError, match="outside layer 0's range"):
             engine.forward(u)
         with pytest.raises(ValueError):
             engine.forward(np.stack([np.zeros_like(u), u]))
     edges = np.stack([np.zeros(model.input_len, dtype=np.int64), np.full(model.input_len, 255)])
     assert np.array_equal(engine.forward(edges), reference_logits(model, edges))
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_activations_travel_at_their_width(monkeypatch, bits):
+    # the input is carried at layer 0's width and each hidden layer's codes at
+    # their clamp's, never widened; equal values in any integer dtype, or as
+    # integral floats, give the reference's logits
+    model = compile_model(default_float_model(seed=6, input_len=80), CompileConfig(activation_bits=bits))
+    engine = MpuEngine(model)
+    u = np.random.default_rng(66).integers(0, 1 << bits, size=(3, model.input_len))
+    u[0, :2] = 0, (1 << bits) - 1
+    want = reference_logits(model, u)
+    seen = []
+
+    def recorded(line_indices, acts, *args, **kwargs):
+        seen.append(acts.dtype)
+        return pe_forward(line_indices, acts, *args, **kwargs)
+
+    monkeypatch.setattr(muxnet.engine, "pe_forward", recorded)
+    for dtype in (np.uint8, np.int16, np.uint16, np.int32, np.uint64, np.int64, np.float64):
+        if dtype == np.float64 or np.iinfo(dtype).max >= (1 << bits) - 1:
+            assert np.array_equal(engine.forward(u.astype(dtype)), want), dtype
+    narrow = (np.uint8, np.int8) if bits == 8 else (np.uint16, np.int16)
+    assert seen[:len(model.layers)] == [narrow[0]] + [narrow[1]] * (len(model.layers) - 1)
+    assert len(set(seen)) == 2
+
+
+def test_empty_batch_gives_no_logits():
+    # every reshape is given its width, so a (0, V) batch runs both routes
+    # through every layer on no rows, and counts nothing
+    model = compile_model(default_float_model(seed=5))
+    engine = MpuEngine(model)
+    u = np.zeros((0, model.input_channels * model.input_len))
+    for got in (engine.forward(u), reference_logits(model, u)):
+        assert got.shape == (0, model.class_count) and got.dtype == np.int64
+    assert engine.counters.as_tuple() == (0, 0, 0)
+    assert all(row.cycles == row.mux_selects == row.memory_bits_read == 0
+               for row in predict_model_costs(model, batch=0))
+
+
+def test_batch_100_forward_peak_memory_is_bounded():
+    # the kernel tiles its cases at GATHER_ELEMS gathered entries, activations
+    # travel at their width and no layer's accumulator outlives its finish, so
+    # one batch-100 forward on the default model peaks at layer 0's int64 result
+    # plus one tile: 3.35 MB, its logits included
+    model = compile_model(default_float_model(seed=0))
+    engine = MpuEngine(model)
+    u = _random_inputs(np.random.default_rng(0), model, 100)
+    tracemalloc.start()
+    try:
+        out = engine.forward(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (100, model.class_count)
+    assert peak <= 3_400_000
 
 
 def test_layer_profile_reports_storage_and_cycles():

@@ -285,13 +285,13 @@ def test_chunk_sums_are_exact_at_their_per_chunk_bound(deepest, signed):
             assert sum_dtype(chunks, 16 * 2 * ((1 << p) - 1)) == np.int32  # the layer-wide rule
 
 
-@pytest.mark.parametrize("per_block", [1, 3, 16])
-def test_any_split_of_plane_groups_into_gathers_is_exact(monkeypatch, per_block):
-    # the kernel takes GATHER_ELEMS // (chunks * cases * outputs) plane groups per
-    # gather: 1 takes them one at a time, 3 splits the 8 groups of p = 1 as 3+3+2
-    # (and 16 bits as 3*5+1), 16 takes every group of every width in one block
-    def budget(cases, outputs):  # 5 chunks per case
-        monkeypatch.setattr(muxnet.mpu, "GATHER_ELEMS", per_block * 5 * cases * outputs)
+@pytest.mark.parametrize("per_tile", [1, 5, 17])
+def test_any_split_of_cases_into_tiles_is_exact(monkeypatch, per_tile):
+    # the kernel takes GATHER_ELEMS // (groups * chunks * outputs) cases per tile,
+    # every plane group at once: 1 takes the 17 cases one at a time, 5 splits them
+    # 5+5+5+2, 17 takes them all in one tile
+    def budget(groups, outputs):  # 5 chunks per case
+        monkeypatch.setattr(muxnet.mpu, "GATHER_ELEMS", per_tile * groups * 5 * outputs)
 
     rng = np.random.default_rng(9)
     for tables, m in ((T5, 5), (D10, 10)):
@@ -306,22 +306,38 @@ def test_any_split_of_plane_groups_into_gathers_is_exact(monkeypatch, per_block)
                 acts = rng.integers(lo, hi + 1, size=(17, 10))
                 acts[1], acts[2] = lo, hi
                 idx = pack_rows(codes, 2, m)
-                want = acts @ codes.T
+                want = acts @ codes.T  # oracle first
+                # the same values in every integer width that holds them read alike
+                widths = [acts.astype(d) for d in (np.int8, np.uint8, np.int16, np.uint16, np.int64)
+                          if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max]
                 for p in (1, 2, 4):
                     if bits % p:
                         continue
                     rows = stage_rows(idx, cfg, tables, p=p)
-                    budget(17, 6)
-                    assert np.array_equal(pe_forward(idx, acts, cfg, tables, rows=rows), want), \
-                        (m, signed, bits, p)
-                    budget(1, 6)
+                    budget(bits // p, 6)
+                    for x in widths:
+                        assert np.array_equal(pe_forward(idx, x, cfg, tables, rows=rows), want), \
+                            (m, signed, bits, p, x.dtype)
                     assert np.array_equal(pe_forward(idx, acts[2], cfg, tables, rows=rows), want[2]), \
                         (m, signed, bits, p)
+                # p = 1 rows, one output, and a case-wise base sliced with each tile
                 case_codes = rng.integers(-half, half, size=(17, 10))
                 case_codes[1] = -half
-                budget(17, 1)
-                got = batch_inner_product(pack_rows(case_codes, 2, m), acts, cfg, tables)
-                assert np.array_equal(got, (case_codes * acts).sum(axis=1)), (m, signed, bits)
+                budget(bits, 1)
+                for x in widths:
+                    got = batch_inner_product(pack_rows(case_codes, 2, m), x, cfg, tables)
+                    assert np.array_equal(got, (case_codes * acts).sum(axis=1)), (m, signed, bits, x.dtype)
+
+
+def test_no_cases_give_an_empty_result():
+    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=8, activation_signed=True)
+    counters = CycleCount()
+    none = np.zeros((0, 10), dtype=np.int8)
+    got = pe_forward(pack_rows(np.ones((6, 10), dtype=np.int64), 2, 5), none, cfg, T5, counters=counters)
+    assert got.shape == (0, 6) and got.dtype == np.int64
+    got = batch_inner_product(np.zeros((0, 5), dtype=np.int64), none, cfg, T5, counters=counters)
+    assert got.shape == (0,) and got.dtype == np.int64
+    assert counters.as_tuple() == (0, 0, 0)
 
 
 def test_pe_forward_counter_closed_form():

@@ -15,12 +15,16 @@ times ``engine.forward`` at batch 1, then at batch 100, then that loop
 window, then ``MpuEngine(model)``, then one sweep window (``--rounds``
 rounds each, in thread CPU time), strictly alternating which side goes
 first.  It prints each side's median and the median of the per-round
-ratios b/a, then a memory row: each side's tracemalloc peak for the 3600 s
-``synthetic_source`` call and for the loop window (both include the
-call's result; a traced peak repeats exactly, so one call each).  A sweep
-window, as in the benchmark's compile_sweep, takes the six checkpoints of
-``--seed`` (input lengths 320, 640 and 1280 times conv m 10 and 6, model
-``i`` seeded ``seed * 1000 + i``) from checkpoint to loaded engine:
+ratios b/a, then each side's median minor page faults per call
+(``ru_minflt`` around each timed call: a forward whose transients the
+allocator trims and faults back in on every call shows here, and its time
+then depends on what the process freed before), then a memory row: each
+side's tracemalloc peak for the 3600 s ``synthetic_source`` call, for the
+loop window and for a batch-100 forward (each includes the call's result;
+a traced peak repeats exactly, so one call each).  A sweep window, as in
+the benchmark's compile_sweep, takes the six checkpoints of ``--seed``
+(input lengths 320, 640 and 1280 times conv m 10 and 6, model ``i``
+seeded ``seed * 1000 + i``) from checkpoint to loaded engine:
 compile, serialize, deserialize, ``MpuEngine``; both trees must write
 byte-identical artifacts for them.
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import io
+import resource
 import shutil
 import statistics
 import sys
@@ -58,10 +63,13 @@ def load(root: Path, name: str, into: Path):
             for module in ("compiler", "engine", "frontend", "quantizer")]
 
 
-def timed(fn, *args) -> float:
+def timed(fn, *args) -> tuple[float, int]:
+    """Thread CPU ms and minor page faults of one call."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.thread_time_ns()
     fn(*args)
-    return (time.thread_time_ns() - start) / 1e6
+    ms = (time.thread_time_ns() - start) / 1e6
+    return ms, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def traced_peak_mb(fn, *args) -> float:
@@ -139,13 +147,16 @@ def main(argv: list[str] | None = None) -> int:
         calls["loop window"] = loops
         calls["init"] = {name: (cls, m) for name, (cls, m) in sides.items()}
         calls["sweep window"] = sweeps
-        times = {}
+        times, faults = {}, {}
         for label, call in calls.items():  # one call at a time, so an init does not evict a forward's rows
             for r in range(args.rounds):
                 for name in ("ab" if r % 2 == 0 else "ba"):
-                    times.setdefault((name, label), []).append(timed(*call[name]))
+                    ms, flt = timed(*call[name])
+                    times.setdefault((name, label), []).append(ms)
+                    faults.setdefault((name, label), []).append(flt)
         peaks = {label: {name: traced_peak_mb(*call[name]) for name in sides}
-                 for label, call in (("source", sources), ("loop window", loops))}
+                 for label, call in (("source", sources), ("loop window", loops),
+                                     ("forward b=100", calls["forward b=100"]))}
 
     print(f"{args.rounds} rounds, seed {args.seed}; thread CPU ms")
     print(f"{'':14}{'a median':>10}{'b median':>10}{'b/a paired':>12}")
@@ -153,6 +164,10 @@ def main(argv: list[str] | None = None) -> int:
         a, b = times["a", label], times["b", label]
         ratio = statistics.median(y / x for x, y in zip(a, b) if x > 0)
         print(f"{label:14}{statistics.median(a):10.3f}{statistics.median(b):10.3f}{ratio:12.3f}")
+    print(f"minor page faults per call, median\n{'':14}{'a':>10}{'b':>10}")
+    for label in calls:
+        a, b = faults["a", label], faults["b", label]
+        print(f"{label:14}{statistics.median(a):10.0f}{statistics.median(b):10.0f}")
     print(f"tracemalloc peak MB\n{'':14}{'a':>10}{'b':>10}{'b/a':>12}")
     for label, peak in peaks.items():
         print(f"{label:14}{peak['a']:10.2f}{peak['b']:10.2f}{peak['b'] / peak['a']:12.3f}")
