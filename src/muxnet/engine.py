@@ -1,13 +1,13 @@
 """Compiled-model execution on the two-stage MUX datapath.
 
-The engine owns the static tables (one per distinct mode) and each
-layer's resident stage-1 rows, built once at init from that layer's
-weights (``mpu.stage_rows``, fused over as many activation bit-planes as
-fit the 1 MiB row budget).  It feeds every layer through ``pe_forward``
-with those rows and the layer's own cost counter, and applies the integer
-constants the compiler produced.  All value-path arithmetic is table
-gathers, adds, and shifts; the only products appear in cost counters,
-never in data.
+The engine builds each layer's resident stage-1 rows once at init from
+that layer's weights (``mpu.stage_rows``, fused over as many activation
+bit-planes as fit the 1 MiB row budget); the rows hold the layer's config
+and its static tables, one per distinct mode, shared by its layers.  It
+feeds every layer through ``pe_forward`` with those rows and the layer's
+own cost counter, and applies the integer constants the compiler
+produced.  All value-path arithmetic is table gathers, adds, and shifts;
+the only products appear in cost counters, never in data.
 
 Each layer also gets a flat patch index at init (``_patch_index``): the
 positions of every window ``x[:, t*stride : t*stride + kernel]``,
@@ -88,13 +88,12 @@ class MpuEngine:
         self.groups = groups
         self.group_vector_len = group_vector_len
         self.reset_counters()
-        self._tables: dict[tuple[int, int, bool], Tables] = {}
-        self._configs: list[MpuConfig] = []
-        self.rows: list[StageRows] = []  # each layer's resident stage-1 rows
+        tables: dict[tuple[int, bool], Tables] = {}  # one per distinct mode, shared by its layers' rows
+        self.rows: list[StageRows] = []  # each layer's resident stage-1 rows, with its cfg and tables
         for layer in model.layers:
-            key = (model.n, layer.mode_m, layer.decomposed)
-            if key not in self._tables:
-                self._tables[key] = (
+            key = (layer.mode_m, layer.decomposed)
+            if key not in tables:
+                tables[key] = (
                     decompose_table(model.n, layer.mode_m)
                     if layer.decomposed
                     else build_static_table(model.n, layer.mode_m)
@@ -107,8 +106,7 @@ class MpuEngine:
                 activation_bits=layer.activation_bits,
                 activation_signed=layer.activation_signed,
             )
-            self._configs.append(cfg)
-            self.rows.append(stage_rows(layer.line_indices, cfg, self._tables[key]))
+            self.rows.append(stage_rows(layer.line_indices, cfg, tables[key]))
         shapes = [(model.input_channels, model.input_len), *model.shapes()]
         self._patches = [  # each layer's windows in its input row; a linear layer has one
             _patch_index(c, t, *((layer.kernel, layer.stride) if layer.kind == KIND_CONV1D else (t, 1)),
@@ -116,14 +114,10 @@ class MpuEngine:
             for li, ((c, t), layer) in enumerate(zip(shapes, model.layers))
         ]
         self._row_widths = [c * t for c, t in shapes[1:]]  # each layer's output row
-        first = self._configs[0]
+        first = self.rows[0].cfg
         self._input_range = activation_range(first.activation_bits, first.activation_signed)
         self._input_width = _width(*self._input_range)
         self._requant = [_requant_step(layer) if layer.requant else None for layer in model.layers]
-
-    def tables_for(self, layer_index: int) -> Tables:
-        layer = self.model.layers[layer_index]
-        return self._tables[(self.model.n, layer.mode_m, layer.decomposed)]
 
     def _finish_layer(self, li: int, acc: np.ndarray) -> np.ndarray:
         layer, step = self.model.layers[li], self._requant[li]
@@ -157,8 +151,7 @@ class MpuEngine:
         v = u.astype(self._input_width, copy=False)
         for li, layer in enumerate(self.model.layers):
             acts = v.take(self._patches[li], axis=1).reshape(-1, layer.chunks * self.model.n)
-            acc = pe_forward(layer.line_indices, acts, self._configs[li], self.tables_for(li),
-                             counters=self._layer_counters[li], rows=self.rows[li])
+            acc = pe_forward(self.rows[li], acts, counters=self._layer_counters[li])
             # from (batch * time, out_channels); the width is explicit, as batch may be 0
             v = self._finish_layer(li, acc).reshape(batch, self._row_widths[li])
             del acc  # not alive through the next layer's kernel

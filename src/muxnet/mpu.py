@@ -10,10 +10,12 @@ anywhere, widths are provisioned so overflow cannot occur for in-range
 inputs.
 
 Nothing on the value path multiplies: only table gathers, adds, and
-shifts.  The vectorized entry points (``batch_inner_product``,
-``pe_forward``) are shape checks around one shared kernel over resident
-stage-1 rows (``stage_rows``).  Stage 1 depends only on the weights, so an
-engine builds a layer's rows once: the selected lines
+shifts.  ``pe_forward(rows, activations)`` is the one entry to the
+vectorized kernel: a shape check of the activations, the kernel and the
+call's count, over resident stage-1 rows (``StageRows``), which hold the
+config and tables they were built under; ``stage_rows`` refuses tables of
+another mode, once, as it builds them.  Stage 1 depends only on the
+weights, so an engine builds a layer's rows once: the selected lines
 (``DecomposedTable.select`` combines a decomposed table's hi and lo lines
 there), laid out chunk-major, then fused over p activation bit-planes by
 doubling, so one gather per chunk returns the shift-added sum of p planes.
@@ -31,11 +33,12 @@ add the next group's sum): each partial value is the inner product with
 the activations' low planes cleared, an in-range code, so it is exact
 wherever the result is.  A call's transients are bounded by the tile
 whatever the batch; only the result grows with it.
-``batch_inner_product`` builds p=1 rows per call from its per-case indices.
-The scalar path selects each half on its own.
+``batch_inner_product`` builds p=1 rows per call, one output over every
+(case, chunk), and keys each case to its own chunks through a case-wise key
+base.  The scalar path selects each half on its own.
 
-The scalar path counts its selects one by one as it makes them; the
-vectorized entry points add ``costmodel.datapath_cost`` to their counters,
+The scalar path counts its selects one by one as it makes them;
+``pe_forward`` adds ``costmodel.datapath_cost`` to its counters,
 whose module docstring holds the cycle accounting conventions.  Those
 counters model the hardware, which selects one plane per cycle from a
 stage-1 line it reads per task: building rows once, fusing planes and
@@ -79,7 +82,6 @@ class MpuConfig:
     group_vector_len: int = 8
     activation_bits: int = 8
     activation_signed: bool = False
-    accumulator_bits: int | None = None  # None: provisioned exactly (plmu_width_bound)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 2:
@@ -94,10 +96,6 @@ class MpuConfig:
     @property
     def chunks_per_group(self) -> int:
         return self.group_vector_len // self.n
-
-    @property
-    def plmu_bits(self) -> int:
-        return self.accumulator_bits if self.accumulator_bits is not None else plmu_width_bound(self)
 
 
 def plmu_width_bound(cfg: MpuConfig) -> int:
@@ -162,10 +160,10 @@ def stage2_select(line: np.ndarray, key: int, counters: CycleCount | None = None
     return int(line[key])
 
 
-def _count_call(counters: CycleCount, cfg: MpuConfig, tables: Tables,
-                cases: int, outputs: int, chunks: int) -> None:
+def _count_call(counters: CycleCount, rows: StageRows, cases: int, chunks: int) -> None:
     """Add one vectorized call's modeled cost to ``counters``."""
-    cycles, selects, bits = _call_cost(cfg.n, cfg.m, isinstance(tables, DecomposedTable), outputs,
+    cfg = rows.cfg
+    cycles, selects, bits = _call_cost(cfg.n, cfg.m, isinstance(rows.tables, DecomposedTable), rows.rows.shape[1],
                                        chunks, cases, cfg.groups, cfg.group_vector_len, cfg.activation_bits)
     counters.cycles += cycles
     counters.mux_selects += selects
@@ -212,15 +210,14 @@ def bitserial_inner_product(
     tables: Tables,
     counters: CycleCount | None = None,
     trace: IO[str] | None = None,
-    group: int = 0,
-    start_cycle: int = 0,
 ) -> int:
     """One group-vector inner product on the scalar (traceable) datapath.
 
     ``weights`` holds group_vector_len/n weight chunks; the result equals
     sum(code_i * x_i) exactly.  Trace rows are
     ``cycle,group,bitplane,key,selected_entry,accumulator`` with the
-    accumulator shown after each chunk's shifted partial is merged.
+    accumulator shown after each chunk's shifted partial is merged; one
+    task is group 0, and its cycle is the bit-plane.
     """
     _check_tables(cfg, tables)
     cpt = cfg.chunks_per_group
@@ -250,7 +247,7 @@ def bitserial_inner_product(
 
     k = cfg.activation_bits
     bit_fields = [a & ((1 << k) - 1) for a in acts]
-    plmu = PlmuState(width=cfg.plmu_bits)
+    plmu = PlmuState(width=plmu_width_bound(cfg))
     for b in range(k):
         plane_sum = 0
         for j, lines in enumerate(chunk_lines):
@@ -262,7 +259,7 @@ def bitserial_inner_product(
             if trace is not None:
                 partial = plane_sum << b
                 shown = plmu.accumulator + (-partial if (cfg.activation_signed and b == k - 1) else partial)
-                trace.write(f"{start_cycle + b},{group},{b},{key},{entry},{shown}\n")
+                trace.write(f"{b},0,{b},{key},{entry},{shown}\n")
         partial = plane_sum << b
         if cfg.activation_signed and b == k - 1:
             partial = -partial  # MSB plane of two's-complement inputs
@@ -281,9 +278,10 @@ def _narrowest(max_abs: int, dtypes: tuple = (np.int8, np.int16, np.int32)) -> n
 
 @dataclass(frozen=True)
 class StageRows:
-    """Resident stage-1 rows of one (outputs, chunks) weight matrix, fused over p planes.
+    """Resident stage-1 rows of one (outputs, chunks) weight matrix, fused over p planes,
+    with the ``cfg`` and ``tables`` they were built under.
 
-    ``rows[offsets[c] + key, o]`` is what output ``o`` adds for chunk ``c`` when
+    ``rows[(c << (n*p)) + key, o]`` is what output ``o`` adds for chunk ``c`` when
     its n activations carry the p-bit fields ``f_i`` of one plane group, keyed
     field-major as ``key = sum(f_i << (i*p))``: the selected line's entries for
     those p planes, shifted into place and added.  A signed layer has the same
@@ -297,16 +295,17 @@ class StageRows:
     The kernel's key constants are built with the rows, in the key dtype (int32
     when it holds the k activation bits and every row, else int64): ``shifts``
     holds each plane group's lowest plane g*p, and ``base`` each group's first
-    row per chunk, ``offsets`` plus ``top`` for the MSB group.
+    row per chunk, ``c << (n*p)``, from row ``top`` on for the MSB group.
     """
 
+    cfg: MpuConfig
+    tables: Tables
     p: int
     rows: np.ndarray  # (chunks << (n*p) + top, outputs); narrowest dtype holding the range
     top: int  # first row of the MSB group's rows: chunks << (n*p) if signed, else 0
-    offsets: np.ndarray  # (chunks, 1) first row of each chunk; (chunks, cases) case-wise
     sum_dtype: np.dtype
     shifts: np.ndarray  # (groups, 1, 1) g*p, in the key dtype
-    base: np.ndarray  # (groups, *offsets.shape) offsets, + top for the MSB group, in the key dtype
+    base: np.ndarray  # (groups, chunks, 1) in the key dtype; (groups, chunks, cases) case-wise
 
 
 @cache
@@ -337,8 +336,10 @@ def stage_rows(
     """Stage 1 for (outputs, chunks) line indices, fused over ``p`` bit-planes.
 
     p=1 rows are the selected lines; depth 2q is built from depth q by
-    ``_double``.  ``p`` None picks the largest of FUSE_DEPTHS that divides
-    activation_bits and whose rows fit ROW_BUDGET_BYTES; p=1 always fits.
+    ``_double``, so ``p`` is a power of two.  ``p`` None picks the largest of
+    FUSE_DEPTHS that divides activation_bits and whose rows fit
+    ROW_BUDGET_BYTES; p=1 always fits.  Tables of another mode than ``cfg``
+    are refused here, once, so the rows' calls check nothing of them.
     """
     _check_tables(cfg, tables)
     idx = np.asarray(line_indices, dtype=np.int64)
@@ -361,8 +362,9 @@ def stage_rows(
     if p is None:
         p = next(d for d in FUSE_DEPTHS
                  if k % d == 0 and (d == 1 or row_bytes(d) <= ROW_BUDGET_BYTES))
-    elif p < 1 or k % p:
-        raise ValueError(f"fusion depth {p} does not divide activation_bits {k}")
+    elif p < 1 or k % p or p & (p - 1):
+        raise ValueError(f"fusion depth {p} does not divide activation_bits {k} "
+                         "or is not a power of two (rows deepen by doubling)")
     max_abs = magnitude * ((1 << p) - 1)
     # row-major in the final dtype from the start: a depth-2q entry and the hi << q
     # in it are within magnitude * (2**(2q) - 1) <= max_abs, so doubling cannot wrap
@@ -383,13 +385,13 @@ def stage_rows(
         q <<= 1
     span = chunks << (n * p)
     resident = _frozen(rows.reshape(len(rows) * span, outputs))
-    offsets = (np.arange(chunks, dtype=np.int64) << (n * p))[:, None]
     top, groups = span if signed else 0, k // p
     # the key arithmetic is the kernel's hot loop: int32 whenever it holds the k bits and every row
     kdt = np.int32 if k < 32 and len(resident) < 1 << 31 else np.int64
-    return StageRows(p=p, rows=resident, top=top, offsets=offsets, sum_dtype=sums,
-                     shifts=_frozen(np.arange(groups, dtype=kdt)[:, None, None] * p),
-                     base=_key_base(offsets, groups, top, kdt))
+    base = np.repeat(np.arange(chunks, dtype=kdt)[None, :, None] << (n * p), groups, axis=0)
+    base[-1] += top
+    return StageRows(cfg=cfg, tables=tables, p=p, rows=resident, top=top, sum_dtype=sums,
+                     shifts=_frozen(np.arange(groups, dtype=kdt)[:, None, None] * p), base=_frozen(base))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -397,14 +399,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _key_base(offsets: np.ndarray, groups: int, top: int, kdt) -> np.ndarray:
-    """Each plane group's first row per chunk: ``offsets``, from row ``top`` on for the MSB group."""
-    base = np.repeat(offsets.astype(kdt)[None], groups, axis=0)
-    base[-1] += top
-    return _frozen(base)
-
-
-def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
+def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
     """The vectorized datapath shared by every batched entry point.
 
     acts: (cases, chunks, n) activations of any integer dtype; returns
@@ -424,7 +419,7 @@ def _kernel(rows: StageRows, acts: np.ndarray, cfg: MpuConfig) -> np.ndarray:
     so it reads only the low k bits of the two's-complement value, which the
     cast keeps even where it wraps a wider integer to int32.
     """
-    p, n = rows.p, cfg.n
+    p, n = rows.p, rows.cfg.n
     cases, chunks, _ = acts.shape
     outputs = rows.rows.shape[1]
     field, groups = (1 << p) - 1, len(rows.shifts)
@@ -464,63 +459,34 @@ def batch_inner_product(
 
     line_indices: (cases, chunks) table line indices; activations:
     (cases, chunks*n).  Same datapath as bitserial_inner_product, batched:
-    p=1 rows built per call, one per (case, chunk), each case keyed to its own.
+    p=1 rows built per call, one output over every (case, chunk), with a
+    case-wise key base that keys each case to its own chunks.
     """
-    _check_tables(cfg, tables)
-    idx = np.asarray(line_indices, dtype=np.int64)
-    acts = _integers(activations)
-    if idx.ndim != 2 or acts.ndim != 2 or acts.shape != (idx.shape[0], idx.shape[1] * cfg.n):
-        raise ShapeError(
-            f"line_indices {idx.shape} inconsistent with activations {acts.shape} at n={cfg.n}"
-        )
-    cases, chunks = idx.shape
-    flat = stage_rows(idx.reshape(1, -1), cfg, tables, p=1)  # one output, cases*chunks chunks
-    offsets = flat.offsets.reshape(cases, chunks).T
-    rows = replace(flat, offsets=offsets,
-                   base=_key_base(offsets, len(flat.shifts), flat.top, flat.base.dtype))
-    acc = _kernel(rows, acts.reshape(cases, chunks, cfg.n), cfg)[:, 0]
-    if counters is not None:
-        _count_call(counters, cfg, tables, cases=cases, outputs=1, chunks=chunks)
-    return acc
+    if np.ndim(line_indices) != 2:
+        raise ShapeError(f"line_indices must be (cases, chunks), got {np.shape(line_indices)}")
+    cases, chunks = np.shape(line_indices)
+    flat = stage_rows(np.reshape(line_indices, (1, -1)), cfg, tables, p=1)
+    rows = replace(flat, base=flat.base.reshape(len(flat.base), cases, chunks).swapaxes(1, 2))
+    return pe_forward(rows, activations, counters=counters)[:, 0]
 
 
-def pe_forward(
-    line_indices: np.ndarray,
-    activations: np.ndarray,
-    cfg: MpuConfig,
-    tables: Tables,
-    counters: CycleCount | None = None,
-    rows: StageRows | None = None,
-) -> np.ndarray:
-    """Layer-style forward: every output row sees the same activation vector.
+def pe_forward(rows: StageRows, activations: np.ndarray, counters: CycleCount | None = None) -> np.ndarray:
+    """Layer-style forward over ``stage_rows``, built once by the caller and kept resident.
 
-    line_indices: (outputs, chunks); activations: (chunks*n,) or
-    (batch, chunks*n).  Returns int64 (outputs,) or (batch, outputs).
-    ``rows`` are ``stage_rows(line_indices, cfg, tables)`` built once by the
-    caller and kept resident; without them the call builds its own.
+    activations: (chunks*n,) or (batch, chunks*n), any integer dtype.  Returns
+    int64 (outputs,) or (batch, outputs): every output row sees the same
+    activation vector, unless the rows carry a case-wise key base.
     """
-    _check_tables(cfg, tables)
-    idx = np.asarray(line_indices, dtype=np.int64)
     acts = _integers(activations)
     squeeze = acts.ndim == 1
     if squeeze:
         acts = acts[None, :]
-    if idx.ndim != 2 or acts.ndim != 2 or acts.shape[1] != idx.shape[1] * cfg.n:
-        raise ShapeError(
-            f"line_indices {idx.shape} inconsistent with activations {acts.shape} at n={cfg.n}"
-        )
-    outputs, chunks = idx.shape
-    if rows is None:
-        rows = stage_rows(idx, cfg, tables)
-    else:
-        span = chunks << (cfg.n * rows.p)
-        top = span if cfg.activation_signed else 0
-        if (rows.p * len(rows.shifts) != cfg.activation_bits or rows.top != top
-                or rows.rows.shape != (span + top, outputs)):
-            raise ShapeError(f"stage rows (p={rows.p}, {rows.rows.shape}) were not built "
-                             f"for line_indices {idx.shape} under this config")
-    batch = acts.shape[0]
-    acc = _kernel(rows, acts.reshape(batch, chunks, cfg.n), cfg)
+    n = rows.cfg.n
+    _, chunks, wise = rows.base.shape  # wise: 1, or the cases of a case-wise base
+    if acts.ndim != 2 or acts.shape[1] != chunks * n or wise not in (1, len(acts)):
+        raise ShapeError(f"activations {acts.shape} do not fit rows of {chunks} chunks at n={n}"
+                         + (f" for {wise} cases" if wise > 1 else ""))
+    acc = _kernel(rows, acts.reshape(len(acts), chunks, n))
     if counters is not None:
-        _count_call(counters, cfg, tables, cases=batch, outputs=outputs, chunks=chunks)
+        _count_call(counters, rows, cases=len(acts), chunks=chunks)
     return acc[0] if squeeze else acc

@@ -108,16 +108,17 @@ def test_scalar_path_counts_match_the_formula(monkeypatch):
     engine = MpuEngine(model, groups=1, group_vector_len=6)
     calls = []
 
-    def recorded(line_indices, acts, cfg, tables, counters=None, **kwargs):
-        out = pe_forward(line_indices, acts, cfg, tables, counters=counters, **kwargs)
-        calls.append((line_indices, acts, cfg, tables, out))
+    def recorded(stage, acts, counters=None):
+        out = pe_forward(stage, acts, counters=counters)
+        calls.append((stage.cfg, stage.tables, acts, out))
         return out
 
     monkeypatch.setattr(muxnet.engine, "pe_forward", recorded)
     engine.forward(np.random.default_rng(2).integers(0, 256, size=(1, model.input_len)))
     rows = predict_model_costs(model, groups=1, group_vector_len=6)
     assert len(calls) == len(rows)
-    for (idx, acts, cfg, tables, out), row in zip(calls, rows):
+    for layer, (cfg, tables, acts, out), row in zip(model.layers, calls, rows, strict=True):
+        idx = layer.line_indices
         n, cpt = cfg.n, cfg.chunks_per_group
         outputs, chunks = idx.shape
         idle_chunk = QuantizedWeightVector(codes=(0,) * n, qparams=QParams(m=cfg.m, scale=1.0))

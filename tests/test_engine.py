@@ -117,9 +117,9 @@ def test_reset_counters():
 def test_tables_shared_across_same_mode_layers():
     model = compile_model(default_float_model(seed=7))
     engine = MpuEngine(model)
-    assert engine.tables_for(0) is engine.tables_for(1)   # both conv, m=10
-    assert engine.tables_for(2) is engine.tables_for(3)   # both linear, m=5
-    assert engine.tables_for(0) is not engine.tables_for(2)
+    assert engine.rows[0].tables is engine.rows[1].tables   # both conv, m=10
+    assert engine.rows[2].tables is engine.rows[3].tables   # both linear, m=5
+    assert engine.rows[0].tables is not engine.rows[2].tables
 
 
 def test_hidden_activations_stay_in_declared_range():
@@ -174,9 +174,9 @@ def test_activations_travel_at_their_width(monkeypatch, bits):
     want = reference_logits(model, u)
     seen = []
 
-    def recorded(line_indices, acts, *args, **kwargs):
+    def recorded(rows, acts, *args, **kwargs):
         seen.append(acts.dtype)
-        return pe_forward(line_indices, acts, *args, **kwargs)
+        return pe_forward(rows, acts, *args, **kwargs)
 
     monkeypatch.setattr(muxnet.engine, "pe_forward", recorded)
     for dtype in (np.uint8, np.int16, np.uint16, np.int32, np.uint64, np.int64, np.float64):
@@ -272,7 +272,7 @@ def test_resident_rows_take_the_deepest_fusion_that_fits():
                         activation_signed=layer.activation_signed)
         for p in FUSE_DEPTHS:
             if p > rows.p and layer.activation_bits % p == 0:
-                deeper = stage_rows(layer.line_indices, cfg, engine.tables_for(li), p=p)
+                deeper = stage_rows(layer.line_indices, cfg, rows.tables, p=p)
                 assert deeper.rows.nbytes > ROW_BUDGET_BYTES, (li, p)
     # several engines stay alive at once in a compile sweep; the top rows of a
     # signed layer share its one array and double it at every p, p = 1 included

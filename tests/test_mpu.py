@@ -5,17 +5,18 @@ multiplies. Keeping both routes alive is the point of every test here.
 """
 
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import muxnet.mpu
+from muxnet.costmodel import datapath_cost
 from muxnet.errors import AccumulatorOverflow, BadLineIndex, ModeMismatch, ShapeError
 from muxnet.mpu import (
     FUSE_DEPTHS,
     CycleCount,
     MpuConfig,
+    PlmuState,
     batch_inner_product,
     bitserial_inner_product,
     pe_forward,
@@ -175,13 +176,13 @@ def test_pe_forward_matches_matmul_oracle():
                     top = span if signed else 0  # MSB group rows follow the rest
                     assert rows.p == p and rows.top == top
                     assert rows.rows.shape == (span + top, 6)
-                    got = pe_forward(idx, acts, cfg, tables, rows=rows)
+                    got = pe_forward(rows, acts)
                     assert np.array_equal(got, want), (m, signed, bits, p)
-                    single = pe_forward(idx, acts[1], cfg, tables, rows=rows)
+                    single = pe_forward(rows, acts[1])
                     assert single.shape == (6,)
                     assert np.array_equal(single, want[1]), (m, signed, bits, p)
-                # the depth pe_forward picks itself
-                assert np.array_equal(pe_forward(idx, acts, cfg, tables), want)
+                # the depth stage_rows picks itself
+                assert np.array_equal(pe_forward(stage_rows(idx, cfg, tables), acts), want)
                 # case-wise: each case pairs its own weights with its own inputs
                 case_codes = rng.integers(-half, half, size=(17, 10))
                 case_codes[1] = -half
@@ -211,8 +212,8 @@ def test_activations_are_read_as_their_low_bits(bits, signed):
     want = wrapped @ codes.T  # oracle first
     for p in FUSE_DEPTHS:
         rows = stage_rows(idx, cfg, T5, p=p)
-        got = pe_forward(idx, acts, cfg, T5, rows=rows)
-        assert np.array_equal(got, pe_forward(idx, wrapped, cfg, T5, rows=rows)), p
+        got = pe_forward(rows, acts)
+        assert np.array_equal(got, pe_forward(rows, wrapped)), p
         assert np.array_equal(got, want), p
 
 
@@ -243,7 +244,7 @@ def test_stage_rows_equal_a_brute_force_int64_build(n, m, tables):
         narrowest = next(d for d in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
         assert rows.rows.dtype == narrowest, (p, rows.rows.dtype)
         assert rows.top == 2 << (n * p)
-        assert np.array_equal(rows.offsets[:, 0], np.arange(2) << (n * p))
+        assert np.array_equal(rows.base[0, :, 0], np.arange(2) << (n * p))
         assert np.array_equal(rows.rows, want), p
 
 
@@ -277,7 +278,7 @@ def test_chunk_sums_are_exact_at_their_per_chunk_bound(deepest, signed):
     assert peak == total
     for p in FUSE_DEPTHS:
         rows = stage_rows(idx, cfg, T5, p=p)
-        assert np.array_equal(pe_forward(idx, acts, cfg, T5, rows=rows), want), p
+        assert np.array_equal(pe_forward(rows, acts), want), p
         bound = ((1 << p) - 1) * peak
         assert rows.sum_dtype == next(d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
         if p == deepest:
@@ -316,9 +317,9 @@ def test_any_split_of_cases_into_tiles_is_exact(monkeypatch, per_tile):
                     rows = stage_rows(idx, cfg, tables, p=p)
                     budget(bits // p, 6)
                     for x in widths:
-                        assert np.array_equal(pe_forward(idx, x, cfg, tables, rows=rows), want), \
+                        assert np.array_equal(pe_forward(rows, x), want), \
                             (m, signed, bits, p, x.dtype)
-                    assert np.array_equal(pe_forward(idx, acts[2], cfg, tables, rows=rows), want[2]), \
+                    assert np.array_equal(pe_forward(rows, acts[2]), want[2]), \
                         (m, signed, bits, p)
                 # p = 1 rows, one output, and a case-wise base sliced with each tile
                 case_codes = rng.integers(-half, half, size=(17, 10))
@@ -333,11 +334,49 @@ def test_no_cases_give_an_empty_result():
     cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=8, activation_signed=True)
     counters = CycleCount()
     none = np.zeros((0, 10), dtype=np.int8)
-    got = pe_forward(pack_rows(np.ones((6, 10), dtype=np.int64), 2, 5), none, cfg, T5, counters=counters)
+    got = pe_forward(stage_rows(pack_rows(np.ones((6, 10), dtype=np.int64), 2, 5), cfg, T5), none, counters=counters)
     assert got.shape == (0, 6) and got.dtype == np.int64
     got = batch_inner_product(np.zeros((0, 5), dtype=np.int64), none, cfg, T5, counters=counters)
     assert got.shape == (0,) and got.dtype == np.int64
     assert counters.as_tuple() == (0, 0, 0)
+
+
+@pytest.mark.parametrize("m, tables", [(5, T5), (10, D10)])
+def test_batch_counts_cases_of_their_own_chunks(m, tables):
+    # the p=1 rows hold 7 * 5 flat chunks of one output, yet the call is 7 cases
+    # of 5 chunks each: 2 tiles of 4-chunk tasks per case, not 9 per flat row
+    cfg = MpuConfig(n=2, m=m, groups=8, group_vector_len=8, activation_bits=8, activation_signed=True)
+    rng = np.random.default_rng(m)
+    half = 1 << (m - 1)
+    codes = rng.integers(-half, half, size=(7, 10))
+    acts = rng.integers(-128, 128, size=(7, 10))
+    counters = CycleCount()
+    got = batch_inner_product(pack_rows(codes, 2, m), acts, cfg, tables, counters=counters)
+    assert np.array_equal(got, (codes * acts).sum(axis=1))
+    want = datapath_cost(n=2, m=m, decomposed=m == 10, outputs=1, chunks=5, cases=7,
+                         groups=8, group_vector_len=8, activation_bits=8)[:3]
+    assert counters.as_tuple() == want
+
+
+def test_fusion_depth_is_a_power_of_two_that_divides_the_bits():
+    # rows deepen by doubling: p = 3 divides 6 bits but no doubling reaches it
+    codes = np.random.default_rng(10).integers(-16, 16, size=(3, 4))
+    idx = pack_rows(codes, 2, 5)
+    for bits, p in ((6, 3), (8, 3), (8, 6), (8, 0)):
+        cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=bits, activation_signed=True)
+        with pytest.raises(ValueError, match="fusion depth"):
+            stage_rows(idx, cfg, T5, p=p)
+    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=6, activation_signed=True)
+    with pytest.raises(ValueError, match="not a power of two"):
+        stage_rows(idx, cfg, T5, p=3)
+    # p = 8, all of an 8-bit activation in one gather
+    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=8, activation_signed=True)
+    acts = np.random.default_rng(11).integers(-128, 128, size=(5, 4))
+    acts[0], acts[1] = -128, 127
+    want = acts @ codes.T  # oracle first
+    rows = stage_rows(idx, cfg, T5, p=8)
+    assert rows.p == 8 and len(rows.shifts) == 1
+    assert np.array_equal(pe_forward(rows, acts), want)
 
 
 def test_pe_forward_counter_closed_form():
@@ -348,7 +387,7 @@ def test_pe_forward_counter_closed_form():
     rng = np.random.default_rng(8)
     codes = rng.integers(-16, 16, size=(8, 8))
     acts = rng.integers(-128, 128, size=(1, 8))
-    pe_forward(pack_rows(codes, 2, 5), acts, cfg, T5, counters=counters)
+    pe_forward(stage_rows(pack_rows(codes, 2, 5), cfg, T5), acts, counters=counters)
     # 8 tasks fill the 8 groups for one pass of 8 bit-planes
     assert counters.cycles == 8
     stage2_per_plane = (counters.mux_selects - 8 * 4 * 4) // 8
@@ -375,10 +414,10 @@ def test_plmu_width_bound_is_tight_enough():
 
 
 def test_declared_accumulator_can_overflow():
-    cfg = MpuConfig(n=2, m=5, groups=1, group_vector_len=2,
-                    activation_bits=8, activation_signed=True, accumulator_bits=8)
+    plmu = PlmuState(width=8)
+    assert plmu.add(127) == 127  # the top of an 8-bit accumulator
     with pytest.raises(AccumulatorOverflow):
-        bitserial_inner_product([qwv([-16, -16])], [-128, -128], cfg, T5)
+        PlmuState(width=8).add(128)
 
 
 def test_shape_and_mode_validation():
@@ -390,16 +429,14 @@ def test_shape_and_mode_validation():
         bitserial_inner_product([qwv([1, 2])] * 2, [1, 2, 3], cfg, T5)
     with pytest.raises(ModeMismatch):
         bitserial_inner_product([qwv([1, 2], 4)] * 2, [1, 2, 3, 4], cfg, T5)
-    with pytest.raises(ModeMismatch):
-        pe_forward(np.zeros((1, 1), dtype=np.int64), np.zeros((1, 2)), cfg, D10)
+    with pytest.raises(ModeMismatch):  # refused once, as the rows are built
+        stage_rows(np.zeros((1, 1), dtype=np.int64), cfg, D10)
     with pytest.raises(ShapeError):
-        pe_forward(np.zeros((2, 3), dtype=np.int64), np.zeros((1, 5)), cfg, T5)
-    rows = stage_rows(np.zeros((2, 3), dtype=np.int64), cfg, T5)
-    with pytest.raises(ShapeError):  # rows of another weight matrix
-        pe_forward(np.zeros((3, 3), dtype=np.int64), np.zeros((1, 6)), cfg, T5, rows=rows)
-    with pytest.raises(ShapeError):  # rows keyed for another activation width
-        pe_forward(np.zeros((2, 3), dtype=np.int64), np.zeros((1, 6)),
-                   replace(cfg, activation_bits=16), T5, rows=rows)
+        pe_forward(stage_rows(np.zeros((2, 3), dtype=np.int64), cfg, T5), np.zeros((1, 5)))
+    with pytest.raises(ShapeError):  # case-wise rows of 3 cases, activations of 2
+        batch_inner_product(np.zeros((3, 2), dtype=np.int64), np.zeros((2, 4)), cfg, T5)
+    with pytest.raises(ShapeError):
+        batch_inner_product(np.zeros(2, dtype=np.int64), np.zeros((1, 4)), cfg, T5)
 
 
 def test_config_validation():
