@@ -9,7 +9,11 @@ accumulator range, so compilation is deterministic given the checkpoint.
 Integer conventions, shared by the engine and the reference path:
 
 * weight codes are signed m-bit, chosen per output channel (conv) or per
-  layer (linear) by grid search over pre-scales;
+  layer (linear) by grid search over pre-scales; each layer's codes are
+  quantized once, a block of rows at a time, straight into a zeroed array
+  padded to whole chunks and held at their width (int8 up to m = 8, else
+  int16; int64 past 16 bits), from which the line indices are packed and
+  the folded bias and accumulator bounds are summed;
 * the first layer consumes unsigned 8-bit samples with zero point 128; the
   zero point is folded into the integer bias, so the accumulator works on
   raw samples;
@@ -40,10 +44,11 @@ from .errors import (
     UnsupportedLayer,
 )
 from .quantizer import (
+    SEARCH_BLOCK_ELEMS,
+    _round_saturate,
     activation_range,
     choose_prescale,
     default_prescale_grid,
-    quantize_codes,
     round_half_away,
 )
 from .static_table import check_mode, pack_line_index, unpack_line_codes
@@ -360,7 +365,10 @@ def _accumulator_bounds(codes: np.ndarray, bias_q: np.ndarray, u_lo: int, u_hi: 
     mid = (u_lo + u_hi) / 2.0
     amp = (u_hi - u_lo) / 2.0
     mean = np.abs(mid * (pos + neg) + bias_q)
-    spread = amp * np.sqrt((codes.astype(np.float64) ** 2).sum(axis=1))  # int64 squares wrap at m > 32
+    # no float copy of the codes: squares of codes up to 16 bits sum exactly in int64;
+    # wider ones sum in float64, as int64 squares wrap at m > 32
+    squares = np.einsum("ij,ij->i", codes, codes, dtype=np.int64 if codes.itemsize <= 2 else np.float64)
+    spread = amp * np.sqrt(squares)
     rss = np.ceil(mean + spread).astype(np.int64)
     return np.minimum(hard, rss)
 
@@ -401,9 +409,21 @@ def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> Co
         fan_in = w2d.shape[1]
         # one pre-scale per output channel (conv) or per layer (linear, and the last layer)
         rows = w2d if layer.kind == KIND_CONV1D and not last else w2d.reshape(1, -1)
-        grids = default_prescale_grid(rows, m, cfg.prescale_points)
+        try:
+            grids = default_prescale_grid(rows, m, cfg.prescale_points)
+        except ValueError as exc:  # max|w| too small for any positive scale
+            raise BadArtifact(f"layer {li}: {exc}") from exc
         scales = np.full(layer.out_channels, choose_prescale(rows, m, grids))
-        codes = quantize_codes(w2d, m, scales[:, None])
+
+        # codes at their width, pads zero, quantized a block of rows at a time
+        chunks = math.ceil(fan_in / cfg.n)
+        width = np.int8 if m <= 8 else np.int16 if m <= 16 else np.int64
+        codes = np.zeros((layer.out_channels, chunks * cfg.n), dtype=width)
+        step = max(1, SEARCH_BLOCK_ELEMS // fan_in)
+        for r in range(0, layer.out_channels, step):
+            block = w2d[r:r + step]
+            codes[r:r + step, :fan_in] = _round_saturate(block, np.abs(block), scales[r:r + step, None], m)
+        line_indices = pack_line_index(codes.reshape(layer.out_channels, chunks, cfg.n), m)
 
         bias = layer.bias if layer.bias is not None else np.zeros(layer.out_channels)
         with np.errstate(all="ignore"):  # a subnormal scale divides by zero
@@ -414,12 +434,7 @@ def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> Co
             raise BadArtifact(f"layer {li}: channel {c}'s bias is {ratio[c]} accumulator units "
                               f"at weight scale {scales[c]}, past int64")
         bias_q = round_half_away(ratio).astype(np.int64)
-        bias_q -= zero_point * codes.sum(axis=1)
-
-        chunks = math.ceil(fan_in / cfg.n)
-        padded = np.zeros((layer.out_channels, chunks * cfg.n), dtype=np.int64)
-        padded[:, :fan_in] = codes
-        line_indices = pack_line_index(padded.reshape(layer.out_channels, chunks, cfg.n), m)
+        bias_q -= zero_point * codes.sum(axis=1, dtype=np.int64)
 
         if last:
             mult = np.zeros(layer.out_channels, dtype=np.int64)

@@ -14,6 +14,11 @@ scales from sorted prefix sums with a proven error bound; else one
 reduction score every row.  Only the scales either pass cannot rule out are
 rescored with ``np.dot``, so the chosen scale, ties included, is the
 one-scale-at-a-time loop's.
+
+No pass copies the weights up front: max|w| is ``max(w.max(), -w.min())``,
+the bound pass normalizes its one sorted copy in place, and the other passes
+normalize each block of weights as they score it.  So a search holds one
+weight-sized array at most: that sort, or the row residual ``np.dot`` sums.
 """
 
 from __future__ import annotations
@@ -140,14 +145,20 @@ def default_prescale_grid(weights, m: int, points: int = 64) -> np.ndarray:
     Spans max|w| / 2**(m-1) times [0.5, 2.0].  All-zero weights get the
     degenerate grid [1.0] (every scale is equally good there).  A
     ``(rows, len)`` matrix gets ``(rows, points)`` grids, 1.0s for a zero row.
+    ValueError where max|w| is so small that the grid would start at 0.
     """
     w = np.asarray(weights, dtype=np.float64)
-    peak = np.abs(w if w.ndim == 2 else w.reshape(1, -1)).max(axis=1, initial=0.0)
+    rows = w if w.ndim == 2 else w.reshape(1, -1)
+    peak = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
     if w.ndim < 2 and peak[0] == 0.0:
         return np.array([1.0])
     # no zero-width row: np.linspace would round every row another way
     center = np.where(peak > 0.0, peak, 1.0) / (1 << (m - 1))
-    grid = np.geomspace(0.5 * center, 2.0 * center, points, axis=1)
+    low = 0.5 * center
+    if not low.all():
+        raise ValueError(f"max |w| {float(peak[low == 0.0][0])!r} leaves an m={m} pre-scale grid no "
+                         f"positive scale: its lowest point, max|w| / 2**{m}, underflows to 0")
+    grid = np.geomspace(low, 2.0 * center, points, axis=1)
     grid[peak == 0.0] = 1.0
     return grid if w.ndim == 2 else grid[0]
 
@@ -171,48 +182,61 @@ def _shortlist(w, m: int, grid) -> np.ndarray:
     ``delta`` bounds that expansion's rounding and cancellation, weights
     within rounding of an edge, and the exact pass's own rounding (residual
     and ``np.dot``).
+
+    The sort is the one weight-sized copy: normalized in place by 2**-e
+    (exact and monotone, so still sorted), searched, then made its own prefix sum.
     """
     levels = 1 << (m - 1)
-    w = np.sort(w)
-    p1 = np.zeros(w.size + 1)
-    np.cumsum(w, out=p1[1:])
+    p1 = np.concatenate(([0.0], w))  # p1[1:] is the sort, behind a leading 0
+    v = p1[1:]
+    v.sort()
+    e = np.frexp(max(v[-1], -v[0]))[1]
+    np.ldexp(v, -e, out=v)
+    scaled = np.ldexp(grid, -e)
     k = np.arange(1, levels + 1)
-    edge = (k - 0.5) * grid[:, None]
-    below = np.searchsorted(w, edge[:, :-1])  # per scale and edge: weights under +edge ...
-    under = np.searchsorted(w, -edge, side="right")  # ... and at or under -edge
+    edge = (k - 0.5) * scaled[:, None]
+    below = np.searchsorted(v, edge[:, :-1])  # per scale and edge: weights under +edge ...
+    under = np.searchsorted(v, -edge, side="right")  # ... and at or under -edge
+    zero = np.searchsorted(v, 0.0)
+    s2 = np.dot(v, v)
+    np.cumsum(p1, out=p1)  # p1[i]: the sum of the i smallest
     lin = (p1[-1] - p1[below]).sum(axis=1) - p1[under].sum(axis=1)
-    quad = ((2 * k[:-1] - 1) * (w.size - below)).sum(axis=1) + ((2 * k - 1) * under).sum(axis=1)
-    s2 = (w * w).sum()
-    s1 = p1[-1] - 2.0 * p1[np.searchsorted(w, 0.0)]
-    approx = s2 - 2.0 * grid * lin + grid * grid * quad
-    # With u = eps/2, N = len(w), K = levels: the prefix and plain sums err by
-    # at most ~N u times the sum of their terms' magnitudes (so the expansion
-    # by ~3(N + K) u spread), the exact pass's residuals and np.dot by
-    # ~(N + 8) u (8 S2 + 2 N s**2), and a weight within rounding of an edge
-    # by 2 u s (2|w| + s); 16 (N + K + 8) u spread covers all three, and the
-    # 2**-1074 term covers underflow.
-    spread = s2 + 2.0 * grid * levels * s1 + grid * grid * (quad + w.size)
-    delta = 16.0 * (w.size + levels + 8) * (np.finfo(np.float64).eps / 2 * spread + 2.0 ** -1074)
+    quad = ((2 * k[:-1] - 1) * (v.size - below)).sum(axis=1) + ((2 * k - 1) * under).sum(axis=1)
+    s1 = p1[-1] - 2.0 * p1[zero]
+    approx = s2 - 2.0 * scaled * lin + scaled * scaled * quad
+    # With u = eps/2, N = len(w), K = levels: the prefix and plain sums, in any
+    # order, err by at most ~N u times the sum of their terms' magnitudes (so
+    # the expansion by ~3(N + K) u spread), the exact pass's residuals and
+    # np.dot by ~(N + 8) u (8 S2 + 2 N s**2), and a weight within rounding of
+    # an edge by 2 u s (2|w| + s); 16 (N + K + 8) u spread covers all three,
+    # and the 2**-1074 term covers underflow.
+    spread = s2 + 2.0 * scaled * levels * s1 + scaled * scaled * (quad + v.size)
+    delta = 16.0 * (v.size + levels + 8) * (np.finfo(np.float64).eps / 2 * spread + 2.0 ** -1074)
     # NaN-safe: a scale is dropped only when its lower bound clears some upper bound
     return grid[~(approx - delta > np.min(approx + delta))]
 
 
-def _errors(w, m: int, scaled, exact: bool) -> np.ndarray:
-    """(rows, points) squared errors of each row of ``w`` at its row of ``scaled``, from
-    one residual broadcast per block of SEARCH_BLOCK_ELEMS, summed with ``np.dot``
-    as in ``quantization_error`` if ``exact``, else in one batched reduction."""
+def _errors(w, e, m: int, scaled, exact: bool) -> np.ndarray:
+    """(rows, points) squared errors of each row of ``w`` times 2**-e (``e`` per row)
+    at its row of ``scaled``, summed with ``np.dot`` as in ``quantization_error`` if
+    ``exact``, else in one batched reduction.  The residuals fill one buffer of
+    SEARCH_BLOCK_ELEMS, or of one row where a row is longer, a block of columns at a
+    time; each block of weights is normalized as it is scored."""
     (rows, size), points = w.shape, scaled.shape[1]
-    w, w_abs = w[:, None], np.abs(w)[:, None]
     step_r = max(1, SEARCH_BLOCK_ELEMS // (points * size))
     step_p = min(points, max(1, SEARCH_BLOCK_ELEMS // size))
     buf = np.empty((min(step_r, rows), step_p, size))
     errs = np.empty((rows, points))
     for r in range(0, rows, step_r):
+        exp = -e[r:r + step_r, None, None]
         for p in range(0, points, step_p):
             s = scaled[r:r + step_r, p:p + step_p, None]
-            res = _round_saturate(w[r:r + step_r], w_abs[r:r + step_r], s, m, out=buf[:len(s), :s.shape[1]])
-            res *= s
-            np.subtract(w[r:r + step_r], res, out=res)
+            res = buf[:len(s), :s.shape[1]]
+            for c in range(0, size, SEARCH_BLOCK_ELEMS):
+                wc = np.ldexp(w[r:r + step_r, None, c:c + SEARCH_BLOCK_ELEMS], exp)
+                rc = _round_saturate(wc, np.abs(wc), s, m, out=res[..., c:c + SEARCH_BLOCK_ELEMS])
+                rc *= s
+                np.subtract(wc, rc, out=rc)
             errs[r:r + step_r, p:p + step_p] = (
                 [[np.dot(x, x) for x in row] for row in res] if exact else np.einsum("rpl,rpl->rp", res, res))
     return errs
@@ -234,7 +258,7 @@ def choose_prescale(weights, m: int, search_grid):
         raise ValueError(f"need (rows, len) weights and (rows, points) grids, got {w.shape} and {grid.shape}")
     if w.size == 0:
         raise ValueError("weights must be non-empty")
-    peak = np.abs(w).max(axis=1)  # nan if any weight of the row is
+    peak = np.maximum(w.max(axis=1), -w.min(axis=1))  # nan if any weight of the row is
     if not np.isfinite(peak).all():
         raise NonFiniteWeight("weight vector contains nan/inf")
     grid = np.sort(grid, axis=1)
@@ -242,14 +266,14 @@ def choose_prescale(weights, m: int, search_grid):
         raise ValueError("search grid must be non-empty, its scales positive and finite")
     # times 2**-e per row, max|w| lies in [0.5, 1): w**2 cannot overflow, and
     # every error scales by exactly 4**-e, so ties stay ties
-    e = np.frexp(peak)[1][:, None]
-    w, scaled = np.ldexp(w, -e), np.ldexp(grid, -e)
+    e = np.frexp(peak)[1]
+    scaled = np.ldexp(grid, -e[:, None])
     pick = np.zeros(len(w), dtype=np.intp)  # all-zero rows and one-point grids take the smallest
-    live = np.flatnonzero((peak > 0.0) & (grid.shape[1] > 1))
-    if bound_pass_pays(w.shape[1], m):
-        kept = [np.searchsorted(scaled[r], _shortlist(w[r], m, scaled[r])) for r in live]
-    else:
-        errs = _errors(w[live], m, scaled[live], exact=False)
+    live, kept = np.flatnonzero(peak > 0.0) if grid.shape[1] > 1 else [], []
+    if len(live) and bound_pass_pays(w.shape[1], m):
+        kept = [np.searchsorted(grid[r], _shortlist(w[r], m, grid[r])) for r in live]
+    elif len(live):
+        errs = _errors(w, e, m, scaled, exact=False)[live]
         # Keep every scale whose np.dot error may be the minimum.  With u = eps/2
         # and N = len, any order of summing N non-negative products, rounded or
         # fused, errs by at most N u / (1 - N u) times the exact sum T, plus
@@ -261,6 +285,7 @@ def choose_prescale(weights, m: int, search_grid):
         bound = errs.min(axis=1, keepdims=True) * ((1 + g) / (1 - g)) ** 2 + 8.0 * w.shape[1] * 2.0 ** -1074
         kept = [np.flatnonzero(row) for row in ~(errs > bound)]
     for r, keep in zip(live, kept):  # first exact minimum: the smaller scale
-        pick[r] = keep[np.argmin(_errors(w[r:r + 1], m, scaled[r:r + 1, keep], exact=True)) if len(keep) > 1 else 0]
+        i = np.argmin(_errors(w[r:r + 1], e[r:r + 1], m, scaled[r:r + 1, keep], exact=True)) if len(keep) > 1 else 0
+        pick[r] = keep[i]
     best = grid[np.arange(len(w)), pick]
     return float(best[0]) if one else best

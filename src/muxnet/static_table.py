@@ -30,13 +30,16 @@ from .quantizer import ENUM_BUDGET_BITS
 def pack_line_index(codes, m: int) -> np.ndarray:
     """(..., n) signed codes to (...) n*m-bit line indices, code[0] least significant.
 
-    Fields are masked, shifted and or-ed in one at a time; one code vector gives a scalar.
+    Codes of any integer width are read as they are: each field is masked into
+    int64 on its own, then shifted and or-ed in; one code vector gives a scalar.
     """
-    c = np.asarray(codes, dtype=np.int64)
+    c = np.asarray(codes)
     mask = (1 << m) - 1
-    index = c[..., 0] & mask
+    index = np.bitwise_and(c[..., 0], mask, dtype=np.int64)
     for i in range(1, c.shape[-1]):
-        index |= (c[..., i] & mask) << (i * m)
+        field = np.bitwise_and(c[..., i], mask, dtype=np.int64)
+        field <<= i * m
+        index |= field
     return index
 
 

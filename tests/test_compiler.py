@@ -3,6 +3,7 @@
 import copy
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +45,7 @@ from muxnet.errors import (
     ShapeError,
     UnsupportedLayer,
 )
-from muxnet.quantizer import activation_range, quantization_error
+from muxnet.quantizer import activation_range, quantization_error, quantize_codes
 from muxnet.reference import decode_line_indices, float_forward, reference_logits
 from muxnet.static_table import unpack_line_codes
 
@@ -213,6 +214,56 @@ def test_artifact_bytes_match_the_scalar_prescale_search(monkeypatch, input_len,
     model = default_float_model(0, input_len=input_len)
     cfg = CompileConfig(conv_m=conv_m)
     assert serialize_model(compile_model(model, cfg)) == _scalar_search_bytes(monkeypatch, model, cfg)
+
+
+@pytest.mark.parametrize("input_len, conv_m", [(320, 10), (320, 6), (640, 10), (640, 6), (1280, 10), (1280, 6)])
+def test_compiled_codes_are_quantize_codes_at_the_picked_scales(input_len, conv_m):
+    # compile quantizes a block of rows at a time straight into its padded code array;
+    # decoded independently, every layer's codes are quantize_codes of its folded
+    # weights at the scales it stored, and every pad code is 0 (L2 of the 1280-input
+    # models spans several row blocks)
+    model = default_float_model(0, input_len=input_len)
+    compiled = compile_model(model, CompileConfig(conv_m=conv_m))
+    for float_layer, layer in zip(model.layers, compiled.layers):
+        w2d = fold_batchnorm(float_layer).weight.reshape(layer.out_channels, -1)
+        codes = decode_line_indices(layer.line_indices, compiled.n, layer.mode_m)
+        want = quantize_codes(w2d, layer.mode_m, layer.weight_scales[:, None])
+        assert np.array_equal(codes[:, :layer.fan_in], want)
+        assert not codes[:, layer.fan_in:].any()
+
+
+def test_compile_model_peak_memory_is_bounded():
+    # one weight-sized copy at a time: the pre-scale search's sorted copy of L2's
+    # 162,304 weights (1.3 MB) is the largest, and the codes are quantized in row
+    # blocks straight into int8; 1.54 MB measured, its result included
+    model = default_float_model(0, input_len=1280)
+    tracemalloc.start()
+    try:
+        compiled = compile_model(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert compiled.layers[2].fan_in == 162_304 // 32
+    assert peak <= 1_600_000
+
+
+@pytest.mark.parametrize("layer, channel", [(3, None), (0, 5)])
+def test_weights_too_small_for_a_prescale_grid_are_refused(layer, channel):
+    # at m = 5 or 6, max|w| = 5e-324 puts the grid's lowest point, max|w| / 2**m,
+    # under the smallest subnormal: compile refuses the layer by name, not with
+    # numpy's "Geometric sequence cannot include zero"
+    model = default_float_model(0)
+    weight = model.layers[layer].weight
+    if channel is None:
+        weight[:] = 5e-324
+    else:
+        model.layers[layer].bn = None  # its tiny channel must reach the search as it is
+        weight[channel] = -5e-324
+    m = 5 if channel is None else 6
+    want = (rf"^layer {layer}: max \|w\| 5e-324 leaves an m={m} pre-scale grid no positive scale: "
+            rf"its lowest point, max\|w\| / 2\*\*{m}, underflows to 0$")
+    with pytest.raises(BadArtifact, match=want):
+        compile_model(model, CompileConfig(conv_m=m))
 
 
 def accumulator_bounds_oracle(codes, bias_q, u_lo, u_hi):

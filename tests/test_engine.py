@@ -218,6 +218,21 @@ def test_batch_100_forward_peak_memory_is_bounded():
     assert peak <= 3_400_000
 
 
+def test_engine_init_peak_memory_is_bounded():
+    # a monolithic layer's p = 1 lines are gathered from its table narrowed to the
+    # entries' width (int8 at n = 2, m = 5), not from int32: on the 1280-input model
+    # L2's gather is 0.33 MB, not 1.3 MB, and init peaks at 2.11 MB, its rows included
+    model = compile_model(default_float_model(0, input_len=1280))
+    tracemalloc.start()
+    try:
+        engine = MpuEngine(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine.rows[2].rows.dtype == np.int8
+    assert peak <= 2_200_000
+
+
 def test_layer_profile_reports_storage_and_cycles():
     model = compile_model(default_float_model(seed=10))
     engine = MpuEngine(model)

@@ -79,6 +79,24 @@ def test_codec_round_trips_code_arrays(n):
         assert unpack_line_codes(flat, n, m, signed=False).tolist() == oracle_decode(flat, n, m, signed=False)
 
 
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_pack_reads_every_integer_width_alike(m):
+    # codes are read at their width, each field masked into int64 on its own, so a
+    # narrow array, an int64 one and Python tuples give the same indices
+    rng = np.random.default_rng(m)
+    lo, hi = -(1 << (m - 1)), (1 << (m - 1)) - 1
+    codes = rng.integers(lo, hi + 1, size=(4, 9, 3))
+    codes[0, 0] = [lo, hi, -1]
+    want = [[oracle_pack(c, m) for c in row] for row in codes.tolist()]
+    for form in (np.int8, np.int16, np.int32, np.int64, "tuples"):
+        given = tuple(tuple(tuple(c) for c in row) for row in codes.tolist()) if form == "tuples" \
+            else codes.astype(form)
+        index = pack_line_index(given, m)
+        assert index.dtype == np.int64 and index.tolist() == want, form
+        one = pack_line_index(given[0][0], m)  # a single code vector stays a scalar
+        assert np.ndim(one) == 0 and one == want[0][0], form
+
+
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (2, 5)])
 def test_line_count_is_2_pow_nm(n, m):
     table = build_static_table(n, m)

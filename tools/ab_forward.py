@@ -12,7 +12,8 @@ labels for the benchmark's 3600 s signal of ``--seed``, and that
 ``run_closed_loop`` on one loop window (the first eighth of each tree's own
 signal, triggering on class 4) writes byte-identical run logs.  Then it
 times ``engine.forward`` at batch 1, then at batch 100, then that loop
-window, then ``MpuEngine(model)``, then one sweep window (``--rounds``
+window, then ``MpuEngine(model)``, then ``compile_model`` of the
+1280-input checkpoint of ``--seed``, then one sweep window (``--rounds``
 rounds each, in thread CPU time), strictly alternating which side goes
 first.  It prints each side's median and the median of the per-round
 ratios b/a, then each side's median minor page faults per call
@@ -20,8 +21,9 @@ ratios b/a, then each side's median minor page faults per call
 allocator trims and faults back in on every call shows here, and its time
 then depends on what the process freed before), then a memory row: each
 side's tracemalloc peak for the 3600 s ``synthetic_source`` call, for the
-loop window and for a batch-100 forward (each includes the call's result;
-a traced peak repeats exactly, so one call each).  A sweep window, as in
+loop window, for a batch-100 forward, and for ``compile_model`` and
+``MpuEngine`` of the 1280-input checkpoint (each includes the call's
+result; a traced peak repeats exactly, so one call each).  A sweep window, as in
 the benchmark's compile_sweep, takes the six checkpoints of ``--seed``
 (input lengths 320, 640 and 1280 times conv m 10 and 6, model ``i``
 seeded ``seed * 1000 + i``) from checkpoint to loaded engine:
@@ -103,11 +105,14 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sides, frontends, sweeps = {}, {}, {}
+        sides, frontends, sweeps, compiles, inits = {}, {}, {}, {}, {}
         for name, root in (("a", args.base), ("b", args.change)):
             compiler, engine, frontends[name], quantizer = load(root.resolve(), f"muxnet_{name}", Path(tmp))
             model = compiler.compile_model(compiler.default_float_model(seed=args.seed))
             sides[name] = (engine.MpuEngine, model)
+            wide = compiler.default_float_model(seed=args.seed, input_len=1280)
+            compiles[name] = (compiler.compile_model, wide)
+            inits[name] = (engine.MpuEngine, compiler.compile_model(wide))
             cases = [(compiler.default_float_model(seed=args.seed * 1000 + i, input_len=length),
                       compiler.CompileConfig(conv_m=conv_m)) for i, (length, conv_m) in enumerate(SWEEP)]
             sweeps[name] = (sweep_window, compiler, engine.MpuEngine, cases)
@@ -146,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
                  for b, u in inputs.items()}
         calls["loop window"] = loops
         calls["init"] = {name: (cls, m) for name, (cls, m) in sides.items()}
+        calls["compile 1280"] = compiles
         calls["sweep window"] = sweeps
         times, faults = {}, {}
         for label, call in calls.items():  # one call at a time, so an init does not evict a forward's rows
@@ -156,7 +162,8 @@ def main(argv: list[str] | None = None) -> int:
                     faults.setdefault((name, label), []).append(flt)
         peaks = {label: {name: traced_peak_mb(*call[name]) for name in sides}
                  for label, call in (("source", sources), ("loop window", loops),
-                                     ("forward b=100", calls["forward b=100"]))}
+                                     ("forward b=100", calls["forward b=100"]),
+                                     ("compile 1280", compiles), ("init 1280", inits))}
 
     print(f"{args.rounds} rounds, seed {args.seed}; thread CPU ms")
     print(f"{'':14}{'a median':>10}{'b median':>10}{'b/a paired':>12}")
