@@ -365,9 +365,8 @@ def _accumulator_bounds(codes: np.ndarray, bias_q: np.ndarray, u_lo: int, u_hi: 
     mid = (u_lo + u_hi) / 2.0
     amp = (u_hi - u_lo) / 2.0
     mean = np.abs(mid * (pos + neg) + bias_q)
-    # no float copy of the codes: squares of codes up to 16 bits sum exactly in int64;
-    # wider ones sum in float64, as int64 squares wrap at m > 32
-    squares = np.einsum("ij,ij->i", codes, codes, dtype=np.int64 if codes.itemsize <= 2 else np.float64)
+    # no float copy of the codes; every partial sum is an integer under 2**53, so exact
+    squares = np.einsum("ij,ij->i", codes, codes, dtype=np.float64)
     spread = amp * np.sqrt(squares)
     rss = np.ceil(mean + spread).astype(np.int64)
     return np.minimum(hard, rss)

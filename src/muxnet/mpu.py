@@ -348,8 +348,8 @@ def stage_rows(
     outputs, chunks = idx.shape
     if isinstance(tables, DecomposedTable):
         lines = tables.select(idx)
-    else:  # (outputs, chunks, 2**n), from the table narrowed to its entries' width: n codes >= -2**(m-1)
-        lines = np.take(tables.lines.astype(_narrowest(cfg.n << (cfg.m - 1))), idx, axis=0)
+    else:  # (outputs, chunks, 2**n), at the table's own narrow width
+        lines = np.take(tables.lines, idx, axis=0)
     n, k, signed = cfg.n, cfg.activation_bits, cfg.activation_signed
     # a depth-d entry adds p=1 entries weighted +-2**j, j < d: at most magnitude * (2**d - 1)
     magnitude = max(-int(lines.min()), int(lines.max())) if lines.size else 0

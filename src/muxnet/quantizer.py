@@ -221,11 +221,12 @@ def _errors(w, e, m: int, scaled, exact: bool) -> np.ndarray:
     at its row of ``scaled``, summed with ``np.dot`` as in ``quantization_error`` if
     ``exact``, else in one batched reduction.  The residuals fill one buffer of
     SEARCH_BLOCK_ELEMS, or of one row where a row is longer, a block of columns at a
-    time; each block of weights is normalized as it is scored."""
+    time; each block of weights is normalized, into one reused buffer, as it is scored."""
     (rows, size), points = w.shape, scaled.shape[1]
     step_r = max(1, SEARCH_BLOCK_ELEMS // (points * size))
     step_p = min(points, max(1, SEARCH_BLOCK_ELEMS // size))
     buf = np.empty((min(step_r, rows), step_p, size))
+    block = np.empty((len(buf), 1, min(size, SEARCH_BLOCK_ELEMS)))  # the normalized weights of one block
     errs = np.empty((rows, points))
     for r in range(0, rows, step_r):
         exp = -e[r:r + step_r, None, None]
@@ -233,8 +234,10 @@ def _errors(w, e, m: int, scaled, exact: bool) -> np.ndarray:
             s = scaled[r:r + step_r, p:p + step_p, None]
             res = buf[:len(s), :s.shape[1]]
             for c in range(0, size, SEARCH_BLOCK_ELEMS):
-                wc = np.ldexp(w[r:r + step_r, None, c:c + SEARCH_BLOCK_ELEMS], exp)
-                rc = _round_saturate(wc, np.abs(wc), s, m, out=res[..., c:c + SEARCH_BLOCK_ELEMS])
+                wb = w[r:r + step_r, None, c:c + SEARCH_BLOCK_ELEMS]
+                wc = np.ldexp(wb, exp, out=block[:wb.shape[0], :, :wb.shape[2]])
+                rc = np.abs(wc, out=res[..., c:c + SEARCH_BLOCK_ELEMS])  # |wc|, rounded in place
+                _round_saturate(wc, rc, s, m, out=rc)
                 rc *= s
                 np.subtract(wc, rc, out=rc)
             errs[r:r + step_r, p:p + step_p] = (

@@ -70,7 +70,7 @@ class StaticTable:
     n: int
     m: int
     signed: bool
-    lines: np.ndarray  # (2**(n*m), 2**n) int32, immutable
+    lines: np.ndarray  # (2**(n*m), 2**n), immutable, at the narrowest signed width its entries need
 
     @property
     def line_count(self) -> int:
@@ -118,7 +118,8 @@ def build_static_table(n: int, m: int, signed: bool = True) -> StaticTable:
     codes = unpack_line_codes(np.arange(1 << (n * m)), n, m, signed)
     keys = np.arange(1 << n, dtype=np.int64)
     key_bits = (keys[:, None] >> np.arange(n)[None, :]) & 1  # (2**n, n)
-    lines = (codes @ key_bits.T).astype(np.int32)
+    # each entry sums n codes under 2**m in magnitude (int8 at n = 2, m <= 6)
+    lines = (codes @ key_bits.T).astype(np.min_scalar_type(-(n << m)))
     lines.flags.writeable = False
     return StaticTable(n=n, m=m, signed=signed, lines=lines)
 

@@ -219,9 +219,10 @@ def test_batch_100_forward_peak_memory_is_bounded():
 
 
 def test_engine_init_peak_memory_is_bounded():
-    # a monolithic layer's p = 1 lines are gathered from its table narrowed to the
-    # entries' width (int8 at n = 2, m = 5), not from int32: on the 1280-input model
-    # L2's gather is 0.33 MB, not 1.3 MB, and init peaks at 2.11 MB, its rows included
+    # a monolithic table is built at its entries' width (int8 at n = 2, m = 5), so a
+    # layer's p = 1 lines are gathered narrow, with no copy of the table: on the
+    # 1280-input model L2's gather is 0.33 MB, not 1.3 MB as from int32, and init
+    # peaks at 2.08 MB, its rows included
     model = compile_model(default_float_model(0, input_len=1280))
     tracemalloc.start()
     try:
@@ -229,7 +230,7 @@ def test_engine_init_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert engine.rows[2].rows.dtype == np.int8
+    assert engine.rows[2].tables.lines.dtype == engine.rows[2].rows.dtype == np.int8
     assert peak <= 2_200_000
 
 
