@@ -25,14 +25,18 @@ only on the layer (each group's plane shift, and its first row per chunk,
 the MSB group's from the signed rows on) are built with the rows too, so
 a call derives nothing from the layer.  Cases are independent, so the
 kernel takes them in tiles of at most GATHER_ELEMS gathered entries, with
-every plane group in each tile: it makes one casting copy of the tile's
-activations (any integer dtype, unmasked), keys from those constants, one
-gather and one chunk sum, and merges the groups Horner-style, highest
+every plane group in each tile: it keys every group, adds the base, makes
+one gather and one chunk sum, and merges the groups Horner-style, highest
 first, into the tile's rows of one preallocated int64 result (shift by p,
 add the next group's sum): each partial value is the inner product with
 the activations' low planes cleared, an in-range code, so it is exact
-wherever the result is.  A call's transients are bounded by the tile
-whatever the batch; only the result grows with it.
+wherever the result is.  As in the paper's stage 2, whose select lines
+are the chunk's activation bits, a chunk of two one-byte codes holding all
+k bits is one 16-bit word, and every group's key is one lookup of that
+word in a per-process table (``_word_keys``); any other shape keys from
+one casting copy of the tile's activations (any integer dtype, unmasked)
+by shift and mask (``_shift_keys``).  A call's transients are bounded by
+the tile whatever the batch; only the result grows with it.
 ``batch_inner_product`` builds p=1 rows per call, one output over every
 (case, chunk), and keys each case to its own chunks through a case-wise key
 base.  The scalar path selects each half on its own.
@@ -293,9 +297,10 @@ class StageRows:
     of that chunk's largest p=1 |entry| (``stage_rows``).
 
     The kernel's key constants are built with the rows, in the key dtype (int32
-    when it holds the k activation bits and every row, else int64): ``shifts``
-    holds each plane group's lowest plane g*p, and ``base`` each group's first
-    row per chunk, ``c << (n*p)``, from row ``top`` on for the MSB group.
+    when it holds the k activation bits and every row, else int64): ``base``
+    holds each group's first row per chunk, ``c << (n*p)``, from row ``top`` on
+    for the MSB group, and ``shifts`` each plane group's lowest plane g*p, which
+    only the shift/mask keys read (a word lookup's table holds the shifts).
     """
 
     cfg: MpuConfig
@@ -406,33 +411,38 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
     (cases, outputs) int64, preallocated.  The cases are taken in tiles of
     up to GATHER_ELEMS gathered entries, every k/p plane group at once, so a
     call's transients are bounded by the tile, not the batch.  Per tile:
-    field-major keys for all groups, laid out (groups, chunks, tile), from
-    the rows' ``shifts`` and ``base`` (a case-wise base sliced with the
-    tile); one gather of resident rows through the chunk-major view of those
-    keys; a sum over chunks in ``sum_dtype``; and a Horner merge of the
-    groups, highest first (``acc <<= p; acc += sum``), into the tile's rows
-    of the result.  The MSB group's base starts at row ``top``, so a signed
-    layer's MSB group reads the rows that subtract its MSB plane.
+    field-major keys for all groups, laid out (groups, chunks, tile), plus
+    the rows' ``base`` (a case-wise base sliced with the tile); one gather of
+    resident rows through the chunk-major view of those keys; a sum over
+    chunks in ``sum_dtype``; and a Horner merge of the groups, highest first
+    (``acc <<= p; acc += sum``), into the tile's rows of the result.  The MSB
+    group's base starts at row ``top``, so a signed layer's MSB group reads
+    the rows that subtract its MSB plane.
 
-    The activations are read without a mask, in one casting copy per tile to
-    the key dtype: a group's field ``(u >> g*p) & (2**p - 1)`` has g*p + p <= k,
-    so it reads only the low k bits of the two's-complement value, which the
-    cast keeps even where it wraps a wider integer to int32.
+    Where a chunk's activations are one 16-bit word (n = 2 one-byte codes)
+    and hold all k bits (k <= 8: a one-byte code lacks the sign-extension
+    bits of a wider layer's), every group's key is one lookup of the chunk's
+    little-endian word in ``_word_keys``, with no casting copy of the
+    activations: the bits are the select lines.  Every other shape keys by
+    ``_shift_keys``.
     """
-    p, n = rows.p, rows.cfg.n
+    p, n, k = rows.p, rows.cfg.n, rows.cfg.activation_bits
     cases, chunks, _ = acts.shape
     outputs = rows.rows.shape[1]
-    field, groups = (1 << p) - 1, len(rows.shifts)
+    groups = len(rows.shifts)
     case_wise = rows.base.shape[-1] > 1
+    table = _word_keys(p, groups) if n == 2 and acts.itemsize == 1 and k <= 8 else None
     out = np.empty((cases, outputs), dtype=np.int64)
     tile = max(1, GATHER_ELEMS // max(1, groups * chunks * outputs))
     for c0 in range(0, cases, tile):
         c1 = c0 + tile
-        u = np.asarray(acts[c0:c1].transpose(2, 1, 0), dtype=rows.base.dtype, order="C")  # (n, chunks, tile)
-        keys = (u[0] >> rows.shifts) & field  # (groups, chunks, tile)
-        for i in range(1, n):
-            keys += ((u[i] >> rows.shifts) & field) << (i * p)
-        keys += rows.base[:, :, c0:c1] if case_wise else rows.base
+        base = rows.base[:, :, c0:c1] if case_wise else rows.base
+        if table is None:
+            keys = _shift_keys(rows, acts[c0:c1])
+            keys += base
+        else:  # (chunks, tile) words: activation 0 in the low byte
+            words = np.ascontiguousarray(acts[c0:c1]).view("<u2")[..., 0].T
+            keys = np.add(table.take(words, axis=1), base, dtype=base.dtype)
         planes = rows.rows.take(keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.sum_dtype)
         acc = out[c0:c1]
         acc[...] = planes[-1]
@@ -440,6 +450,34 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
             acc <<= p
             acc += plane
     return out
+
+
+@cache
+def _word_keys(p: int, groups: int) -> np.ndarray:
+    """(groups, 2**16): each plane group's field-major key for every little-endian word
+    of two one-byte activations, ``key = f_0 | f_1 << p`` with ``f_i`` the p-bit field
+    of byte i from bit g*p on; uint8 up to p = 4, else uint16.  Built straight at its
+    width from each byte's fields, (groups, high byte, low byte)."""
+    dtype = np.uint8 if p <= 4 else np.uint16
+    fields = (np.arange(256, dtype=dtype) >> np.arange(0, groups * p, p, dtype=dtype)[:, None]) & ((1 << p) - 1)
+    keys = (fields[:, :, None] << p) | fields[:, None, :]  # f_1 from the high byte, f_0 from the low
+    return _frozen(keys.reshape(groups, 1 << 16))  # shared by every call
+
+
+def _shift_keys(rows: StageRows, acts: np.ndarray) -> np.ndarray:
+    """(groups, chunks, cases) field-major keys of (cases, chunks, n) activations, no base.
+
+    The activations are read without a mask, in one casting copy to the key
+    dtype: a group's field ``(u >> g*p) & (2**p - 1)`` has g*p + p <= k, so it
+    reads only the low k bits of the two's-complement value, which the cast
+    keeps even where it wraps a wider integer to int32.
+    """
+    p, field = rows.p, (1 << rows.p) - 1
+    u = np.asarray(acts.transpose(2, 1, 0), dtype=rows.base.dtype, order="C")  # (n, chunks, cases)
+    keys = (u[0] >> rows.shifts) & field
+    for i in range(1, len(u)):
+        keys += ((u[i] >> rows.shifts) & field) << (i * p)
+    return keys
 
 
 def _integers(a) -> np.ndarray:

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import muxnet.engine
 import muxnet.reference
 from muxnet.compiler import (
     ACT_NONE,
+    ACT_RELU,
     KIND_CONV1D,
     KIND_LINEAR,
     CompiledModel,
@@ -20,10 +23,12 @@ from muxnet.compiler import (
     FloatModel,
     compile_model,
     default_float_model,
+    deserialize_model,
+    serialize_model,
 )
 from muxnet.costmodel import predict_model_costs
 from muxnet.engine import MpuEngine, _patch_index
-from muxnet.errors import ShapeError
+from muxnet.errors import BadArtifact, ShapeError
 from muxnet.mpu import FUSE_DEPTHS, ROW_BUDGET_BYTES, MpuConfig, pe_forward, stage_rows, sum_dtype
 from muxnet.quantizer import activation_range
 from muxnet.reference import reference_logits
@@ -394,3 +399,56 @@ def test_reference_imports_nothing_of_the_datapath():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported <= {"__future__", "numpy", "numpy.lib.stride_tricks", ".compiler"}
+
+
+@st.composite
+def random_models(draw):
+    """``CompileConfig`` fields and a float model: 0-2 conv then 1-2 linear layers, each hidden one ReLU or none."""
+    n, bits = draw(st.integers(1, 4)), draw(st.integers(2, 16))
+    # n = 4 stops at m = 8: its m = 10 halves are 2**20-line tables, 0.5 s to build
+    conv_m, linear_m = (draw(st.integers(2, 8 if n == 4 else 10)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels, length = draw(st.integers(1, 2)), draw(st.integers(4, 24))
+    c, t, layers = channels, length, []
+    for _ in range(draw(st.integers(0, 2))):
+        out, kernel, stride = draw(st.integers(1, 4)), draw(st.integers(1, min(5, t))), draw(st.integers(1, 3))
+        layers.append(FloatLayer(KIND_CONV1D, rng.normal(0, (c * kernel) ** -0.5, (out, c, kernel)),
+                                 rng.normal(0, 0.05, out), stride, draw(st.sampled_from([ACT_RELU, ACT_NONE]))))
+        c, t = out, (t - kernel) // stride + 1
+    widths = [c * t, *(draw(st.integers(1, 8)) for _ in range(draw(st.integers(0, 1)))), draw(st.integers(1, 6))]
+    for li, (fan_in, out) in enumerate(zip(widths, widths[1:])):
+        act = ACT_NONE if li == len(widths) - 2 else draw(st.sampled_from([ACT_RELU, ACT_NONE]))
+        layers.append(FloatLayer(KIND_LINEAR, rng.normal(0, fan_in ** -0.5, (out, fan_in)),
+                                 rng.normal(0, 0.05, out), activation=act))
+    fields = {"n": n, "conv_m": conv_m, "linear_m": linear_m, "activation_bits": bits,
+              "input_zero_point": 1 << (bits - 1)}
+    return fields, FloatModel(layers, input_len=length, input_channels=channels)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(random_models(), st.integers(1, 4), st.sampled_from([0, 1, 3]), st.integers(0, 2**32 - 1))
+def test_random_architectures_hold_both_fixed_points(drawn, chunks_per_group, batch, seed):
+    # through compile and a .muxn round trip, forward equals the reference and
+    # each layer's live counters equal the cost model's, at this batch and
+    # group_vector_len; a setting or checkpoint that is refused is no example
+    fields, float_model = drawn
+    try:
+        cfg = CompileConfig(**fields)
+    except ValueError:
+        assume(False)
+    try:
+        compiled = compile_model(float_model, cfg)
+    except BadArtifact:
+        assume(False)
+    blob = serialize_model(compiled)
+    model = deserialize_model(blob)
+    assert serialize_model(model) == blob
+    group_vector_len = chunks_per_group * model.n
+    engine = MpuEngine(model, group_vector_len=group_vector_len)
+    lo, hi = activation_range(model.layers[0].activation_bits, False)
+    u = np.random.default_rng(seed).integers(lo, hi + 1, size=(batch, model.input_channels * model.input_len))
+    u[:1, ::2] = hi
+    assert np.array_equal(engine.forward(u), reference_logits(model, u))
+    want = predict_model_costs(model, engine.groups, group_vector_len, batch)
+    assert [(row["cycles"], row["mux_selects"], row["memory_bits_read"]) for row in engine.layer_profile()] \
+        == [(row.cycles, row.mux_selects, row.memory_bits_read) for row in want]

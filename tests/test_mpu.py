@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import muxnet.mpu
+from muxnet.compiler import compile_model, default_float_model
 from muxnet.costmodel import datapath_cost
+from muxnet.engine import MpuEngine
 from muxnet.errors import AccumulatorOverflow, BadLineIndex, ModeMismatch, ShapeError
 from muxnet.mpu import (
     FUSE_DEPTHS,
@@ -27,7 +29,7 @@ from muxnet.mpu import (
     sum_dtype,
 )
 from muxnet.quantizer import QParams, QuantizedWeightVector, activation_range
-from muxnet.reference import decode_line_indices, reference_inner_product
+from muxnet.reference import decode_line_indices, reference_inner_product, reference_logits
 from muxnet.static_table import build_static_table, decompose_table, pack_line_index
 
 T5 = build_static_table(2, 5)
@@ -377,6 +379,7 @@ def test_fusion_depth_is_a_power_of_two_that_divides_the_bits():
     rows = stage_rows(idx, cfg, T5, p=8)
     assert rows.p == 8 and len(rows.shifts) == 1
     assert np.array_equal(pe_forward(rows, acts), want)
+    assert np.array_equal(pe_forward(rows, acts.astype(np.int8)), want)  # 16-bit keys by word lookup
 
 
 def test_pe_forward_counter_closed_form():
@@ -444,3 +447,79 @@ def test_config_validation():
         MpuConfig(n=3, group_vector_len=8)
     with pytest.raises(ValueError):
         MpuConfig(n=0)
+
+
+def refuse(*args):
+    raise AssertionError("this key path must not run here")
+
+
+@pytest.mark.parametrize("batch", [1, 4, 100])
+def test_default_model_keys_every_layer_by_word_lookup(monkeypatch, batch):
+    # n = 2 with 8-bit codes, uint8 into layer 0 and int8 after: every layer's
+    # keys come from one lookup of each chunk's 16-bit word, none by shift and mask
+    model = compile_model(default_float_model(seed=batch))
+    engine = MpuEngine(model)
+    u = np.random.default_rng(batch).integers(0, 256, size=(batch, model.input_len))
+    u[0, :2] = 0, 255
+    want = reference_logits(model, u)  # oracle first
+    monkeypatch.setattr(muxnet.mpu, "_shift_keys", refuse)
+    assert np.array_equal(engine.forward(u), want)
+
+
+def test_a_wide_layer_fed_one_byte_codes_keys_by_shift_and_mask(monkeypatch):
+    # validate lets a 16-bit layer follow an 8-bit one, whose int8 codes lack the
+    # sign-extension bits 8..15 of a 16-bit code: a byte pair would read the next
+    # activation's bits in their place, so k > 8 takes the shift/mask step
+    codes = np.random.default_rng(12).integers(-16, 16, size=(6, 10))
+    idx = pack_rows(codes, 2, 5)
+    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=16, activation_signed=True)
+    acts = np.random.default_rng(13).integers(-128, 128, size=(17, 10)).astype(np.int8)
+    acts[0], acts[1], acts[2, ::2] = -1, -128, -1
+    want = acts.astype(np.int64) @ codes.T  # oracle first
+    monkeypatch.setattr(muxnet.mpu, "_word_keys", refuse)
+    for p in FUSE_DEPTHS:
+        assert np.array_equal(pe_forward(stage_rows(idx, cfg, T5, p=p), acts), want), p
+
+
+@pytest.mark.parametrize("dtype, other", [(np.int8, "_shift_keys"), (np.int16, "_word_keys")])
+def test_non_contiguous_activations_are_exact_on_both_key_paths(monkeypatch, dtype, other):
+    # a strided, a Fortran-order and a reversed view, taken 5 cases per tile
+    codes = np.random.default_rng(14).integers(-16, 16, size=(6, 10))
+    idx = pack_rows(codes, 2, 5)
+    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=8, activation_signed=True)
+    acts = np.random.default_rng(15).integers(-128, 128, size=(17, 10))
+    acts[0], acts[1] = -128, 127
+    want = acts @ codes.T  # oracle first
+    wide = np.zeros((17, 20), dtype=dtype)
+    wide[:, 1::2] = acts
+    views = [wide[:, 1::2], np.asfortranarray(acts.astype(dtype)), acts[::-1].astype(dtype)[::-1]]
+    monkeypatch.setattr(muxnet.mpu, other, refuse)
+    for p in FUSE_DEPTHS:
+        rows = stage_rows(idx, cfg, T5, p=p)
+        monkeypatch.setattr(muxnet.mpu, "GATHER_ELEMS", 5 * (8 // p) * 5 * 6)
+        for view in views:
+            assert not view.flags.c_contiguous
+            assert np.array_equal(pe_forward(rows, view), want), (p, view.strides)
+
+
+def test_engines_share_one_cached_word_table(monkeypatch):
+    # the tables are built once per (p, groups) in a process, not per engine:
+    # the default model's p = 4 and p = 2 layers take 128 KiB and 256 KiB
+    seen = []
+    cached = muxnet.mpu._word_keys
+
+    def spy(p, groups):
+        seen.append(cached(p, groups))
+        return seen[-1]
+
+    monkeypatch.setattr(muxnet.mpu, "_word_keys", spy)
+    model = compile_model(default_float_model(seed=3))
+    u = np.random.default_rng(3).integers(0, 256, size=(2, model.input_len))
+    MpuEngine(model).forward(u)
+    first, seen[:] = seen[:], []
+    MpuEngine(model).forward(u)
+    assert len(seen) == len(model.layers)
+    assert all(a is b for a, b in zip(first, seen))
+    distinct = {id(t): t for t in seen}.values()
+    assert sorted(t.nbytes for t in distinct) == [128 << 10, 256 << 10]
+    assert all(t.dtype == np.uint8 and not t.flags.writeable for t in distinct)

@@ -6,12 +6,15 @@ Each root is a checkout holding ``src/muxnet`` (for example one unpacked
 with ``git archive``).  Both packages are copied into a temporary directory
 as ``muxnet_a`` (BASE_ROOT) and ``muxnet_b`` (CHANGE_ROOT) and imported side
 by side; each compiles the default float model of ``--seed`` with its own
-compiler.  It checks that both sides return the same logits at batch 1
-and 100, that both trees' ``synthetic_source`` draw the same samples and
-labels for the benchmark's 3600 s signal of ``--seed``, and that
+compiler.  It checks that both sides return the same logits at batch 1,
+4 and 100 and the same class for one real-valued segment, that both
+trees' ``synthetic_source`` draw the same samples and labels for the
+benchmark's 3600 s signal of ``--seed``, and that
 ``run_closed_loop`` on one loop window (the first eighth of each tree's own
 signal, triggering on class 4) writes byte-identical run logs.  Then it
-times ``engine.forward`` at batch 1, then at batch 100, then that loop
+times ``engine.forward`` at batch 1, 4 and 100, then
+``pipeline.classify_segment`` of that segment (the batch-1 call whose
+median the benchmark reports as ``decision_ms_p50``), then that loop
 window, then ``MpuEngine(model)``, then ``compile_model`` of the
 1280-input checkpoint of ``--seed``, then one sweep window (``--rounds``
 rounds each, in thread CPU time), strictly alternating which side goes
@@ -51,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-BATCHES = (1, 100)
+BATCHES = (1, 4, 100)
 SWEEP = [(length, conv_m) for length in (320, 640, 1280) for conv_m in (10, 6)]
 
 
@@ -62,7 +65,7 @@ def load(root: Path, name: str, into: Path):
         raise SystemExit(f"ab_forward: no muxnet package under {root / 'src'}")
     shutil.copytree(package, into / name, ignore=shutil.ignore_patterns("__pycache__"))
     return [importlib.import_module(f"{name}.{module}")
-            for module in ("compiler", "engine", "frontend", "quantizer")]
+            for module in ("compiler", "engine", "frontend", "pipeline", "quantizer")]
 
 
 def timed(fn, *args) -> tuple[float, int]:
@@ -105,9 +108,10 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sides, frontends, sweeps, compiles, inits = {}, {}, {}, {}, {}
+        sides, frontends, pipelines, sweeps, compiles, inits = {}, {}, {}, {}, {}, {}
         for name, root in (("a", args.base), ("b", args.change)):
-            compiler, engine, frontends[name], quantizer = load(root.resolve(), f"muxnet_{name}", Path(tmp))
+            compiler, engine, frontends[name], pipelines[name], quantizer = load(
+                root.resolve(), f"muxnet_{name}", Path(tmp))
             model = compiler.compile_model(compiler.default_float_model(seed=args.seed))
             sides[name] = (engine.MpuEngine, model)
             wide = compiler.default_float_model(seed=args.seed, input_len=1280)
@@ -128,6 +132,10 @@ def main(argv: list[str] | None = None) -> int:
         for b, u in inputs.items():
             if not np.array_equal(engines["a"].forward(u), engines["b"].forward(u)):
                 raise SystemExit(f"ab_forward: the two trees disagree on the logits at batch {b}")
+        segment = rng.uniform(-1, 1, size=model.input_channels * model.input_len)
+        classify = {name: (pipelines[name].classify_segment, engines[name], segment) for name in sides}
+        if len({fn(*args) for fn, *args in classify.values()}) != 1:
+            raise SystemExit("ab_forward: the two trees classify the segment differently")
 
         loop_cfgs = {name: f.LoopConfig(stim=(f.StimChannelConfig(trigger_classes=(4,)),))
                      for name, f in frontends.items()}
@@ -149,6 +157,7 @@ def main(argv: list[str] | None = None) -> int:
 
         calls = {f"forward b={b}": {name: (engines[name].forward, u) for name in sides}
                  for b, u in inputs.items()}
+        calls["classify b=1"] = classify
         calls["loop window"] = loops
         calls["init"] = {name: (cls, m) for name, (cls, m) in sides.items()}
         calls["compile 1280"] = compiles
