@@ -11,9 +11,9 @@ Integer conventions, shared by the engine and the reference path:
 * weight codes are signed m-bit, chosen per output channel (conv) or per
   layer (linear) by grid search over pre-scales; each layer's codes are
   quantized once, a block of rows at a time, straight into a zeroed array
-  padded to whole chunks and held at their width (int8 up to m = 8, else
-  int16; int64 past 16 bits), from which the line indices are packed and
-  the folded bias and accumulator bounds are summed;
+  padded to whole chunks and held in the narrowest integer dtype of the
+  signed m-bit range, from which the line indices are packed and the
+  folded bias and accumulator bounds are summed;
 * the first layer consumes unsigned 8-bit samples with zero point 128; the
   zero point is folded into the integer bias, so the accumulator works on
   raw samples;
@@ -49,6 +49,7 @@ from .quantizer import (
     activation_range,
     choose_prescale,
     default_prescale_grid,
+    narrowest,
     round_half_away,
 )
 from .static_table import check_mode, pack_line_index, unpack_line_codes
@@ -416,8 +417,7 @@ def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> Co
 
         # codes at their width, pads zero, quantized a block of rows at a time
         chunks = math.ceil(fan_in / cfg.n)
-        width = np.int8 if m <= 8 else np.int16 if m <= 16 else np.int64
-        codes = np.zeros((layer.out_channels, chunks * cfg.n), dtype=width)
+        codes = np.zeros((layer.out_channels, chunks * cfg.n), dtype=narrowest(*activation_range(m, True)))
         step = max(1, SEARCH_BLOCK_ELEMS // fan_in)
         for r in range(0, layer.out_channels, step):
             block = w2d[r:r + step]

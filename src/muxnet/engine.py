@@ -33,7 +33,7 @@ cases, and each layer's counters take one ``pe_forward`` call per forward.
 from __future__ import annotations
 
 from dataclasses import asdict
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .compiler import ACT_RELU, KIND_CONV1D, CompiledLayer, CompiledModel
 from .costmodel import predict_model_costs
 from .errors import ShapeError
 from .mpu import CycleCount, MpuConfig, StageRows, Tables, _integers, pe_forward, stage_rows
-from .quantizer import activation_range
+from .quantizer import activation_range, narrowest
 from .static_table import build_static_table, decompose_table
 
 
@@ -62,22 +62,15 @@ def _patch_index(channels: int, length: int, kernel: int, stride: int, time_majo
     return index
 
 
-@cache
-def _width(lo: int, hi: int) -> np.dtype:
-    """Narrowest integer dtype that holds [lo, hi]."""
-    return next(d for d in map(np.dtype, (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.int64))
-                if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
-
-
 def _requant_step(layer: CompiledLayer) -> tuple[np.ndarray, int, int, np.dtype]:
     """A requantizing layer's constants: the offset ``bias_q * mult + 2**(shift-1)``, so that
     ``(acc * mult + offset) >> shift`` is ``(acc + bias_q) * mult`` rounded half up in one
     pass fewer (``acc * mult``, the offset and their sum each stay within the reach that
     ``compiler.validate`` bounds below 2**63); the clamp; and the dtype that holds it, in
     which the codes are handed on."""
-    lim = 1 << (layer.activation_bits - 1)
-    lo = 0 if layer.activation == ACT_RELU else -lim
-    return layer.bias_q * layer.mult + (1 << (layer.shift - 1)), lo, lim - 1, _width(lo, lim - 1)
+    lo, hi = activation_range(layer.activation_bits, True)
+    lo = 0 if layer.activation == ACT_RELU else lo
+    return layer.bias_q * layer.mult + (1 << (layer.shift - 1)), lo, hi, narrowest(lo, hi)
 
 
 class MpuEngine:
@@ -116,7 +109,7 @@ class MpuEngine:
         self._row_widths = [c * t for c, t in shapes[1:]]  # each layer's output row
         first = self.rows[0].cfg
         self._input_range = activation_range(first.activation_bits, first.activation_signed)
-        self._input_width = _width(*self._input_range)
+        self._input_width = narrowest(*self._input_range)
         self._requant = [_requant_step(layer) if layer.requant else None for layer in model.layers]
 
     def _finish_layer(self, li: int, acc: np.ndarray) -> np.ndarray:
@@ -133,8 +126,8 @@ class MpuEngine:
     def forward(self, u: np.ndarray) -> np.ndarray:
         """Integer logits; u is (V,) or (batch, V) in the first layer's domain.
 
-        ValueError if a value lies outside layer 0's activation range, which
-        the datapath would otherwise mask to its low bits.
+        ValueError if a value is not a whole number, or lies outside layer 0's
+        activation range, which the datapath would otherwise mask to its low bits.
         """
         u = _integers(u)
         squeeze = u.ndim == 1

@@ -27,6 +27,7 @@ import numpy as np
 from .engine import MpuEngine
 from .errors import BadArtifact, CorruptArtifact, LoopConfigError
 from .pipeline import VotingConfig, classify_segment, epoch_stage
+from .quantizer import activation_range, narrowest
 
 
 def exact_seconds(value) -> Fraction:
@@ -87,8 +88,8 @@ def cic_decimate(x: np.ndarray, cfg: CicConfig) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype.kind not in "iu":
         raise ValueError(f"CIC input must be integers, got {x.dtype}")
-    lim = 1 << (cfg.input_bits - 1)
-    if x.size and (int(x.min()) < -lim or int(x.max()) >= lim):
+    lo, hi = activation_range(cfg.input_bits, True)
+    if x.size and (int(x.min()) < lo or int(x.max()) > hi):
         raise ValueError(f"samples exceed {cfg.input_bits}-bit input range")
     # mod-2**64 arithmetic contains mod-2**W for every W <= 64, so wrapping
     # is free until the final mask
@@ -317,10 +318,10 @@ def synthetic_source(
     epochs = int(seconds / epoch_seconds)
     rate = cfg.input_rate_hz
     n_epoch = int(epoch_seconds * rate)
-    lim = 1 << (cfg.cic.input_bits - 1)
-    amp = 0.4 * lim
+    lo, hi = activation_range(cfg.cic.input_bits, True)
+    amp = 0.4 * (hi + 1)
     t = np.arange(n_epoch) / rate
-    samples = np.empty(epochs * n_epoch, dtype=np.min_scalar_type(-lim))
+    samples = np.empty(epochs * n_epoch, dtype=narrowest(lo, hi))
     labels: list[int] = []
     for out in samples.reshape(epochs, n_epoch):
         stage = int(rng.integers(class_count))
@@ -328,7 +329,7 @@ def synthetic_source(
         tone = np.sin(2 * np.pi * (1.0 + 2.0 * stage) * t + rng.uniform(0, 2 * np.pi))
         noise = rng.normal(0.0, 0.3, size=n_epoch)
         # a rounded value clips to the same whole number before the cast as after
-        np.clip(np.round(amp * (0.7 * tone + noise)), -lim, lim - 1, out=out, casting="unsafe")
+        np.clip(np.round(amp * (0.7 * tone + noise)), lo, hi, out=out, casting="unsafe")
     return samples, labels
 
 
@@ -343,8 +344,8 @@ def write_signal(path, samples: np.ndarray, rate_hz: int, bits: int = 16, channe
     if not 1 <= bits <= 32:
         raise ValueError(f"signal bits must be in 1..32, got {bits}")
     s = np.asarray(samples)
-    lim = 1 << (bits - 1)
-    if s.size and (int(s.min()) < -lim or int(s.max()) >= lim):
+    lo, hi = activation_range(bits, True)
+    if s.size and (int(s.min()) < lo or int(s.max()) > hi):
         raise ValueError(f"samples outside the declared signed {bits}-bit range")
     with open(path, "wb") as fh:
         fh.write(_SIGNAL_HEADER.pack(SIGNAL_MAGIC, SIGNAL_VERSION, rate_hz, bits, channels, s.size))
@@ -372,7 +373,7 @@ def read_signal(path) -> tuple[np.ndarray, int, int, int]:
         samples = np.empty(count, dtype=f"<i{width}")
         if fh.readinto(samples) != samples.nbytes:  # the file shrank after the size check
             raise CorruptArtifact("signal payload ended early")
-    lim = 1 << (bits - 1)
-    if samples.size and (int(samples.min()) < -lim or int(samples.max()) >= lim):
+    lo, hi = activation_range(bits, True)
+    if samples.size and (int(samples.min()) < lo or int(samples.max()) > hi):
         raise BadArtifact(f"samples outside the declared signed {bits}-bit range")
     return samples, rate, bits, channels

@@ -62,7 +62,7 @@ import numpy as np
 
 from .costmodel import datapath_cost
 from .errors import AccumulatorOverflow, BadLineIndex, ModeMismatch, ShapeError
-from .quantizer import QuantizedWeightVector, activation_range
+from .quantizer import QuantizedWeightVector, activation_range, narrowest
 from .static_table import DecomposedTable, StaticTable, pack_line_index, split_line_index
 
 Tables = StaticTable | DecomposedTable
@@ -137,8 +137,8 @@ class PlmuState:
 
     def add(self, value: int) -> int:
         acc = self.accumulator + value
-        limit = 1 << (self.width - 1)
-        if not -limit <= acc < limit:
+        lo, hi = activation_range(self.width, True)
+        if not lo <= acc <= hi:
             raise AccumulatorOverflow(
                 f"PLMU accumulator {acc} exceeds declared width {self.width}"
             )
@@ -273,11 +273,7 @@ def bitserial_inner_product(
 
 def sum_dtype(terms: int, max_abs: int) -> np.dtype:
     """Narrowest of int16, int32, int64 that ``terms`` entries of magnitude <= ``max_abs`` cannot overflow."""
-    return _narrowest(terms * max_abs, (np.int16, np.int32))
-
-
-def _narrowest(max_abs: int, dtypes: tuple = (np.int8, np.int16, np.int32)) -> np.dtype:
-    return np.dtype(next((d for d in dtypes if max_abs <= np.iinfo(d).max), np.int64))
+    return narrowest(-terms * max_abs, terms * max_abs, np.int16)
 
 
 @dataclass(frozen=True)
@@ -289,25 +285,25 @@ class StageRows:
     its n activations carry the p-bit fields ``f_i`` of one plane group, keyed
     field-major as ``key = sum(f_i << (i*p))``: the selected line's entries for
     those p planes, shifted into place and added.  A signed layer has the same
-    for the group holding its MSB plane, with that plane subtracted, from row
-    ``top`` on; ``top`` is 0 for an unsigned layer.  ``rows`` is row-major, so
-    one key reads one contiguous run of ``outputs`` entries.  ``sum_dtype``, the
-    narrowest of int16/int32/int64 for the sum over chunks, is proven per chunk:
-    no group's sum for output ``o`` exceeds (2**p - 1) times the sum over chunks
-    of that chunk's largest p=1 |entry| (``stage_rows``).
+    for the group holding its MSB plane, with that plane subtracted, after the
+    others.  ``rows`` is row-major, so one key reads one contiguous run of
+    ``outputs`` entries.  ``sum_dtype``, the narrowest of int16/int32/int64 for
+    the sum over chunks, is proven per chunk: no group's sum for output ``o``
+    exceeds (2**p - 1) times the sum over chunks of that chunk's largest p=1
+    |entry| (``stage_rows``).
 
     The kernel's key constants are built with the rows, in the key dtype (int32
     when it holds the k activation bits and every row, else int64): ``base``
-    holds each group's first row per chunk, ``c << (n*p)``, from row ``top`` on
-    for the MSB group, and ``shifts`` each plane group's lowest plane g*p, which
-    only the shift/mask keys read (a word lookup's table holds the shifts).
+    holds each group's first row per chunk, ``c << (n*p)``, past the other
+    groups' rows for a signed layer's MSB group, and ``shifts`` each plane
+    group's lowest plane g*p, which only the shift/mask keys read (a word
+    lookup's table holds the shifts).
     """
 
     cfg: MpuConfig
     tables: Tables
     p: int
-    rows: np.ndarray  # (chunks << (n*p) + top, outputs); narrowest dtype holding the range
-    top: int  # first row of the MSB group's rows: chunks << (n*p) if signed, else 0
+    rows: np.ndarray  # ((1 + signed) * chunks << (n*p), outputs); narrowest dtype holding the range
     sum_dtype: np.dtype
     shifts: np.ndarray  # (groups, 1, 1) g*p, in the key dtype
     base: np.ndarray  # (groups, chunks, 1) in the key dtype; (groups, chunks, cases) case-wise
@@ -359,10 +355,9 @@ def stage_rows(
     # a depth-d entry adds p=1 entries weighted +-2**j, j < d: at most magnitude * (2**d - 1)
     magnitude = max(-int(lines.min()), int(lines.max())) if lines.size else 0
 
-    def row_bytes(depth: int) -> int:
-        copies = 2 if signed else 1  # plus the MSB group's rows
-        dtype = _narrowest(magnitude * ((1 << depth) - 1))
-        return copies * ((chunks * outputs) << (n * depth)) * dtype.itemsize
+    def row_bytes(depth: int) -> int:  # a signed layer adds its MSB group's rows
+        bound = magnitude * ((1 << depth) - 1)
+        return (1 + signed) * ((chunks * outputs) << (n * depth)) * narrowest(-bound, bound).itemsize
 
     if p is None:
         p = next(d for d in FUSE_DEPTHS
@@ -373,7 +368,7 @@ def stage_rows(
     max_abs = magnitude * ((1 << p) - 1)
     # row-major in the final dtype from the start: a depth-2q entry and the hi << q
     # in it are within magnitude * (2**(2q) - 1) <= max_abs, so doubling cannot wrap
-    rows = np.ascontiguousarray(lines.transpose(1, 2, 0), dtype=_narrowest(max_abs))[None]
+    rows = np.ascontiguousarray(lines.transpose(1, 2, 0), dtype=narrowest(-max_abs, max_abs))[None]
     sums = sum_dtype(chunks, max_abs)
     if sums != np.int16:
         # a depth-p entry of chunk c, the MSB group's too, adds p=1 entries of that
@@ -388,14 +383,13 @@ def stage_rows(
     while q < p:
         rows = _double(rows, n, q)
         q <<= 1
-    span = chunks << (n * p)
+    span, groups = chunks << (n * p), k // p
     resident = _frozen(rows.reshape(len(rows) * span, outputs))
-    top, groups = span if signed else 0, k // p
     # the key arithmetic is the kernel's hot loop: int32 whenever it holds the k bits and every row
-    kdt = np.int32 if k < 32 and len(resident) < 1 << 31 else np.int64
+    kdt = narrowest(0, max(1 << min(k, 63), len(resident)) - 1, np.int32)  # int64 holds any input's bits
     base = np.repeat(np.arange(chunks, dtype=kdt)[None, :, None] << (n * p), groups, axis=0)
-    base[-1] += top
-    return StageRows(cfg=cfg, tables=tables, p=p, rows=resident, top=top, sum_dtype=sums,
+    base[-1] += span if signed else 0  # a signed layer's MSB-group rows follow the others
+    return StageRows(cfg=cfg, tables=tables, p=p, rows=resident, sum_dtype=sums,
                      shifts=_frozen(np.arange(groups, dtype=kdt)[:, None, None] * p), base=_frozen(base))
 
 
@@ -415,8 +409,8 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
     the rows' ``base`` (a case-wise base sliced with the tile); one gather of
     resident rows through the chunk-major view of those keys; a sum over
     chunks in ``sum_dtype``; and a Horner merge of the groups, highest first
-    (``acc <<= p; acc += sum``), into the tile's rows of the result.  The MSB
-    group's base starts at row ``top``, so a signed layer's MSB group reads
+    (``acc <<= p; acc += sum``), into the tile's rows of the result.  A signed
+    layer's MSB group's base starts past the other rows, so that group reads
     the rows that subtract its MSB plane.
 
     Where a chunk's activations are one 16-bit word (n = 2 one-byte codes)
@@ -481,9 +475,16 @@ def _shift_keys(rows: StageRows, acts: np.ndarray) -> np.ndarray:
 
 
 def _integers(a) -> np.ndarray:
-    """``a`` as it is if it holds integers (the kernel reads its low bits in any width), else int64."""
+    """``a`` as it is if it holds integers (the kernel reads its low bits in any width), else its
+    int64 copy, which must equal it: ValueError names a value such as 0.5, nan or 2**63."""
     a = np.asarray(a)
-    return a if a.dtype.kind in "iu" else a.astype(np.int64)
+    if a.dtype.kind in "iu":
+        return a
+    with np.errstate(invalid="ignore"):  # nan, inf and floats past int64 cast to values unlike them
+        v = a.astype(np.int64)
+    if (v != a).any():
+        raise ValueError(f"value {a[v != a].flat[0]} is not an integer within int64")
+    return v
 
 
 def batch_inner_product(
@@ -511,7 +512,7 @@ def batch_inner_product(
 def pe_forward(rows: StageRows, activations: np.ndarray, counters: CycleCount | None = None) -> np.ndarray:
     """Layer-style forward over ``stage_rows``, built once by the caller and kept resident.
 
-    activations: (chunks*n,) or (batch, chunks*n), any integer dtype.  Returns
+    activations: (chunks*n,) or (batch, chunks*n), whole numbers of any dtype.  Returns
     int64 (outputs,) or (batch, outputs): every output row sees the same
     activation vector, unless the rows carry a case-wise key base.
     """

@@ -36,11 +36,6 @@ ENUM_BUDGET_BITS = 20
 SEARCH_BLOCK_ELEMS = 1 << 16  # elements in one of choose_prescale's (scales, weights) blocks
 
 
-def code_range(m: int) -> tuple[int, int]:
-    """Inclusive [lo, hi] range of a signed m-bit two's-complement code."""
-    return -(1 << (m - 1)), (1 << (m - 1)) - 1
-
-
 def round_half_away(x):
     """Round to nearest integer with halves away from zero (symmetric in sign).
 
@@ -83,7 +78,7 @@ class QuantizedWeightVector:
     def __post_init__(self) -> None:
         if len(self.codes) == 0:
             raise ValueError("weight vector must be non-empty")
-        lo, hi = code_range(self.qparams.m)
+        lo, hi = activation_range(self.qparams.m, True)
         for c in self.codes:
             if not lo <= c <= hi:
                 raise ValueError(f"code {c} outside signed {self.qparams.m}-bit range [{lo}, {hi}]")
@@ -107,10 +102,18 @@ def activation_range(bits: int, signed: bool) -> tuple[int, int]:
     return 0, (1 << bits) - 1
 
 
+def narrowest(lo: int, hi: int, at_least=None) -> np.dtype:
+    """Narrowest integer dtype that holds [lo, hi], signed at equal width, never narrower
+    than ``at_least``.  A signed dtype holds x iff it holds -1 - x."""
+    signed, unsigned = np.min_scalar_type(min(lo, -1 - hi)), np.min_scalar_type(hi)
+    d = unsigned if lo >= 0 and unsigned.itemsize < signed.itemsize else signed
+    return d if at_least is None else np.promote_types(d, at_least)
+
+
 def _round_saturate(w, w_abs, scale, m: int, out=None) -> np.ndarray:
     """Float codes of ``w`` (``w_abs`` is ``np.abs(w)``) at a broadcast positive ``scale``:
     round half away, then saturate."""
-    lo, hi = code_range(m)
+    lo, hi = activation_range(m, True)
     q = np.divide(w_abs, scale, out=out)  # == |w / scale| exactly, as scale > 0
     q += 0.5
     np.floor(q, out=q)

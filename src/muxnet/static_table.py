@@ -6,8 +6,8 @@ m-bit two's-complement fields concatenate to ``l`` (code[0] in the least
 significant field).  Entry ``k`` of a line is the sum of the codes whose
 bit is set in key ``k``, so entry 0 is always 0.
 
-Entries are stored at full subset-sum width (m + ceil(log2 n) + 1 bits of
-headroom) rather than saturated back to m bits; downstream accumulation is
+Entries are stored in the narrowest integer dtype that holds every subset
+sum rather than saturated back to m bits; downstream accumulation is
 therefore exact and the engine-vs-MAC equivalence is provable bit for bit.
 
 A width-m table whose size 2**(n*m) is impractical is replaced by two
@@ -17,14 +17,13 @@ read unsigned; the combination reproduces the monolithic line exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
 from .errors import EnumerationTooLarge, OddSplitUnsupported
-from .quantizer import ENUM_BUDGET_BITS
+from .quantizer import ENUM_BUDGET_BITS, narrowest
 
 
 def pack_line_index(codes, m: int) -> np.ndarray:
@@ -81,11 +80,6 @@ class StaticTable:
         return 1 << self.n
 
     @property
-    def entry_width(self) -> int:
-        """Signed bit-width provisioned per entry (exact subset-sum headroom)."""
-        return self.m + math.ceil(math.log2(self.n)) + 1 if self.n > 1 else self.m + 1
-
-    @property
     def total_entries(self) -> int:
         return self.line_count * self.entries_per_line
 
@@ -119,7 +113,7 @@ def build_static_table(n: int, m: int, signed: bool = True) -> StaticTable:
     keys = np.arange(1 << n, dtype=np.int64)
     key_bits = (keys[:, None] >> np.arange(n)[None, :]) & 1  # (2**n, n)
     # each entry sums n codes under 2**m in magnitude (int8 at n = 2, m <= 6)
-    lines = (codes @ key_bits.T).astype(np.min_scalar_type(-(n << m)))
+    lines = (codes @ key_bits.T).astype(narrowest(-(n << m), (n << m) - 1))
     lines.flags.writeable = False
     return StaticTable(n=n, m=m, signed=signed, lines=lines)
 
@@ -146,10 +140,6 @@ class DecomposedTable:
     @property
     def shift(self) -> int:
         return self.lo.m
-
-    @property
-    def entries_per_line(self) -> int:
-        return self.hi.entries_per_line
 
     @property
     def total_entries(self) -> int:

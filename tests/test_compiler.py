@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import strategies as st
 
 from muxnet import compiler
@@ -17,6 +18,8 @@ from muxnet.compiler import (
     _HEADER,
     _LAYER_HEADER,
     ACT_NONE,
+    ACT_RELU,
+    KIND_CONV1D,
     BatchNormParams,
     CompileConfig,
     FloatLayer,
@@ -87,6 +90,33 @@ def test_fold_matches_direct_bn_numerically():
         a = float_forward(model, x)   # BN applied by definition
         b = float_forward(folded, x)  # folded weights only
         assert np.max(np.abs(a - b)) < 1e-6 * max(1.0, np.max(np.abs(a)))
+
+
+def test_float_forward_matches_an_independent_float_computation():
+    # the default model runs every branch of float_forward: conv with batch norm,
+    # linear layers, ReLU and the raw last layer.  The oracle cuts windows with
+    # sliding_window_view, applies batch norm by its definition and multiplies
+    # the linear layers out with @
+    model = default_float_model(seed=12, input_len=80)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        x = rng.normal(size=(1, 80))
+        v = x
+        for layer in model.layers:
+            if layer.kind == KIND_CONV1D:
+                windows = sliding_window_view(v, layer.weight.shape[2], axis=1)[:, ::layer.stride]
+                y = np.einsum("oik,itk->ot", layer.weight, windows) + layer.bias[:, None]
+                bn = {name: np.asarray(getattr(layer.bn, name))[:, None]
+                      for name in ("gamma", "beta", "mean", "var")}
+                y = bn["gamma"] * (y - bn["mean"]) / np.sqrt(bn["var"] + layer.bn.eps) + bn["beta"]
+            else:
+                y = layer.weight @ v.reshape(-1) + layer.bias
+            v = np.maximum(y, 0.0) if layer.activation == ACT_RELU else y
+        assert [layer.activation for layer in model.layers] == [ACT_RELU] * 3 + [ACT_NONE]
+        got = float_forward(model, x)
+        assert got.shape == (model.class_count,)
+        assert np.allclose(got, v, rtol=1e-12, atol=1e-12), np.max(np.abs(got - v))
+        assert got.argmax() == v.argmax()
 
 
 def test_bad_bn_params():

@@ -2,7 +2,9 @@
 
 import ast
 import math
+import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +167,26 @@ def test_input_outside_layer0_range_rejected():
             engine.forward(np.stack([np.zeros_like(u), u]))
     edges = np.stack([np.zeros(model.input_len, dtype=np.int64), np.full(model.input_len, 255)])
     assert np.array_equal(engine.forward(edges), reference_logits(model, edges))
+
+
+def test_input_that_is_not_integral_is_refused_by_name():
+    # a cast would truncate u + 0.9 to u's logits and read nan as some integer;
+    # every value that int64 does not hold exactly is refused, with no cast warning
+    model = compile_model(default_float_model(seed=0, input_len=80))
+    engine = MpuEngine(model)
+    u = np.random.default_rng(5).integers(1, 255, size=(2, model.input_len))
+    with pytest.raises(ValueError, match="is not an integer"):
+        engine.forward(u + 0.9)
+    for bad in (0.9, -0.5, 254.5, np.nan, np.inf, -np.inf, 2.0**63, -2.0**64):
+        v = u.astype(np.float64)
+        v[1, 7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"value {bad} is not an integer")):
+                engine.forward(v)
+            with pytest.raises(ValueError, match=re.escape(f"value {bad} is not an integer")):
+                engine.forward(v[1])
+    assert np.array_equal(engine.forward(u.astype(np.float64)), reference_logits(model, u))
 
 
 @pytest.mark.parametrize("bits", [8, 16])

@@ -5,6 +5,9 @@ multiplies. Keeping both routes alive is the point of every test here.
 """
 
 import io
+import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,7 +179,7 @@ def test_pe_forward_matches_matmul_oracle():
                     rows = stage_rows(idx, cfg, tables, p=p)
                     span = 5 << (2 * p)  # 5 chunks, keys of 2*p bits
                     top = span if signed else 0  # MSB group rows follow the rest
-                    assert rows.p == p and rows.top == top
+                    assert rows.p == p and rows.base[-1, 0, 0] == top
                     assert rows.rows.shape == (span + top, 6)
                     got = pe_forward(rows, acts)
                     assert np.array_equal(got, want), (m, signed, bits, p)
@@ -219,6 +222,42 @@ def test_activations_are_read_as_their_low_bits(bits, signed):
         assert np.array_equal(got, want), p
 
 
+def test_pe_forward_refuses_values_that_are_not_integers():
+    # float activations are read only where int64 holds them exactly: a cast
+    # would read 0.5 as 0 and nan or 2**63 as whatever the platform makes of them
+    rng = np.random.default_rng(41)
+    codes = rng.integers(-16, 16, size=(3, 10))
+    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=8, activation_signed=True)
+    rows = stage_rows(pack_rows(codes, 2, 5), cfg, T5)
+    acts = rng.integers(-128, 128, size=(4, 10))
+    assert np.array_equal(pe_forward(rows, acts.astype(np.float64)), acts @ codes.T)
+    for bad in (0.5, -1.25, np.nan, np.inf, -np.inf, 2.0**63, -2.0**64):
+        f = acts.astype(np.float64)
+        f[2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"value {bad} is not an integer")):
+                pe_forward(rows, f)
+            with pytest.raises(ValueError, match=re.escape(f"value {bad} is not an integer")):
+                batch_inner_product(pack_rows(np.tile(codes[:1], (4, 1)), 2, 5), f, cfg, T5)
+
+
+@pytest.mark.parametrize("bits", [32, 63, 64])
+def test_keys_widen_to_int64_past_31_bits(bits):
+    # an int32 key cannot carry bit 31 and up: every wider layer keys in int64,
+    # which holds all of an int64 activation's bits
+    codes = np.random.default_rng(bits).integers(-16, 16, size=(3, 10))
+    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=bits, activation_signed=True)
+    acts = np.random.default_rng(bits + 1).integers(-2**30, 2**30, size=(5, 10))
+    for p in FUSE_DEPTHS:
+        if bits % p == 0:
+            rows = stage_rows(pack_rows(codes, 2, 5), cfg, T5, p=p)
+            assert rows.base.dtype == rows.shifts.dtype == np.int64, p
+            assert np.array_equal(pe_forward(rows, acts), acts @ codes.T), p
+    narrow = stage_rows(pack_rows(codes, 2, 5), replace(cfg, activation_bits=31), T5, p=1)
+    assert narrow.base.dtype == np.int32
+
+
 @pytest.mark.parametrize("n, m, tables", [
     (3, 10, decompose_table(3, 10)),
     (2, 3, build_static_table(2, 3)),  # 8 * 15 = 120: int8 rows at p = 4, right under its max
@@ -245,7 +284,7 @@ def test_stage_rows_equal_a_brute_force_int64_build(n, m, tables):
         bound = n * half * ((1 << p) - 1)
         narrowest = next(d for d in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
         assert rows.rows.dtype == narrowest, (p, rows.rows.dtype)
-        assert rows.top == 2 << (n * p)
+        assert rows.base[-1, 0, 0] == 2 << (n * p)
         assert np.array_equal(rows.base[0, :, 0], np.arange(2) << (n * p))
         assert np.array_equal(rows.rows, want), p
 

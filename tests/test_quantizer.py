@@ -11,14 +11,54 @@ from muxnet.quantizer import (
     SEARCH_BLOCK_ELEMS,
     QParams,
     QuantizedWeightVector,
+    activation_range,
     bound_pass_pays,
     choose_prescale,
-    code_range,
     default_prescale_grid,
+    narrowest,
     quantization_error,
     quantize_codes,
     round_half_away,
 )
+
+
+@pytest.mark.parametrize("lo, hi, at_least, want", [
+    (0, 127, None, np.int8),  # signed at equal width
+    (-128, 127, None, np.int8),
+    (0, 255, None, np.uint8),
+    (-1, 255, None, np.int16),
+    (-129, 127, None, np.int16),
+    (0, 65535, None, np.uint16),
+    (0, 127, np.int16, np.int16),  # the floor the chunk sums take
+    (0, 255, np.int16, np.int16),
+    (-8, 7, np.int32, np.int32),  # the floor the keys take
+    (0, 2**31 - 1, np.int32, np.int32),
+    (0, 2**31, np.int32, np.int64),  # uint32 would do, but not at int32's floor
+    (0, 2**31 - 1, None, np.int32),
+    (-2**31, 2**31 - 1, None, np.int32),
+    (-2**31 - 1, 0, None, np.int64),
+    (-2**31, 2**31, None, np.int64),
+    (0, 2**32 - 1, None, np.uint32),
+    (-2**63, 2**63 - 1, None, np.int64),
+])
+def test_narrowest_picks_the_narrowest_holding_dtype(lo, hi, at_least, want):
+    assert narrowest(lo, hi, at_least) == want
+
+
+def test_narrowest_matches_a_brute_force_ladder():
+    # the first dtype, narrowest first and signed before unsigned, whose range
+    # holds [lo, hi] and at_least's range too
+    ladder = [np.dtype(d) for d in (np.int8, np.uint8, np.int16, np.uint16,
+                                    np.int32, np.uint32, np.int64, np.uint64)]
+    edges = sorted({s * ((1 << b) + d) for b in (0, 6, 7, 8, 15, 16, 31, 32, 62)
+                    for d in (-1, 0, 1) for s in (1, -1)} | {-(2**63), 2**63 - 1})
+    for at_least in (None, np.int16, np.int32):
+        floor = (np.iinfo(at_least).min, np.iinfo(at_least).max) if at_least else (0, 0)
+        for i, lo in enumerate(edges):
+            for hi in edges[i:]:
+                want = next(d for d in ladder if np.iinfo(d).min <= min(lo, floor[0])
+                            and max(hi, floor[1]) <= np.iinfo(d).max)
+                assert narrowest(lo, hi, at_least) == want, (lo, hi, at_least)
 
 
 def test_round_half_away_symmetry():
@@ -175,7 +215,7 @@ def assert_matches_the_scalar_loop(monkeypatch, w, m, grid):
             assert choose_prescale(w, m, grid) == want, (w, m, grid, shortlist)
     # the loop's errors follow the rounding rule as ``round_half_away`` spells it
     # out, so a broken rounding helper cannot pass by breaking the oracle too
-    lo, hi = code_range(m)
+    lo, hi = activation_range(m, True)
     for s in np.ravel(grid):
         r = w - s * np.clip(round_half_away(w / s), lo, hi)
         assert quantization_error(w, m, s) == float(np.dot(r, r)), (w, m, s)

@@ -124,10 +124,11 @@ def test_entry_zero_always_zero():
 
 def test_entry_width_covers_extremes():
     table = build_static_table(2, 3)
-    lim = 1 << (table.entry_width - 1)
-    assert table.lines.min() >= -lim and table.lines.max() < lim
+    # two codes in [-4, 3] sum to [-8, 6]: the stored dtype holds both ends
+    info = np.iinfo(table.lines.dtype)
+    assert info.min <= -8 and 6 <= info.max and table.lines.dtype == np.int8
     # the all-(-4) line actually reaches -8, needing the extra sum bit
-    assert table.lines.min() == -8
+    assert table.lines.min() == -8 and table.lines.max() == 6
 
 
 def test_enumeration_budget():
