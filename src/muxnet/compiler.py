@@ -376,8 +376,10 @@ def _accumulator_bounds(codes: np.ndarray, bias_q: np.ndarray, u_lo: int, u_hi: 
 def _requant_constants(ratios: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-channel 32-bit multipliers plus the shared right shift.
 
-    The shift is set by the largest ratio so every multiplier stays below
-    2**32; mult/2**shift approximates each ratio to float precision.
+    The shift is set by the largest ratio r: r * 2**shift is below 2**31
+    (below 2**30 where its rounding would reach 2**31), so every multiplier
+    rounds to at most 2**31 - 1, inside its u32 field; mult/2**shift
+    approximates each ratio to float precision.
     """
     r = np.asarray(ratios, dtype=np.float64)
     if not np.all(np.isfinite(r)) or np.any(r < 0) or not np.any(r > 0):
@@ -388,10 +390,7 @@ def _requant_constants(ratios: np.ndarray) -> tuple[np.ndarray, int]:
         shift -= 1
     if shift < 1:
         raise ValueError(f"requant ratio {r.max()} too large to represent")
-    mult = np.rint(r * float(1 << shift)).astype(np.int64)
-    if np.any(mult >= (1 << 32)):
-        raise ValueError("requant multiplier overflows 32 bits")
-    return mult, shift
+    return np.rint(r * float(1 << shift)).astype(np.int64), shift
 
 
 def compile_model(model: FloatModel, cfg: CompileConfig = CompileConfig()) -> CompiledModel:

@@ -19,17 +19,18 @@ weights, so an engine builds a layer's rows once: the selected lines
 (``DecomposedTable.select`` combines a decomposed table's hi and lo lines
 there), laid out chunk-major, then fused over p activation bit-planes by
 doubling, so one gather per chunk returns the shift-added sum of p planes.
-A signed layer keeps its MSB group's rows, which subtract the MSB plane,
-after the others in one array, at every p.  The key constants that depend
-only on the layer (each group's plane shift, and its first row per chunk,
-the MSB group's from the signed rows on) are built with the rows too, so
-a call derives nothing from the layer.  Cases are independent, so the
-kernel takes them in tiles of at most GATHER_ELEMS gathered entries, with
-every plane group in each tile: it keys every group, adds the base, makes
-one gather and one chunk sum, and merges the groups Horner-style, highest
-first, into the tile's rows of one preallocated int64 result (shift by p,
-add the next group's sum): each partial value is the inner product with
-the activations' low planes cleared, an in-range code, so it is exact
+A layer has one set of rows, signed or not: the kernel reads a signed
+layer's activations as offset binary (``StageRows``).  The key constants
+that depend only on the layer (each group's plane shift, each chunk's
+first row, the top group's key flip and the merge's start) are built with
+the rows too, so a call derives nothing from the layer.  Cases are
+independent, so the kernel takes them in tiles of at most GATHER_ELEMS
+gathered entries, with every plane group in each tile: it keys every
+group, adds the base, makes one gather and one chunk sum, and merges the
+groups Horner-style, highest first, into the tile's rows of one
+preallocated int64 result (the top group's sum plus the start, then shift
+by p, add the next group's sum): each partial value is the inner product
+with the activations' low planes cleared, an in-range code, so it is exact
 wherever the result is.  As in the paper's stage 2, whose select lines
 are the chunk's activation bits, a chunk of two one-byte codes holding all
 k bits is one 16-bit word, and every group's key is one lookup of that
@@ -39,7 +40,8 @@ by shift and mask (``_shift_keys``).  A call's transients are bounded by
 the tile whatever the batch; only the result grows with it.
 ``batch_inner_product`` builds p=1 rows per call, one output over every
 (case, chunk), and keys each case to its own chunks through a case-wise key
-base.  The scalar path selects each half on its own.
+base and start.  The scalar path selects each half on its own and, as the
+PLMU does, subtracts the MSB plane.
 
 The scalar path counts its selects one by one as it makes them;
 ``pe_forward`` adds ``costmodel.datapath_cost`` to its counters,
@@ -284,29 +286,34 @@ class StageRows:
     ``rows[(c << (n*p)) + key, o]`` is what output ``o`` adds for chunk ``c`` when
     its n activations carry the p-bit fields ``f_i`` of one plane group, keyed
     field-major as ``key = sum(f_i << (i*p))``: the selected line's entries for
-    those p planes, shifted into place and added.  A signed layer has the same
-    for the group holding its MSB plane, with that plane subtracted, after the
-    others.  ``rows`` is row-major, so one key reads one contiguous run of
-    ``outputs`` entries.  ``sum_dtype``, the narrowest of int16/int32/int64 for
-    the sum over chunks, is proven per chunk: no group's sum for output ``o``
-    exceeds (2**p - 1) times the sum over chunks of that chunk's largest p=1
-    |entry| (``stage_rows``).
+    those p planes, shifted into place and added.  Every plane group reads these
+    rows, a signed layer's MSB group too: the kernel reads a signed k-bit
+    activation ``u`` as offset binary, ``u + 2**(k-1)``, which is ``u`` with bit
+    k-1 flipped, so the top group's keys are XORed with ``flip`` (bit p-1 of
+    every field; 0 unsigned), and the Horner merge starts from ``start``,
+    ``-(sum(code) << (p-1))`` per output: the offset's ``-2**(k-1) * sum(code)``
+    (exact by linearity) scaled down by the ``2**(k-p)`` the merge shifts it by.
+    ``rows`` is row-major, so one key reads one contiguous run of ``outputs``
+    entries.  ``sum_dtype``, the narrowest of int16/int32/int64 for the sum over
+    chunks, is proven per chunk: no group's sum for output ``o`` exceeds (2**p - 1)
+    times the sum over chunks of that chunk's largest p=1 |entry| (``stage_rows``).
 
     The kernel's key constants are built with the rows, in the key dtype (int32
     when it holds the k activation bits and every row, else int64): ``base``
-    holds each group's first row per chunk, ``c << (n*p)``, past the other
-    groups' rows for a signed layer's MSB group, and ``shifts`` each plane
-    group's lowest plane g*p, which only the shift/mask keys read (a word
-    lookup's table holds the shifts).
+    holds each chunk's first row, ``c << (n*p)``, which every group shares, and
+    ``shifts`` each plane group's lowest plane g*p, which only the shift/mask keys
+    read (a word lookup's table holds the shifts and the flip).
     """
 
     cfg: MpuConfig
     tables: Tables
     p: int
-    rows: np.ndarray  # ((1 + signed) * chunks << (n*p), outputs); narrowest dtype holding the range
+    rows: np.ndarray  # (chunks << (n*p), outputs); narrowest dtype holding the range
     sum_dtype: np.dtype
+    flip: int  # XORed into the top group's keys: bit p-1 of every field if signed, else 0
+    start: np.ndarray  # (1, outputs) int64; (cases, 1) case-wise
     shifts: np.ndarray  # (groups, 1, 1) g*p, in the key dtype
-    base: np.ndarray  # (groups, chunks, 1) in the key dtype; (groups, chunks, cases) case-wise
+    base: np.ndarray  # (1, chunks, 1) in the key dtype; (1, chunks, cases) case-wise
 
 
 @cache
@@ -321,14 +328,20 @@ def _key_maps(n: int, q: int) -> np.ndarray:
 
 
 def _double(rows: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Depth-2q rows from depth-q ones, (copies, chunks, keys, outputs) with a signed
-    layer's MSB-group rows as copy 1: field ``hi << q | lo`` reads ``rows[:, hi] << q``
-    plus ``rows[0, lo]`` (the low planes are never the MSB), two gathers along the
-    key axis through ``_key_maps``."""
+    """Depth-2q rows from depth-q ones, (chunks, keys, outputs): field ``hi << q | lo``
+    reads ``rows[hi] << q`` plus ``rows[lo]``, two gathers along the key axis through
+    ``_key_maps``."""
     hi, lo = _key_maps(n, q)
-    out = np.take(rows << q, hi, axis=2)  # shifted before the gather: 2**(n*q) times fewer entries
-    out += np.take(rows[0], lo, axis=1)
+    out = np.take(rows << q, hi, axis=1)  # shifted before the gather: 2**(n*q) times fewer entries
+    out += np.take(rows, lo, axis=1)
     return out
+
+
+def _start(full: np.ndarray, p: int, signed: bool) -> np.ndarray:
+    """(1, outputs) int64 Horner start from (chunks, outputs) all-ones p=1 entries, each
+    chunk's code sum: ``-(sum(code) << (p-1))`` for a signed layer, 0 for an unsigned one."""
+    total = full.sum(axis=0, keepdims=True, dtype=np.int64)
+    return _frozen(-(total << (p - 1)) if signed else np.zeros_like(total))
 
 
 def stage_rows(
@@ -352,12 +365,12 @@ def stage_rows(
     else:  # (outputs, chunks, 2**n), at the table's own narrow width
         lines = np.take(tables.lines, idx, axis=0)
     n, k, signed = cfg.n, cfg.activation_bits, cfg.activation_signed
-    # a depth-d entry adds p=1 entries weighted +-2**j, j < d: at most magnitude * (2**d - 1)
+    # a depth-d entry adds p=1 entries weighted 2**j, j < d: at most magnitude * (2**d - 1)
     magnitude = max(-int(lines.min()), int(lines.max())) if lines.size else 0
 
-    def row_bytes(depth: int) -> int:  # a signed layer adds its MSB group's rows
+    def row_bytes(depth: int) -> int:
         bound = magnitude * ((1 << depth) - 1)
-        return (1 + signed) * ((chunks * outputs) << (n * depth)) * narrowest(-bound, bound).itemsize
+        return ((chunks * outputs) << (n * depth)) * narrowest(-bound, bound).itemsize
 
     if p is None:
         p = next(d for d in FUSE_DEPTHS
@@ -368,29 +381,27 @@ def stage_rows(
     max_abs = magnitude * ((1 << p) - 1)
     # row-major in the final dtype from the start: a depth-2q entry and the hi << q
     # in it are within magnitude * (2**(2q) - 1) <= max_abs, so doubling cannot wrap
-    rows = np.ascontiguousarray(lines.transpose(1, 2, 0), dtype=narrowest(-max_abs, max_abs))[None]
+    rows = np.ascontiguousarray(lines.transpose(1, 2, 0), dtype=narrowest(-max_abs, max_abs))
     sums = sum_dtype(chunks, max_abs)
     if sums != np.int16:
-        # a depth-p entry of chunk c, the MSB group's too, adds p=1 entries of that
-        # chunk weighted +-2**j, j < p: at most (2**p - 1) * peak[c, o], its largest
-        # p=1 |entry| (which fits the rows' dtype, so abs cannot wrap).  So any partial
-        # sum over chunks is within (2**p - 1) * sum_c peak[c, o], whatever the keys
-        peak = reduce(np.maximum, np.abs(rows[0]).swapaxes(0, 1))  # key slices: no short-axis reduce
+        # a depth-p entry of chunk c adds p=1 entries of that chunk weighted 2**j, j < p:
+        # at most (2**p - 1) * peak[c, o], its largest p=1 |entry| (which fits the rows'
+        # dtype, so abs cannot wrap).  So any partial sum over chunks is within
+        # (2**p - 1) * sum_c peak[c, o], whatever the keys
+        peak = reduce(np.maximum, np.abs(rows).swapaxes(0, 1))  # key slices: no short-axis reduce
         sums = sum_dtype((1 << p) - 1, int(peak.sum(axis=0, dtype=np.int64).max()))
-    if signed:
-        rows = np.concatenate([rows, -rows])  # copy 1 subtracts the MSB plane
+    start = _start(rows[:, -1], p, signed)  # the all-ones key selects each chunk's code sum
     q = 1
     while q < p:
         rows = _double(rows, n, q)
         q <<= 1
-    span, groups = chunks << (n * p), k // p
-    resident = _frozen(rows.reshape(len(rows) * span, outputs))
+    resident = _frozen(rows.reshape(chunks << (n * p), outputs))
     # the key arithmetic is the kernel's hot loop: int32 whenever it holds the k bits and every row
     kdt = narrowest(0, max(1 << min(k, 63), len(resident)) - 1, np.int32)  # int64 holds any input's bits
-    base = np.repeat(np.arange(chunks, dtype=kdt)[None, :, None] << (n * p), groups, axis=0)
-    base[-1] += span if signed else 0  # a signed layer's MSB-group rows follow the others
-    return StageRows(cfg=cfg, tables=tables, p=p, rows=resident, sum_dtype=sums,
-                     shifts=_frozen(np.arange(groups, dtype=kdt)[:, None, None] * p), base=_frozen(base))
+    flip = sum(1 << (i * p + p - 1) for i in range(n)) if signed else 0  # bit p-1 of every field
+    return StageRows(cfg=cfg, tables=tables, p=p, rows=resident, sum_dtype=sums, flip=flip, start=start,
+                     shifts=_frozen(np.arange(k // p, dtype=kdt)[:, None, None] * p),
+                     base=_frozen(np.arange(chunks, dtype=kdt)[None, :, None] << (n * p)))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -405,34 +416,36 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
     (cases, outputs) int64, preallocated.  The cases are taken in tiles of
     up to GATHER_ELEMS gathered entries, every k/p plane group at once, so a
     call's transients are bounded by the tile, not the batch.  Per tile:
-    field-major keys for all groups, laid out (groups, chunks, tile), plus
-    the rows' ``base`` (a case-wise base sliced with the tile); one gather of
-    resident rows through the chunk-major view of those keys; a sum over
-    chunks in ``sum_dtype``; and a Horner merge of the groups, highest first
-    (``acc <<= p; acc += sum``), into the tile's rows of the result.  A signed
-    layer's MSB group's base starts past the other rows, so that group reads
-    the rows that subtract its MSB plane.
+    field-major keys for all groups, laid out (groups, chunks, tile), the
+    top group's XORed with ``flip``, plus the rows' ``base`` (a case-wise
+    base and start are sliced with the tile); one gather of resident rows
+    through the chunk-major view of those keys; a sum over chunks in
+    ``sum_dtype``; and a Horner merge of the groups, highest first, from
+    the top group's sum plus a signed layer's ``start`` (``acc <<= p;
+    acc += sum``), into the tile's rows of the result.
 
     Where a chunk's activations are one 16-bit word (n = 2 one-byte codes)
     and hold all k bits (k <= 8: a one-byte code lacks the sign-extension
-    bits of a wider layer's), every group's key is one lookup of the chunk's
-    little-endian word in ``_word_keys``, with no casting copy of the
-    activations: the bits are the select lines.  Every other shape keys by
-    ``_shift_keys``.
+    bits of a wider layer's), every group's key, flip included, is one
+    lookup of the chunk's little-endian word in ``_word_keys``, with no
+    casting copy of the activations: the bits are the select lines.  Every
+    other shape keys by ``_shift_keys``.
     """
     p, n, k = rows.p, rows.cfg.n, rows.cfg.activation_bits
     cases, chunks, _ = acts.shape
     outputs = rows.rows.shape[1]
     groups = len(rows.shifts)
     case_wise = rows.base.shape[-1] > 1
-    table = _word_keys(p, groups) if n == 2 and acts.itemsize == 1 and k <= 8 else None
+    table = _word_keys(p, groups, rows.flip) if n == 2 and acts.itemsize == 1 and k <= 8 else None
     out = np.empty((cases, outputs), dtype=np.int64)
     tile = max(1, GATHER_ELEMS // max(1, groups * chunks * outputs))
     for c0 in range(0, cases, tile):
         c1 = c0 + tile
-        base = rows.base[:, :, c0:c1] if case_wise else rows.base
+        base, start = (rows.base[:, :, c0:c1], rows.start[c0:c1]) if case_wise else (rows.base, rows.start)
         if table is None:
             keys = _shift_keys(rows, acts[c0:c1])
+            if rows.flip:
+                keys[-1] ^= rows.flip
             keys += base
         else:  # (chunks, tile) words: activation 0 in the low byte
             words = np.ascontiguousarray(acts[c0:c1]).view("<u2")[..., 0].T
@@ -440,6 +453,8 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
         planes = rows.rows.take(keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.sum_dtype)
         acc = out[c0:c1]
         acc[...] = planes[-1]
+        if rows.flip:  # a cast copy, then an int64 add: one mixed-dtype broadcast add takes 3-4x as long
+            acc += start
         for plane in planes[-2::-1]:  # Horner: acc is the sum over the groups merged so far
             acc <<= p
             acc += plane
@@ -447,14 +462,16 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _word_keys(p: int, groups: int) -> np.ndarray:
+def _word_keys(p: int, groups: int, flip: int) -> np.ndarray:
     """(groups, 2**16): each plane group's field-major key for every little-endian word
     of two one-byte activations, ``key = f_0 | f_1 << p`` with ``f_i`` the p-bit field
-    of byte i from bit g*p on; uint8 up to p = 4, else uint16.  Built straight at its
-    width from each byte's fields, (groups, high byte, low byte)."""
+    of byte i from bit g*p on, the top group's XORed with ``flip``; uint8 up to p = 4,
+    else uint16.  Built straight at its width from each byte's fields, (groups, high
+    byte, low byte)."""
     dtype = np.uint8 if p <= 4 else np.uint16
     fields = (np.arange(256, dtype=dtype) >> np.arange(0, groups * p, p, dtype=dtype)[:, None]) & ((1 << p) - 1)
     keys = (fields[:, :, None] << p) | fields[:, None, :]  # f_1 from the high byte, f_0 from the low
+    keys[-1] ^= flip
     return _frozen(keys.reshape(groups, 1 << 16))  # shared by every call
 
 
@@ -505,7 +522,9 @@ def batch_inner_product(
         raise ShapeError(f"line_indices must be (cases, chunks), got {np.shape(line_indices)}")
     cases, chunks = np.shape(line_indices)
     flat = stage_rows(np.reshape(line_indices, (1, -1)), cfg, tables, p=1)
-    rows = replace(flat, base=flat.base.reshape(len(flat.base), cases, chunks).swapaxes(1, 2))
+    full = flat.rows[(1 << cfg.n) - 1::1 << cfg.n].reshape(cases, chunks)  # all-ones keys: code sums
+    rows = replace(flat, base=flat.base.reshape(1, cases, chunks).swapaxes(1, 2),
+                   start=_start(full.T, 1, cfg.activation_signed).T)
     return pe_forward(rows, activations, counters=counters)[:, 0]
 
 

@@ -310,6 +310,22 @@ def test_signal_samples_outside_declared_width_are_input_error(artifacts, tmp_pa
     assert "12-bit" in capsys.readouterr().err
 
 
+def test_signal_header_refusals_are_input_errors(artifacts, tmp_path, capsys):
+    # read_signal's header refusals reach the shell as exit 2, before the loop runs
+    _, _, compiled = artifacts
+    sig = tmp_path / "bad.muxs"
+    payload = np.zeros(512 * 30, dtype="<i2").tobytes()
+    for version, rate, bits, channels, match in ((2, 512, 16, 1, "unsupported signal version 2"),
+                                                 (1, 0, 16, 1, "non-positive signal geometry"),
+                                                 (1, 512, 16, 0, "non-positive signal geometry")):
+        sig.write_bytes(struct.pack("<4sHIHHQ", b"MUXS", version, rate, bits, channels, 512 * 30) + payload)
+        rc = main(["loop", "--model", str(compiled), "--signal", str(sig),
+                   "--out", str(tmp_path / "x.jsonl")])
+        assert rc == EXIT_INPUT, match
+        err = capsys.readouterr().err
+        assert "BadArtifact" in err and match in err
+
+
 def test_unreadable_dataset_is_input_error(artifacts, tmp_path, capsys):
     _, _, compiled = artifacts
     good = tmp_path / "good.npz"

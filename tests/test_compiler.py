@@ -724,6 +724,38 @@ def test_float_container_rejects_garbage():
         deserialize_float_model(good[:-7])
 
 
+@pytest.mark.parametrize("where, field, value, match, cause", [
+    # the .muxf header: (magic, version, layer_count, input_len, input_channels)
+    ("header", 1, 2, "unsupported checkpoint version 2", None),
+    ("header", 2, 0, "non-positive checkpoint geometry", None),
+    ("header", 3, 0, "non-positive checkpoint geometry", None),
+    ("header", 4, 0, "non-positive checkpoint geometry", None),
+    # layer 0: (kind, activation, has_bias, has_bn, stride, kernel, in_dim, out_dim)
+    ("layer", 0, 9, "layer 0: unknown kind/activation code", None),
+    ("layer", 1, 9, "layer 0: unknown kind/activation code", None),
+    ("layer", 7, 0, r"layer 0: non-positive weight shape \(0, 1, 7\)", None),
+    ("layer", 5, 0, r"layer 0: non-positive weight shape \(8, 1, 0\)", None),
+    # FloatLayer's and FloatModel's own refusals, re-raised as the reader's
+    ("layer", 4, 0, "layer 0: stride must be >= 1, got 0", UnsupportedLayer),
+    ("header", 4, 2, "conv expects 1 input channels, pipeline has 2", ShapeError),
+])
+def test_float_container_refusals_name_the_field(tmp_path, capsys, where, field, value, match, cause):
+    # every refusal of a damaged checkpoint is a BadArtifact that names what is wrong,
+    # and `muxnet compile` exits 2 on it without writing an artifact
+    good = serialize_float_model(default_float_model(seed=8))
+    fmt, at = ((compiler._FLOAT_HEADER, 0) if where == "header"
+               else (compiler._FLOAT_LAYER, compiler._FLOAT_HEADER.size))
+    bad = _patched(good, fmt, at, field, value)
+    with pytest.raises(BadArtifact, match=match) as refused:
+        deserialize_float_model(bad)
+    assert (refused.value.__cause__ is None) if cause is None else isinstance(refused.value.__cause__, cause)
+    ckpt, out = tmp_path / "bad.muxf", tmp_path / "bad.muxn"
+    ckpt.write_bytes(bad)
+    assert main(["compile", "--model", str(ckpt), "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    assert "BadArtifact" in capsys.readouterr().err
+
+
 def test_quantize_input_mapping():
     model = compile_model(default_float_model(seed=9))
     x = np.array([0.0, 1.0 / 128.0, -1.0, 5.0, -5.0])
@@ -746,6 +778,18 @@ def test_requant_constants_in_range():
         assert np.any(layer.mult >= (1 << 30))  # the max-ratio channel anchors the shift
     assert not compiled.layers[-1].requant
     assert compiled.layers[-1].out_scale is None
+
+
+def test_requant_shift_drops_one_where_the_largest_mantissa_rounds_up():
+    # 1 - 2**-33 has a 31-bit mantissa that rounds to 2**31: the shift drops by one,
+    # so the multiplier is 2**30, not 2**31, and still approximates the ratio to half a unit
+    for ratios in ([1 - 2**-33], [1 - 2**-33, 0.5, 0.0, 1e-9]):
+        mult, shift = compiler._requant_constants(np.array(ratios))
+        assert shift == 30 and mult[0] == 1 << 30 and mult.max() <= 1 << 31
+        assert np.all(np.abs(mult / 2.0**shift - ratios) <= 2.0 ** -(shift + 1))
+    # one ulp less rounds down: the shift stays at 31 - exp, the multiplier below 2**31
+    mult, shift = compiler._requant_constants(np.array([1 - 2**-31]))
+    assert shift == 31 and mult[0] == (1 << 31) - 1
 
 
 def test_first_layer_folds_zero_point():

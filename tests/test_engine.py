@@ -317,9 +317,9 @@ def test_resident_rows_take_the_deepest_fusion_that_fits():
             if p > rows.p and layer.activation_bits % p == 0:
                 deeper = stage_rows(layer.line_indices, cfg, rows.tables, p=p)
                 assert deeper.rows.nbytes > ROW_BUDGET_BYTES, (li, p)
-    # several engines stay alive at once in a compile sweep; the top rows of a
-    # signed layer share its one array and double it at every p, p = 1 included
-    assert sum(rows.rows.nbytes for rows in engine.rows) == 1_056_768
+    # several engines stay alive at once in a compile sweep; a signed layer reads
+    # its MSB group as offset binary, so it holds one set of rows, as an unsigned one does
+    assert sum(rows.rows.nbytes for rows in engine.rows) == 536_576
 
 
 @pytest.mark.parametrize("input_len, conv_m", [(320, 10), (1280, 6)])

@@ -6,6 +6,7 @@ import math
 import struct
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from muxnet.compiler import (
     compile_model,
     default_float_model,
 )
+import muxnet.frontend
 from muxnet.engine import MpuEngine
 from muxnet.errors import BadArtifact, CorruptArtifact, LoopConfigError
 from muxnet.frontend import (
@@ -461,3 +463,37 @@ def test_signal_container_rejects_damage(tmp_path):
     huge.write_bytes(data[:14] + struct.pack("<Q", 1 << 62) + data[22:])
     with pytest.raises(CorruptArtifact, match="header promises"):
         read_signal(huge)
+
+
+def _signal_header(data: bytes, field: int, value: int) -> bytes:
+    """``data`` with one field of its (magic, version, rate, bits, channels, count) header set."""
+    values = list(struct.unpack_from("<4sHIHHQ", data))
+    values[field] = value
+    return struct.pack("<4sHIHHQ", *values) + data[struct.calcsize("<4sHIHHQ"):]
+
+
+@pytest.mark.parametrize("field, value, match", [
+    (1, 2, "unsupported signal version 2"),
+    (2, 0, "non-positive signal geometry"),  # rate
+    (3, 0, "non-positive signal geometry"),  # bits
+    (3, 33, "non-positive signal geometry"),  # past the 4-byte payload
+    (4, 0, "non-positive signal geometry"),  # channels
+])
+def test_read_signal_refuses_a_bad_header_by_name(tmp_path, field, value, match):
+    path = tmp_path / "sig.muxs"
+    write_signal(path, np.arange(10), rate_hz=512)
+    path.write_bytes(_signal_header(path.read_bytes(), field, value))
+    with pytest.raises(BadArtifact, match=match):
+        read_signal(path)
+
+
+def test_read_signal_refuses_a_payload_that_ends_before_its_size_said(tmp_path, monkeypatch):
+    # the payload is read after its size is checked: a file that shrinks in between
+    # (here, one whose size reads two samples longer than it is) is refused, not short-read
+    path = tmp_path / "sig.muxs"
+    write_signal(path, np.arange(10), rate_hz=512)
+    path.write_bytes(_signal_header(path.read_bytes(), 5, 12))
+    monkeypatch.setattr(muxnet.frontend, "os", SimpleNamespace(
+        fstat=lambda fd: SimpleNamespace(st_size=path.stat().st_size + 4)))
+    with pytest.raises(CorruptArtifact, match="signal payload ended early"):
+        read_signal(path)

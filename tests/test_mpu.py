@@ -157,8 +157,9 @@ def test_batch_decomposed_matches_oracle():
 
 
 def test_pe_forward_matches_matmul_oracle():
-    # the one kernel at every fusion depth: p planes per gather, a signed
-    # layer's MSB plane subtracted in its top rows at every p
+    # the one kernel at every fusion depth: p planes per gather, one set of rows
+    # at every p, which a signed layer reads as offset binary: its top group's keys
+    # flip bit p-1 of each field, and the merge starts from -(sum(code) << (p-1))
     rng = np.random.default_rng(7)
     for tables, m in ((T5, 5), (D10, 10)):
         for signed in (True, False):
@@ -178,9 +179,11 @@ def test_pe_forward_matches_matmul_oracle():
                         continue
                     rows = stage_rows(idx, cfg, tables, p=p)
                     span = 5 << (2 * p)  # 5 chunks, keys of 2*p bits
-                    top = span if signed else 0  # MSB group rows follow the rest
-                    assert rows.p == p and rows.base[-1, 0, 0] == top
-                    assert rows.rows.shape == (span + top, 6)
+                    flip = (1 << (p - 1)) | (1 << (2 * p - 1)) if signed else 0
+                    assert rows.p == p and rows.flip == flip and rows.base.shape == (1, 5, 1)
+                    assert rows.rows.shape == (span, 6)
+                    start = -(codes.sum(axis=1) << (p - 1)) if signed else np.zeros(6)
+                    assert np.array_equal(rows.start, start[None])
                     got = pe_forward(rows, acts)
                     assert np.array_equal(got, want), (m, signed, bits, p)
                     single = pe_forward(rows, acts[1])
@@ -196,6 +199,35 @@ def test_pe_forward_matches_matmul_oracle():
                 assert np.array_equal(got, (case_codes * acts).sum(axis=1)), (m, signed, bits)
                 one = batch_inner_product(case_idx[1:2], acts[1:2], cfg, tables)
                 assert np.array_equal(one, got[1:2])
+
+
+@pytest.mark.parametrize("bits", [3, 7, 8, 16])
+@pytest.mark.parametrize("m, tables", [(5, T5), (10, D10)])
+def test_offset_binary_start_is_exact_at_the_extreme_activations(monkeypatch, bits, m, tables):
+    # a signed layer reads u + 2**(k-1): all -2**(k-1) reads as all zeros, so each
+    # result is the start alone, and all 2**(k-1) - 1 as all ones, every group's
+    # largest key; on both key paths, at every p that divides k, and with the
+    # case-wise start of batch_inner_product
+    half = 1 << (m - 1)
+    codes = np.random.default_rng(bits + m).integers(-half, half, size=(4, 10))
+    codes[0], codes[1] = -half, half - 1
+    idx = pack_rows(codes, 2, m)
+    cfg = MpuConfig(n=2, m=m, groups=8, group_vector_len=8, activation_bits=bits, activation_signed=True)
+    lo, hi = activation_range(bits, True)
+    acts = np.array([[lo] * 10, [hi] * 10])
+    want = acts @ codes.T  # oracle first
+    case_want = (codes[:2] * acts).sum(axis=1)
+    paths = [(np.int64, "_word_keys")] + ([(np.int8, "_shift_keys")] if bits <= 8 else [])
+    for dtype, other in paths:  # int64 keys by shift and mask, int8 by word lookup
+        with monkeypatch.context() as patch:
+            patch.setattr(muxnet.mpu, other, refuse)
+            x = acts.astype(dtype)
+            for p in (1, 2, 4, 8):
+                if bits % p == 0:
+                    rows = stage_rows(idx, cfg, tables, p=p)
+                    assert np.array_equal(pe_forward(rows, x), want), (dtype, p)
+            got = batch_inner_product(idx[:2], x, cfg, tables)
+            assert np.array_equal(got, case_want), dtype
 
 
 @pytest.mark.parametrize("bits", [8, 32])  # int32 keys, then int64 keys
@@ -277,15 +309,17 @@ def test_stage_rows_equal_a_brute_force_int64_build(n, m, tables):
         bits = (fields[:, :, None] >> np.arange(p)) & 1  # (keys, n, planes)
         # plane j's selected-line entry, shifted into place: (chunks, keys, outputs, planes)
         shifted = np.einsum("oci,kij->ckoj", codes, bits) << np.arange(p)
-        # the group holding the MSB plane subtracts it, at p = 1 too
-        want = [shifted.sum(axis=-1), shifted.sum(axis=-1) - 2 * shifted[..., -1]]
-        want = np.concatenate([w.reshape(-1, 4) for w in want])
+        # one set of rows for the signed layer too: it reads its MSB group as offset
+        # binary, through the flip and the start, not through rows of its own
+        want = shifted.sum(axis=-1).reshape(-1, 4)
         rows = stage_rows(idx, cfg, tables, p=p)
         bound = n * half * ((1 << p) - 1)
         narrowest = next(d for d in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
         assert rows.rows.dtype == narrowest, (p, rows.rows.dtype)
-        assert rows.base[-1, 0, 0] == 2 << (n * p)
+        assert rows.base.shape == (1, 2, 1)
         assert np.array_equal(rows.base[0, :, 0], np.arange(2) << (n * p))
+        assert rows.flip == sum(1 << (i * p + p - 1) for i in range(n))
+        assert np.array_equal(rows.start, -(codes.sum(axis=(1, 2)) << (p - 1))[None])
         assert np.array_equal(rows.rows, want), p
 
 
@@ -542,13 +576,14 @@ def test_non_contiguous_activations_are_exact_on_both_key_paths(monkeypatch, dty
 
 
 def test_engines_share_one_cached_word_table(monkeypatch):
-    # the tables are built once per (p, groups) in a process, not per engine:
-    # the default model's p = 4 and p = 2 layers take 128 KiB and 256 KiB
+    # the tables are built once per (p, groups, flip) in a process, not per engine:
+    # the default model's unsigned p = 4 layer and its signed p = 4 and p = 2
+    # layers (whose top keys flip) take 128 KiB, 128 KiB and 256 KiB
     seen = []
     cached = muxnet.mpu._word_keys
 
-    def spy(p, groups):
-        seen.append(cached(p, groups))
+    def spy(p, groups, flip):
+        seen.append(cached(p, groups, flip))
         return seen[-1]
 
     monkeypatch.setattr(muxnet.mpu, "_word_keys", spy)
@@ -560,5 +595,5 @@ def test_engines_share_one_cached_word_table(monkeypatch):
     assert len(seen) == len(model.layers)
     assert all(a is b for a, b in zip(first, seen))
     distinct = {id(t): t for t in seen}.values()
-    assert sorted(t.nbytes for t in distinct) == [128 << 10, 256 << 10]
+    assert sorted(t.nbytes for t in distinct) == [128 << 10, 128 << 10, 256 << 10]
     assert all(t.dtype == np.uint8 and not t.flags.writeable for t in distinct)

@@ -26,7 +26,11 @@ then depends on what the process freed before), then a memory row: each
 side's tracemalloc peak for the 3600 s ``synthetic_source`` call, for the
 loop window, for a batch-100 forward, and for ``compile_model`` and
 ``MpuEngine`` of the 1280-input checkpoint (each includes the call's
-result; a traced peak repeats exactly, so one call each).  A sweep window, as in
+result; a traced peak repeats exactly, so one call each); and last, for
+an engine of the default model and one of the 1280-input model, each
+side's resident stage-1 row bytes (``StageRows.rows`` summed over the
+layers) and the bytes of the distinct ``mpu._word_keys`` tables one
+batch-1 forward of that engine reads.  A sweep window, as in
 the benchmark's compile_sweep, takes the six checkpoints of ``--seed``
 (input lengths 320, 640 and 1280 times conv m 10 and 6, model ``i``
 seeded ``seed * 1000 + i``) from checkpoint to loaded engine:
@@ -65,7 +69,7 @@ def load(root: Path, name: str, into: Path):
         raise SystemExit(f"ab_forward: no muxnet package under {root / 'src'}")
     shutil.copytree(package, into / name, ignore=shutil.ignore_patterns("__pycache__"))
     return [importlib.import_module(f"{name}.{module}")
-            for module in ("compiler", "engine", "frontend", "pipeline", "quantizer")]
+            for module in ("compiler", "engine", "frontend", "mpu", "pipeline", "quantizer")]
 
 
 def timed(fn, *args) -> tuple[float, int]:
@@ -85,6 +89,23 @@ def traced_peak_mb(fn, *args) -> float:
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def word_table_bytes(mpu, engine, u: np.ndarray) -> int:
+    """Bytes of the distinct ``_word_keys`` tables that one forward of ``engine`` reads."""
+    cached, seen = mpu._word_keys, {}
+
+    def spy(*args):
+        table = cached(*args)
+        seen[id(table)] = table.nbytes
+        return table
+
+    mpu._word_keys = spy
+    try:
+        engine.forward(u)
+    finally:
+        mpu._word_keys = cached
+    return sum(seen.values())
 
 
 def sweep_window(compiler, engine_cls, cases) -> list[bytes]:
@@ -108,9 +129,9 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sides, frontends, pipelines, sweeps, compiles, inits = {}, {}, {}, {}, {}, {}
+        sides, frontends, pipelines, sweeps, compiles, inits, mpus = {}, {}, {}, {}, {}, {}, {}
         for name, root in (("a", args.base), ("b", args.change)):
-            compiler, engine, frontends[name], pipelines[name], quantizer = load(
+            compiler, engine, frontends[name], mpus[name], pipelines[name], quantizer = load(
                 root.resolve(), f"muxnet_{name}", Path(tmp))
             model = compiler.compile_model(compiler.default_float_model(seed=args.seed))
             sides[name] = (engine.MpuEngine, model)
@@ -132,6 +153,12 @@ def main(argv: list[str] | None = None) -> int:
         for b, u in inputs.items():
             if not np.array_equal(engines["a"].forward(u), engines["b"].forward(u)):
                 raise SystemExit(f"ab_forward: the two trees disagree on the logits at batch {b}")
+        resident = {}  # (row bytes, word-table bytes) of each side's default and 1280-input engine
+        for name in sides:
+            for label, eng in (("default", engines[name]), ("1280", inits[name][0](inits[name][1]))):
+                u = np.zeros(eng.model.input_channels * eng.model.input_len, dtype=np.int64)
+                resident.setdefault(label, {})[name] = (sum(r.rows.nbytes for r in eng.rows),
+                                                        word_table_bytes(mpus[name], eng, u))
         segment = rng.uniform(-1, 1, size=model.input_channels * model.input_len)
         classify = {name: (pipelines[name].classify_segment, engines[name], segment) for name in sides}
         if len({fn(*args) for fn, *args in classify.values()}) != 1:
@@ -187,6 +214,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"tracemalloc peak MB\n{'':14}{'a':>10}{'b':>10}{'b/a':>12}")
     for label, peak in peaks.items():
         print(f"{label:14}{peak['a']:10.2f}{peak['b']:10.2f}{peak['b'] / peak['a']:12.3f}")
+    print(f"resident bytes\n{'':20}{'a':>10}{'b':>10}{'b/a':>12}")
+    for label, side in resident.items():
+        for i, what in enumerate(("rows", "word tables")):
+            a, b = side["a"][i], side["b"][i]
+            print(f"{what + ' ' + label:20}{a:10}{b:10}{b / a if a else float('nan'):12.3f}")
     return 0
 
 
