@@ -377,6 +377,11 @@ def cmd_eval(args) -> int:
     if segments.ndim < 2 or 0 in segments.shape[:2]:  # no votes axis, or nothing to vote on
         raise SegmentLengthError(
             f"dataset must be (epochs, votes, samples) with epochs, votes >= 1, got {segments.shape}")
+    if segments.dtype.kind not in "biuf" or not np.isfinite(segments).all():
+        raise BadArtifact(f"dataset {args.data}: segments must be finite numbers")
+    if labels is not None and not np.isin(labels, np.arange(model.class_count)).all():
+        raise BadArtifact(
+            f"dataset {args.data}: labels must be whole numbers in [0, {model.class_count})")
     report = evaluate_dataset(engine, segments, labels, _voting(cfg, model, segments.shape[1]))
     with open(args.out, "w", newline="") as fh:
         write_report_csv(report, fh)

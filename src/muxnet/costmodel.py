@@ -1,12 +1,13 @@
 """Closed-form cost accounting: memory, MUX activity, cycles, gating.
 
 Everything here is a pure function of shapes and configuration.  The one
-per-call formula, ``datapath_cost``, is what ``predict_layer_cost`` reports
-and what the vectorized datapath adds to its live counters: ``mpu`` and
-``engine`` import this module, never the reverse.  The independent count is
-the scalar path, ``mpu.bitserial_inner_product``, which counts select by
-select; tests hold it to this formula.  Energy is abstract unit costs with
-user-supplied coefficients; silicon figures are out of scope.
+per-call formula, ``datapath_cost``, is what ``predict_model_costs`` reports
+per layer and what the vectorized datapath adds to its live counters:
+``mpu`` and ``engine`` import this module, never the reverse.  The
+independent count is the scalar path, ``mpu.bitserial_inner_product``,
+which counts select by select; tests hold it to this formula.  Energy is
+abstract unit costs with user-supplied coefficients; silicon figures are
+out of scope.
 
 Cycle accounting conventions (data-independent by construction):
 
@@ -110,32 +111,6 @@ def datapath_cost(*, n: int, m: int, decomposed: bool, outputs: int, chunks: int
     )
 
 
-def predict_layer_cost(
-    *,
-    index: int,
-    kind: str,
-    n: int,
-    mode_m: int,
-    decomposed: bool,
-    out_channels: int,
-    chunks: int,
-    cases: int,
-    groups: int,
-    group_vector_len: int,
-    activation_bits: int,
-) -> LayerCost:
-    """Data-independent cost of running one layer over ``cases`` input rows."""
-    return LayerCost(
-        index, kind, n, mode_m, decomposed, out_channels, chunks, cases,
-        *memory_cost(n, mode_m, out_channels * chunks),  # weight_bits, lut_bits
-        *datapath_cost(  # cycles, mux_selects, memory_bits_read, adder_ops
-            n=n, m=mode_m, decomposed=decomposed, outputs=out_channels, chunks=chunks,
-            cases=cases, groups=groups, group_vector_len=group_vector_len,
-            activation_bits=activation_bits,
-        ),
-    )
-
-
 def predict_model_costs(
     model: CompiledModel,
     groups: int = 8,
@@ -143,22 +118,19 @@ def predict_model_costs(
     batch: int = 1,
 ) -> list[LayerCost]:
     """Per-layer predicted costs for ``batch`` independent input samples."""
-    return [
-        predict_layer_cost(
-            index=li,
-            kind=layer.kind,
-            n=model.n,
-            mode_m=layer.mode_m,
-            decomposed=layer.decomposed,
-            out_channels=layer.out_channels,
-            chunks=layer.chunks,
-            cases=batch * length,  # one row per output position; 1 for linear
-            groups=groups,
-            group_vector_len=group_vector_len,
-            activation_bits=layer.activation_bits,
-        )
-        for li, (layer, (_, length)) in enumerate(zip(model.layers, model.shapes()))
-    ]
+    rows = []
+    for li, (layer, (_, length)) in enumerate(zip(model.layers, model.shapes())):
+        cases = batch * length  # one row per output position; 1 for linear
+        rows.append(LayerCost(
+            li, layer.kind, model.n, layer.mode_m, layer.decomposed, layer.out_channels,
+            layer.chunks, cases,
+            *memory_cost(model.n, layer.mode_m, layer.out_channels * layer.chunks),
+            *datapath_cost(n=model.n, m=layer.mode_m, decomposed=layer.decomposed,
+                           outputs=layer.out_channels, chunks=layer.chunks, cases=cases,
+                           groups=groups, group_vector_len=group_vector_len,
+                           activation_bits=layer.activation_bits),
+        ))
+    return rows
 
 
 def table_entry_count(model: CompiledModel) -> int:

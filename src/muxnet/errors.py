@@ -61,9 +61,5 @@ class SegmentLengthError(MuxnetError):
     pass
 
 
-class VoteAfterDecision(MuxnetError):
-    pass
-
-
 class LoopConfigError(MuxnetError):
     pass

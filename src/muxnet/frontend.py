@@ -24,6 +24,7 @@ from typing import IO
 
 import numpy as np
 
+from .compiler import MAX_CLASSES
 from .engine import MpuEngine
 from .errors import BadArtifact, CorruptArtifact, LoopConfigError
 from .pipeline import VotingConfig, classify_segment, epoch_stage
@@ -122,8 +123,9 @@ class StimChannelConfig:
     def __post_init__(self) -> None:
         if self.channel not in (0, 1):
             raise ValueError(f"channel must be 0 or 1, got {self.channel}")
-        if any(not 0 <= c <= 9 for c in self.trigger_classes):
-            raise ValueError(f"trigger classes must be in 0..9: {self.trigger_classes}")
+        if any(not 0 <= c < MAX_CLASSES for c in self.trigger_classes):
+            raise ValueError(
+                f"trigger classes must be in 0..{MAX_CLASSES - 1}: {self.trigger_classes}")
         if not (exact_seconds(self.pwm_freq_hz) > 0 and exact_seconds(self.duration_s) > 0):
             raise ValueError("pwm_freq_hz and duration_s must be positive")
         duty = exact_seconds(self.duty)
@@ -258,8 +260,6 @@ def run_closed_loop(
             classifications_used=result.classifications_used, votes=result.votes,
         ))
         for stim in cfg.stim:
-            if result.stage not in stim.trigger_classes:
-                continue
             if t_dec < active_until[stim.channel]:
                 continue  # previous schedule still running on this channel
             pulses = trigger_schedule(result.stage, t_dec, stim)

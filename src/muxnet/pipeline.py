@@ -11,14 +11,15 @@ thresholds are config-exposed but never a silent default.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
-from typing import Callable, IO, Iterable, Iterator
+from typing import Callable, IO, Iterable
 
 import numpy as np
 
 from .compiler import quantize_input
 from .engine import MpuEngine
-from .errors import SegmentLengthError, VoteAfterDecision
+from .errors import SegmentLengthError
 
 
 def safe_thresholds(votes_per_epoch: int, class_count: int) -> tuple[int, ...]:
@@ -55,36 +56,6 @@ def plurality_winner(counts) -> int:
     return int(np.argmax(np.asarray(counts)))
 
 
-class VoteState:
-    """Running tally for one epoch; push() returns the decision once made."""
-
-    def __init__(self, cfg: VotingConfig):
-        self.cfg = cfg
-        self.counts = [0] * cfg.class_count
-        self.cast: list[int] = []
-        self.decided: int | None = None
-        self._thresholds = cfg.effective_thresholds()
-
-    @property
-    def seen(self) -> int:
-        return len(self.cast)
-
-    def push(self, class_id: int) -> int | None:
-        if self.decided is not None:
-            raise VoteAfterDecision(f"vote after epoch decided as class {self.decided}")
-        if not 0 <= class_id < self.cfg.class_count:
-            raise ValueError(f"class id {class_id} outside [0, {self.cfg.class_count})")
-        if self.seen >= self.cfg.votes_per_epoch:
-            raise VoteAfterDecision("vote beyond votes_per_epoch")
-        self.counts[class_id] += 1
-        self.cast.append(class_id)
-        if self.counts[class_id] >= self._thresholds[class_id]:
-            self.decided = class_id
-        elif self.seen == self.cfg.votes_per_epoch:
-            self.decided = plurality_winner(self.counts)
-        return self.decided
-
-
 @dataclass(frozen=True)
 class EpochResult:
     stage: int
@@ -97,20 +68,23 @@ def epoch_stage(
     classify: Callable[[np.ndarray], int],
     cfg: VotingConfig = VotingConfig(),
 ) -> EpochResult:
-    """Stage one epoch, classifying segments lazily until the vote closes."""
-    state = VoteState(cfg)
-    stream: Iterator = iter(segments)
-    for _ in range(cfg.votes_per_epoch):
-        try:
-            segment = next(stream)
-        except StopIteration:
-            break
-        if state.push(classify(segment)) is not None:
-            break
-    if state.decided is None:  # short stream: decide on what was seen
-        state.decided = plurality_winner(state.counts)
-    return EpochResult(stage=state.decided, classifications_used=state.seen,
-                       votes=tuple(state.cast))
+    """Stage one epoch, classifying segments lazily until the vote closes.
+
+    The first class to reach its threshold wins, and no later segment is
+    pulled; otherwise the plurality of the votes seen wins, a short stream's
+    included."""
+    thresholds = cfg.effective_thresholds()
+    counts = [0] * cfg.class_count
+    cast: list[int] = []
+    for segment in itertools.islice(segments, cfg.votes_per_epoch):
+        class_id = classify(segment)
+        if not 0 <= class_id < cfg.class_count:
+            raise ValueError(f"class id {class_id} outside [0, {cfg.class_count})")
+        counts[class_id] += 1
+        cast.append(class_id)
+        if counts[class_id] >= thresholds[class_id]:
+            return EpochResult(class_id, len(cast), tuple(cast))
+    return EpochResult(plurality_winner(counts), len(cast), tuple(cast))
 
 
 def classify_segment(engine: MpuEngine, segment: np.ndarray) -> int:
@@ -160,7 +134,7 @@ def evaluate_dataset(
         lab = np.asarray(labels).reshape(-1)
         if lab.size != len(rows):
             raise SegmentLengthError(f"{lab.size} labels for {len(rows)} epochs")
-        accuracy = float(np.mean([r.stage == int(l) for r, l in zip(rows, lab)]))
+        accuracy = float(np.mean([r.stage == l for r, l in zip(rows, lab)]))
     mean_used = float(np.mean([r.classifications_used for r in rows])) if rows else 0.0
     return EvalReport(
         rows=rows,

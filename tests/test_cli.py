@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, artifacts on disk, report text."""
 
+import io
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 try:
@@ -36,7 +38,9 @@ from muxnet.compiler import (
     save_float_model,
     save_model,
 )
-from muxnet.frontend import LoopConfig, StimChannelConfig
+from muxnet.frontend import LoopConfig, StimChannelConfig, write_signal
+from muxnet.reference import decode_line_indices
+from muxnet.static_table import build_static_table, dump_table
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +106,65 @@ def test_verify_fault_injection_exits_one(capsys):
     assert sum(line.startswith("ok   ") for line in out) == 4
 
 
+def test_verify_reports_a_random_mode_counterexample(monkeypatch, capsys):
+    real, seen = muxnet.cli.batch_inner_product, {}
+
+    def off_by_one(idx, acts, cfg, tables):
+        got = real(idx, acts, cfg, tables)
+        seen[cfg.m] = (decode_line_indices(idx, cfg.n, cfg.m)[3], acts[3])
+        got[3] += 1
+        return got
+
+    monkeypatch.setattr(muxnet.cli, "batch_inner_product", off_by_one)
+    assert main(["verify", "--cases", "16"]) == EXIT_VERIFY
+    out = capsys.readouterr().out.splitlines()
+    for m, (codes, acts) in seen.items():
+        mac = int(codes @ acts)
+        at = out.index(f"FAIL random n=2 m={m} signed 8-bit after 16 cases")
+        assert out[at + 1] == (f"  counterexample: case 3: codes {codes.tolist()} "
+                               f"acts {acts.tolist()}: mux {mac + 1}, mac {mac}")
+    assert sorted(seen) == [5, 10]
+    assert sum(line.startswith("ok   ") for line in out) == 3
+
+
+def test_verify_reports_a_decomposition_counterexample(monkeypatch, capsys):
+    real, bad = muxnet.cli.build_static_table, muxnet.cli._perturbed_table(6)
+    monkeypatch.setattr(muxnet.cli, "build_static_table",
+                        lambda n, m, **kw: bad if m == 6 else real(n, m, **kw))
+    assert main(["verify", "--cases", "16"]) == EXIT_VERIFY
+    out = capsys.readouterr().out.splitlines()
+    entry = int(real(2, 6).lines[1, 1])
+    at = out.index("FAIL table decomposition vs monolithic after 16384 cases")
+    assert out[at + 1] == f"  counterexample: m=6 line 1 key 1: decomposed {entry}, monolithic {entry + 1}"
+    assert sum(line.startswith("ok   ") for line in out) == 4
+
+
+def test_verify_reports_a_cic_sample_counterexample(monkeypatch, capsys):
+    real, seen = muxnet.cli.cic_reference, []
+
+    def off_by_one(x, *geometry):
+        want = real(x, *geometry).copy()
+        seen.append(int(want[2]))
+        want[2] += 1
+        return want
+
+    monkeypatch.setattr(muxnet.cli, "cic_reference", off_by_one)
+    assert main(["verify", "--cases", "16"]) == EXIT_VERIFY
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("FAIL CIC vs moving-average reference after 16 cases")
+    assert out[at + 1] == f"  counterexample: CIC N=1 R=4 M=1 sample 2: {seen[0]} vs {seen[0] + 1}"
+    assert len(seen) == 1  # the first geometry fails, the rest are not run
+
+
+def test_verify_reports_a_cic_dc_gain_counterexample(monkeypatch, capsys):
+    real = muxnet.cli.cic_dc_gain
+    monkeypatch.setattr(muxnet.cli, "cic_dc_gain", lambda *geometry: real(*geometry) + 1)
+    assert main(["verify", "--cases", "16"]) == EXIT_VERIFY
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("FAIL CIC vs moving-average reference after 16 cases")
+    assert out[at + 1] == "  counterexample: CIC DC gain N=1 R=4 M=1: 4"  # (R * M)**N
+
+
 def test_verify_refuses_fewer_than_one_case(capsys):
     for cases in ("0", "-5"):
         assert main(["verify", "--cases", cases]) == EXIT_CONFIG
@@ -141,6 +204,38 @@ def test_loop_empty_trigger_classes(artifacts, capsys):
     assert "0 pulses" in capsys.readouterr().out
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert all(r["kind"] == "decision" for r in rows)
+
+
+def test_loop_trigger_classes_override(artifacts, capsys):
+    # every pulse train starts at a class 1 or 4 decision, and each such decision starts one
+    root, _, compiled = artifacts
+    out = root / "one-four.jsonl"
+    rc = main(["loop", "--model", str(compiled), "--synthetic", "0",
+               "--seconds", "120", "--trigger-classes", "1,4", "--out", str(out)])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    decisions = {r["t_exact"]: r["payload"]["stage"] for r in rows if r["kind"] == "decision"}
+    starts = [r["t_exact"] for r in rows if r["kind"] == "pulse_on"][::50]  # 5 s at 10 Hz
+    assert sorted(decisions.values()) == [0, 0, 0, 4]
+    assert starts == [t for t, stage in decisions.items() if stage in (1, 4)]
+    assert sum(r["kind"] == "pulse_on" for r in rows) == 50
+
+
+def test_loop_refuses_a_signal_the_config_does_not_describe(artifacts, tmp_path, capsys):
+    _, _, compiled = artifacts
+    sig = tmp_path / "sig.muxs"
+    samples = np.zeros(512 * 30, dtype=np.int16)
+    for rate, bits, channels, match in (
+            (512, 16, 2, "loop expects 1 channel, signal has 2"),
+            (256, 16, 1, "signal is 256 Hz / 16 bits, config wants 512 Hz / 16 bits"),
+            (512, 12, 1, "signal is 512 Hz / 12 bits, config wants 512 Hz / 16 bits")):
+        write_signal(sig, samples, rate, bits, channels)
+        rc = main(["loop", "--model", str(compiled), "--signal", str(sig),
+                   "--out", str(tmp_path / "x.jsonl")])
+        assert rc == EXIT_CONFIG, match
+        assert f"config error: {match}" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_loop_from_signal_file(artifacts, capsys):
@@ -219,6 +314,30 @@ def test_eval_requires_segments_key(artifacts, tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_eval_refuses_bad_data_before_scoring(artifacts, tmp_path, capsys):
+    # a NaN sample or label, or a fractional one, is the dataset's fault: exit 2, no CSV
+    _, _, compiled = artifacts
+    segments = np.zeros((3, 6, 320))
+    nan_sample = segments.copy()
+    nan_sample[1, 2, 3] = np.nan
+    data, out = tmp_path / "bad.npz", tmp_path / "x.csv"
+    for arrays, match in (
+            ({"segments": nan_sample}, "segments must be finite numbers"),
+            ({"segments": segments, "labels": np.array([0.0, np.nan, 1.0])},
+             "labels must be whole numbers in [0, 5)"),
+            ({"segments": segments, "labels": np.array([0.0, 0.5, 1.0])},
+             "labels must be whole numbers in [0, 5)"),
+            ({"segments": segments, "labels": np.array([0, 5, 1])},
+             "labels must be whole numbers in [0, 5)")):
+        np.savez(data, **arrays)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eval", "--model", str(compiled), "--data", str(data), "--out", str(out)])
+        assert rc == EXIT_INPUT, match
+        assert f"input error: BadArtifact: dataset {data}: {match}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_corrupt_model_is_input_error(artifacts, tmp_path, capsys):
@@ -459,6 +578,13 @@ def test_dump_table_golden(tmp_path, capsys):
     assert lines[0] == "0 : 0 0 0 0"
     assert lines[1] == "1 : 0 1 0 1"
     capsys.readouterr()
+
+
+def test_dump_table_to_stdout(capsys):
+    assert main(["dump-table", "--n", "2", "--m", "3", "--unsigned"]) == EXIT_OK
+    want = io.StringIO()
+    dump_table(build_static_table(2, 3, signed=False), want)
+    assert capsys.readouterr().out == want.getvalue()
 
 
 def test_console_script_installed():

@@ -48,9 +48,10 @@ from muxnet.errors import (
     ShapeError,
     UnsupportedLayer,
 )
-from muxnet.quantizer import activation_range, quantization_error, quantize_codes
+from muxnet.quantizer import activation_range, quantize_codes
 from muxnet.reference import decode_line_indices, float_forward, reference_logits
 from muxnet.static_table import unpack_line_codes
+from test_quantizer import scalar_choose_prescale
 
 
 def test_fold_identity_bn():
@@ -208,16 +209,6 @@ def test_serialize_roundtrip_identity():
         assert (a.kind, a.mode_m, a.decomposed, a.shift, a.requant) == \
                (b.kind, b.mode_m, b.decomposed, b.shift, b.requant)
         assert np.array_equal(a.weight_scales, b.weight_scales)
-
-
-def scalar_choose_prescale(weights, m, search_grid):
-    """The pre-scale search one grid point at a time; the first minimum wins."""
-    w = np.asarray(weights, dtype=np.float64)
-    grid = sorted(float(s) for s in np.ravel(search_grid))
-    if not np.any(w):
-        return grid[0]
-    errs = [quantization_error(w, m, s) for s in grid]
-    return grid[errs.index(min(errs))]
 
 
 def scalar_choose_prescale_rows(weights, m, search_grids):
@@ -437,6 +428,28 @@ def test_validate_refuses_a_multiplier_outside_its_u32_field():
             validate(broken)
     broken.layers[1].mult[0] = 2 ** 32 + 7
     assert deserialize_model(serialize_model(broken)).layers[1].mult[0] == 7
+
+
+def test_validate_refuses_a_bad_input_scale(tmp_path, capsys):
+    model = compile_model(default_float_model(seed=4))
+    for scale in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(BadArtifact, match=f"^bad input scale {scale}$"):
+            validate(replace(model, input_scale=scale))
+    bad = tmp_path / "bad.muxn"
+    bad.write_bytes(serialize_model(replace(model, input_scale=0.0)))
+    assert main(["verify", "--model", str(bad), "--cases", "16"]) == EXIT_INPUT
+    assert "BadArtifact: bad input scale 0.0" in capsys.readouterr().err
+
+
+def test_validate_refuses_a_chunk_count_that_misses_the_fan_in():
+    model = compile_model(default_float_model(seed=4))
+    fan_in = model.layers[2].fan_in
+    for chunks in (model.layers[2].chunks - 1, model.layers[2].chunks + 1):
+        broken = copy.deepcopy(model)
+        broken.layers[2].chunks = chunks
+        with pytest.raises(BadArtifact, match=f"^layer 2: chunk count {chunks} does not cover "
+                                              f"fan-in {fan_in}$"):
+            validate(broken)
 
 
 def validate_oracle(model) -> str | None:

@@ -10,11 +10,11 @@ import muxnet.engine
 from muxnet.compiler import compile_model, default_float_model
 from muxnet.costmodel import (
     EnergyCoefficients,
+    datapath_cost,
     decomposition_cost,
     gating_report,
     memory_cost,
     model_cost_report,
-    predict_layer_cost,
     predict_model_costs,
     table_entry_count,
     write_cost_csv,
@@ -57,31 +57,29 @@ def test_decomposition_entry_counts():
     assert all(b == 4 * a for a, b in zip(ratios, ratios[1:]))  # 2**(n*m/2)/2
 
 
-def test_predict_layer_cost_formulas():
-    cost = predict_layer_cost(
-        index=0, kind="linear", n=2, mode_m=5, decomposed=False,
-        out_channels=3, chunks=5, cases=7, groups=8, group_vector_len=8,
-        activation_bits=8,
+def test_datapath_cost_formulas():
+    cycles, mux_selects, memory_bits_read, adder_ops = datapath_cost(
+        n=2, m=5, decomposed=False, outputs=3, chunks=5, cases=7, groups=8,
+        group_vector_len=8, activation_bits=8,
     )
     cpt = 4
     tiles = math.ceil(5 / cpt)   # 2, second tile carries 3 idle slots
     tasks = 7 * 3 * tiles
-    assert cost.cycles == math.ceil(tasks / 8) * 8
-    assert cost.mux_selects == tasks * cpt * 4 + tasks * cpt * 8
-    assert cost.memory_bits_read == 7 * 3 * 5 * 2 * 5  # real chunks only
-    assert cost.adder_ops == tasks * 8 * cpt
-    assert (cost.weight_bits, cost.lut_bits) == memory_cost(2, 5, 15)
+    assert cycles == math.ceil(tasks / 8) * 8
+    assert mux_selects == tasks * cpt * 4 + tasks * cpt * 8
+    assert memory_bits_read == 7 * 3 * 5 * 2 * 5  # real chunks only
+    assert adder_ops == tasks * 8 * cpt
 
 
 def test_decomposed_layer_doubles_plane_activity():
-    base = dict(index=0, kind="conv1d", n=2, mode_m=10, out_channels=4,
-                chunks=6, cases=9, groups=8, group_vector_len=8, activation_bits=8)
-    mono = predict_layer_cost(decomposed=False, **base)
-    split = predict_layer_cost(decomposed=True, **base)
-    assert split.mux_selects == 2 * mono.mux_selects
-    assert split.adder_ops == 2 * mono.adder_ops
-    assert split.cycles == mono.cycles
-    assert split.memory_bits_read == mono.memory_bits_read
+    base = dict(n=2, m=10, outputs=4, chunks=6, cases=9, groups=8, group_vector_len=8,
+                activation_bits=8)
+    mono_cycles, mono_mux, mono_bits, mono_adds = datapath_cost(decomposed=False, **base)
+    cycles, mux, bits, adds = datapath_cost(decomposed=True, **base)
+    assert mux == 2 * mono_mux
+    assert adds == 2 * mono_adds
+    assert cycles == mono_cycles
+    assert bits == mono_bits
 
 
 def test_prediction_matches_live_engine_counters():
@@ -96,6 +94,9 @@ def test_prediction_matches_live_engine_counters():
         assert [live[f] for f in fields] == [getattr(row, f) for f in fields]
     for f in fields:
         assert getattr(engine.counters, f) == sum(getattr(r, f) for r in rows)
+    for row, layer in zip(rows, model.layers, strict=True):
+        chunks = layer.out_channels * layer.chunks
+        assert (row.weight_bits, row.lut_bits) == memory_cost(model.n, layer.mode_m, chunks)
 
 
 def test_scalar_path_counts_match_the_formula(monkeypatch):

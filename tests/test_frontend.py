@@ -209,11 +209,14 @@ def test_trigger_schedule_equals_the_rational_formula(start, freq, duty, duratio
 def test_stim_config_validation():
     with pytest.raises(ValueError):
         StimChannelConfig(channel=2)
+    with pytest.raises(ValueError, match="pwm_freq_hz and duration_s must be positive"):
+        StimChannelConfig(pwm_freq_hz=0)
     with pytest.raises(ValueError):
         StimChannelConfig(duty=0.0)
     with pytest.raises(ValueError):
         StimChannelConfig(duty=1.5)
-    with pytest.raises(ValueError):
+    assert StimChannelConfig(trigger_classes=(0, 9)).trigger_classes == (0, 9)
+    with pytest.raises(ValueError, match=r"trigger classes must be in 0\.\.9: \(10,\)"):
         StimChannelConfig(trigger_classes=(10,))
     with pytest.raises(ValueError):
         PulseEvent(Fraction(1), Fraction(1), 0)

@@ -8,10 +8,9 @@ import pytest
 
 from muxnet.compiler import compile_model, default_float_model
 from muxnet.engine import MpuEngine
-from muxnet.errors import SegmentLengthError, VoteAfterDecision
+from muxnet.errors import SegmentLengthError
 from muxnet.pipeline import (
     EpochResult,
-    VoteState,
     VotingConfig,
     classify_segment,
     epoch_stage,
@@ -52,6 +51,8 @@ def test_split_vote_runs_to_the_end():
     result = epoch_stage([0, 1, 0, 1, 0, 1], lambda v: v)
     assert result.classifications_used == 6
     assert result.stage == 0  # 3-3 tie resolves to the lowest class id
+    # a longer stream is cut at votes_per_epoch: the seventh vote would make class 1 win
+    assert epoch_stage([0, 1, 0, 1, 0, 1, 1], lambda v: v) == result
 
 
 def test_skipped_segments_are_never_classified():
@@ -71,21 +72,12 @@ def test_skipped_segments_are_never_classified():
     assert calls == [2, 2, 2, 2]
 
 
-def test_vote_after_decision_raises():
-    state = VoteState(VotingConfig())
-    for _ in range(4):
-        state.push(1)
-    assert state.decided == 1
-    with pytest.raises(VoteAfterDecision):
-        state.push(0)
-
-
 def test_vote_bounds_checked():
-    state = VoteState(VotingConfig(class_count=3))
-    with pytest.raises(ValueError):
-        state.push(3)
-    with pytest.raises(ValueError):
-        state.push(-1)
+    cfg = VotingConfig(class_count=3)
+    with pytest.raises(ValueError, match=r"class id 3 outside \[0, 3\)"):
+        epoch_stage([3], lambda v: v, cfg)
+    with pytest.raises(ValueError, match=r"class id -1 outside \[0, 3\)"):
+        epoch_stage([-1], lambda v: v, cfg)
 
 
 def test_aggressive_thresholds_are_explicit():
@@ -133,9 +125,20 @@ def test_evaluate_dataset_and_csv():
     assert len(cast) == used  # skipped votes stay blank
 
 
+def test_evaluate_dataset_compares_labels_exactly():
+    engine = MpuEngine(compile_model(default_float_model(seed=1)))
+    segs = np.zeros((2, 6, engine.model.input_len))
+    stage = evaluate_dataset(engine, segs).rows[0].stage
+    assert evaluate_dataset(engine, segs, np.array([stage, stage])).accuracy == 1.0
+    assert evaluate_dataset(engine, segs, np.array([stage, stage + 0.5])).accuracy == 0.5
+
+
 def test_evaluate_dataset_shape_errors():
     engine = MpuEngine(compile_model(default_float_model(seed=1)))
     with pytest.raises(SegmentLengthError):
         evaluate_dataset(engine, np.zeros((4, engine.model.input_len)))
     with pytest.raises(SegmentLengthError):
         evaluate_dataset(engine, np.zeros((2, 6, engine.model.input_len)), labels=np.zeros(3))
+    with pytest.raises(SegmentLengthError, match="6 segments per epoch, config wants 5"):
+        evaluate_dataset(engine, np.zeros((2, 6, engine.model.input_len)),
+                         cfg=VotingConfig(votes_per_epoch=5))
