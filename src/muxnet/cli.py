@@ -364,7 +364,6 @@ def cmd_cost(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     model = load_model(args.model)
-    engine = MpuEngine(model, **cfg["engine"])
     try:
         with open(args.data, "rb") as fh:
             data = np.load(fh)
@@ -382,6 +381,7 @@ def cmd_eval(args) -> int:
     if labels is not None and not np.isin(labels, np.arange(model.class_count)).all():
         raise BadArtifact(
             f"dataset {args.data}: labels must be whole numbers in [0, {model.class_count})")
+    engine = MpuEngine(model, **cfg["engine"])  # after the dataset's checks: a refusal builds no rows
     report = evaluate_dataset(engine, segments, labels, _voting(cfg, model, segments.shape[1]))
     with open(args.out, "w", newline="") as fh:
         write_report_csv(report, fh)

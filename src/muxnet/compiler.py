@@ -12,8 +12,9 @@ Integer conventions, shared by the engine and the reference path:
   layer (linear) by grid search over pre-scales; each layer's codes are
   quantized once, a block of rows at a time, straight into a zeroed array
   padded to whole chunks and held in the narrowest integer dtype of the
-  signed m-bit range, from which the line indices are packed and the
-  folded bias and accumulator bounds are summed;
+  signed m-bit range, from which the line indices are packed (each held
+  in ``static_table.line_index_dtype``, the narrowest of its n*m bits, as
+  far as the engine) and the folded bias and accumulator bounds are summed;
 * the first layer consumes unsigned 8-bit samples with zero point 128; the
   zero point is folded into the integer bias, so the accumulator works on
   raw samples;
@@ -52,7 +53,7 @@ from .quantizer import (
     narrowest,
     round_half_away,
 )
-from .static_table import check_mode, pack_line_index, unpack_line_codes
+from .static_table import check_mode, line_index_dtype, pack_line_index, unpack_line_codes
 
 KIND_CONV1D = "conv1d"
 KIND_LINEAR = "linear"
@@ -227,7 +228,7 @@ class CompiledLayer:
     stride: int
     fan_in: int
     chunks: int
-    line_indices: np.ndarray  # (out_channels, chunks) int64
+    line_indices: np.ndarray  # (out_channels, chunks) in line_index_dtype(n, mode_m): int16 at n = 2, m = 5
     bias_q: np.ndarray  # (out_channels,) int64
     mult: np.ndarray  # (out_channels,) int64, values < 2**32
     shift: int
@@ -390,6 +391,8 @@ def _requant_constants(ratios: np.ndarray) -> tuple[np.ndarray, int]:
         shift -= 1
     if shift < 1:
         raise ValueError(f"requant ratio {r.max()} too large to represent")
+    if shift > 62:  # validate's bound; 2.0**shift would overflow a float past 1023
+        raise ValueError(f"requant ratio {r.max()} too small to represent: shift {shift} past 62")
     return np.rint(r * float(1 << shift)).astype(np.int64), shift
 
 
@@ -534,12 +537,14 @@ def _pack_index_array(indices: np.ndarray, nbytes: int) -> bytes:
 
 
 def _unpack_index_array(data: bytes, count: int, nbytes: int) -> np.ndarray:
-    width = 1 << (nbytes - 1).bit_length()
+    """``count`` little-endian ``nbytes``-byte words, in the narrowest dtype that holds any such
+    word, so a corrupt index past 2**(n*m) reaches ``validate`` as it was written."""
+    width, dtype = 1 << (nbytes - 1).bit_length(), narrowest(0, (1 << (8 * nbytes)) - 1)
     if width == nbytes:
-        return np.frombuffer(data, dtype=f"<u{width}", count=count).astype(np.int64)
+        return np.frombuffer(data, dtype=f"<u{width}", count=count).astype(dtype)
     words = np.zeros((count, width), dtype=np.uint8)
     words[:, :nbytes] = np.frombuffer(data, dtype=np.uint8).reshape(count, nbytes)
-    return words.view(f"<u{width}").reshape(count).astype(np.int64)
+    return words.view(f"<u{width}").reshape(count).astype(dtype)
 
 
 def serialize_model(model: CompiledModel) -> bytes:
@@ -605,6 +610,8 @@ def deserialize_model(data: bytes) -> CompiledModel:
     ))
     if class_count != model.class_count:  # the header repeats the final layer's width
         raise BadArtifact(f"header class count {class_count} != final layer width {model.class_count}")
+    for layer in model.layers:  # validate holds every index below 2**(n*m), so none wraps
+        layer.line_indices = layer.line_indices.astype(line_index_dtype(n, layer.mode_m), copy=False)
     return model
 
 

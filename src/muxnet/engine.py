@@ -1,8 +1,9 @@
 """Compiled-model execution on the two-stage MUX datapath.
 
 The engine builds each layer's resident stage-1 rows once at init from
-that layer's weights (``mpu.stage_rows``, fused over as many activation
-bit-planes as fit the 1 MiB row budget); the rows hold the layer's config
+that layer's line indices, read at their narrow ``line_index_dtype``
+(``mpu.stage_rows``, fused over as many activation bit-planes as fit the
+1 MiB row budget); the rows hold the layer's config
 and its static tables, one per distinct mode, shared by its layers.  It
 feeds every layer through ``pe_forward`` with those rows and the layer's
 own cost counter, and applies the integer constants the compiler
@@ -23,7 +24,11 @@ Activations travel at their width, never widened to int64 between layers:
 the input after its range check in the narrowest dtype that holds layer
 0's range (uint8 for 8-bit codes), and each hidden layer's codes in the
 one that holds its clamp (int8 up to 8 bits, else int16), which the clamp
-writes directly.  ``pe_forward`` reads any integer dtype as it is.  A
+writes directly.  ``pe_forward`` reads any integer dtype as it is, and
+returns each layer's result in the int32 its rows prove (int64 where they
+do not); the finish widens it to int64 in its first step, ``acc * mult``
+(``acc + bias_q`` on the raw last layer), whose reach ``compiler.validate``
+bounds below 2**63, so logits are int64.  A
 requantizing layer folds its bias into the rounding constant at init,
 ``bias_q * mult + 2**(shift-1)``, so a finish is one product, an add, a
 shift and the clamp.  Batch size is not tiled here: the kernel tiles its
@@ -115,9 +120,9 @@ class MpuEngine:
     def _finish_layer(self, li: int, acc: np.ndarray) -> np.ndarray:
         layer, step = self.model.layers[li], self._requant[li]
         if step is None:
-            return acc + layer.bias_q  # a new array: the caller's accumulator stays as it was
+            return acc + layer.bias_q  # a new int64 array: the caller's accumulator stays as it was
         offset, lo, hi, width = step
-        acc = acc * layer.mult  # a new array too
+        acc = acc * layer.mult  # a new int64 array too
         acc += offset
         acc >>= layer.shift
         np.maximum(acc, lo, out=acc)

@@ -28,10 +28,12 @@ independent, so the kernel takes them in tiles of at most GATHER_ELEMS
 gathered entries, with every plane group in each tile: it keys every
 group, adds the base, makes one gather and one chunk sum, and merges the
 groups Horner-style, highest first, into the tile's rows of one
-preallocated int64 result (the top group's sum plus the start, then shift
-by p, add the next group's sum): each partial value is the inner product
-with the activations' low planes cleared, an in-range code, so it is exact
-wherever the result is.  As in the paper's stage 2, whose select lines
+preallocated result (the top group's sum plus the start, then shift by p,
+add the next group's sum): each partial value is the inner product with
+the activations' low planes cleared, an in-range code, so it is exact
+wherever the result is, and it is held in the result's dtype, int32 where
+the rows prove every such inner product fits it (``StageRows``), else
+int64.  As in the paper's stage 2, whose select lines
 are the chunk's activation bits, a chunk of two one-byte codes holding all
 k bits is one 16-bit word, and every group's key is one lookup of that
 word in a per-process table (``_word_keys``); any other shape keys from
@@ -298,6 +300,15 @@ class StageRows:
     chunks, is proven per chunk: no group's sum for output ``o`` exceeds (2**p - 1)
     times the sum over chunks of that chunk's largest p=1 |entry| (``stage_rows``).
 
+    ``out_dtype``, int32 or int64, holds the kernel's result, its Horner merge and
+    ``start``.  It is proven from the layer: a k-bit activation, read unsigned or as
+    two's complement, is a sum of its bits weighted 2**b, b < k (the MSB's weight
+    negated if signed), and each bit of a chunk's n activations selects one p=1
+    entry of that chunk's line, at most ``magnitude`` (the largest p=1 |entry|).  So
+    no inner product, nor any Horner partial (an inner product with the low planes
+    cleared, shifted down), exceeds (2**k - 1) * chunks * magnitude; ``start``, at
+    most chunks * magnitude * 2**(p-1), is inside that too.
+
     The kernel's key constants are built with the rows, in the key dtype (int32
     when it holds the k activation bits and every row, else int64): ``base``
     holds each chunk's first row, ``c << (n*p)``, which every group shares, and
@@ -310,8 +321,9 @@ class StageRows:
     p: int
     rows: np.ndarray  # (chunks << (n*p), outputs); narrowest dtype holding the range
     sum_dtype: np.dtype
+    out_dtype: np.dtype  # int32 where (2**k - 1) * chunks * magnitude fits it, else int64
     flip: int  # XORed into the top group's keys: bit p-1 of every field if signed, else 0
-    start: np.ndarray  # (1, outputs) int64; (cases, 1) case-wise
+    start: np.ndarray  # (1, outputs) in out_dtype; (cases, 1) case-wise
     shifts: np.ndarray  # (groups, 1, 1) g*p, in the key dtype
     base: np.ndarray  # (1, chunks, 1) in the key dtype; (1, chunks, cases) case-wise
 
@@ -337,11 +349,11 @@ def _double(rows: np.ndarray, n: int, q: int) -> np.ndarray:
     return out
 
 
-def _start(full: np.ndarray, p: int, signed: bool) -> np.ndarray:
-    """(1, outputs) int64 Horner start from (chunks, outputs) all-ones p=1 entries, each
+def _start(full: np.ndarray, p: int, signed: bool, dtype: np.dtype) -> np.ndarray:
+    """(1, outputs) Horner start in ``dtype`` from (chunks, outputs) all-ones p=1 entries, each
     chunk's code sum: ``-(sum(code) << (p-1))`` for a signed layer, 0 for an unsigned one."""
     total = full.sum(axis=0, keepdims=True, dtype=np.int64)
-    return _frozen(-(total << (p - 1)) if signed else np.zeros_like(total))
+    return _frozen((-(total << (p - 1)) if signed else np.zeros_like(total)).astype(dtype))
 
 
 def stage_rows(
@@ -356,7 +368,7 @@ def stage_rows(
     are refused here, once, so the rows' calls check nothing of them.
     """
     _check_tables(cfg, tables)
-    idx = np.asarray(line_indices, dtype=np.int64)
+    idx = np.asarray(line_indices)  # any integer dtype, as it is
     if idx.ndim != 2:
         raise ShapeError(f"line_indices must be (outputs, chunks), got {idx.shape}")
     outputs, chunks = idx.shape
@@ -390,7 +402,10 @@ def stage_rows(
         # (2**p - 1) * sum_c peak[c, o], whatever the keys
         peak = reduce(np.maximum, np.abs(rows).swapaxes(0, 1))  # key slices: no short-axis reduce
         sums = sum_dtype((1 << p) - 1, int(peak.sum(axis=0, dtype=np.int64).max()))
-    start = _start(rows[:, -1], p, signed)  # the all-ones key selects each chunk's code sum
+    # StageRows.out_dtype's bound, capped where no dtype holds it: int64 wraps as any result would
+    bound = min(((1 << k) - 1) * chunks * magnitude, (1 << 63) - 1)
+    out = narrowest(-bound, bound, np.int32)
+    start = _start(rows[:, -1], p, signed, out)  # the all-ones key selects each chunk's code sum
     q = 1
     while q < p:
         rows = _double(rows, n, q)
@@ -399,7 +414,8 @@ def stage_rows(
     # the key arithmetic is the kernel's hot loop: int32 whenever it holds the k bits and every row
     kdt = narrowest(0, max(1 << min(k, 63), len(resident)) - 1, np.int32)  # int64 holds any input's bits
     flip = sum(1 << (i * p + p - 1) for i in range(n)) if signed else 0  # bit p-1 of every field
-    return StageRows(cfg=cfg, tables=tables, p=p, rows=resident, sum_dtype=sums, flip=flip, start=start,
+    return StageRows(cfg=cfg, tables=tables, p=p, rows=resident, sum_dtype=sums, out_dtype=out,
+                     flip=flip, start=start,
                      shifts=_frozen(np.arange(k // p, dtype=kdt)[:, None, None] * p),
                      base=_frozen(np.arange(chunks, dtype=kdt)[None, :, None] << (n * p)))
 
@@ -413,16 +429,17 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
     """The vectorized datapath shared by every batched entry point.
 
     acts: (cases, chunks, n) activations of any integer dtype; returns
-    (cases, outputs) int64, preallocated.  The cases are taken in tiles of
-    up to GATHER_ELEMS gathered entries, every k/p plane group at once, so a
-    call's transients are bounded by the tile, not the batch.  Per tile:
-    field-major keys for all groups, laid out (groups, chunks, tile), the
-    top group's XORed with ``flip``, plus the rows' ``base`` (a case-wise
-    base and start are sliced with the tile); one gather of resident rows
-    through the chunk-major view of those keys; a sum over chunks in
-    ``sum_dtype``; and a Horner merge of the groups, highest first, from
+    (cases, outputs) in the rows' ``out_dtype``, preallocated.  The cases
+    are taken in tiles of up to GATHER_ELEMS gathered entries, every k/p
+    plane group at once, so a call's transients are bounded by the tile,
+    not the batch.  Per tile: field-major keys for all groups, laid out
+    (groups, chunks, tile), the top group's XORed with ``flip``, plus the
+    rows' ``base`` (a case-wise base and start are sliced with the tile);
+    one gather of resident rows through the chunk-major view of those keys;
+    a sum over chunks in ``sum_dtype``; and a Horner merge of the groups, highest first, from
     the top group's sum plus a signed layer's ``start`` (``acc <<= p;
-    acc += sum``), into the tile's rows of the result.
+    acc += sum``), into the tile's rows of the result, in ``out_dtype``,
+    whose bound holds every partial.
 
     Where a chunk's activations are one 16-bit word (n = 2 one-byte codes)
     and hold all k bits (k <= 8: a one-byte code lacks the sign-extension
@@ -437,7 +454,7 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
     groups = len(rows.shifts)
     case_wise = rows.base.shape[-1] > 1
     table = _word_keys(p, groups, rows.flip) if n == 2 and acts.itemsize == 1 and k <= 8 else None
-    out = np.empty((cases, outputs), dtype=np.int64)
+    out = np.empty((cases, outputs), dtype=rows.out_dtype)
     tile = max(1, GATHER_ELEMS // max(1, groups * chunks * outputs))
     for c0 in range(0, cases, tile):
         c1 = c0 + tile
@@ -453,7 +470,7 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
         planes = rows.rows.take(keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.sum_dtype)
         acc = out[c0:c1]
         acc[...] = planes[-1]
-        if rows.flip:  # a cast copy, then an int64 add: one mixed-dtype broadcast add takes 3-4x as long
+        if rows.flip:  # a cast copy, then a same-dtype add: one mixed-dtype broadcast add takes 3-4x as long
             acc += start
         for plane in planes[-2::-1]:  # Horner: acc is the sum over the groups merged so far
             acc <<= p
@@ -524,7 +541,7 @@ def batch_inner_product(
     flat = stage_rows(np.reshape(line_indices, (1, -1)), cfg, tables, p=1)
     full = flat.rows[(1 << cfg.n) - 1::1 << cfg.n].reshape(cases, chunks)  # all-ones keys: code sums
     rows = replace(flat, base=flat.base.reshape(1, cases, chunks).swapaxes(1, 2),
-                   start=_start(full.T, 1, cfg.activation_signed).T)
+                   start=_start(full.T, 1, cfg.activation_signed, flat.out_dtype).T)
     return pe_forward(rows, activations, counters=counters)[:, 0]
 
 
@@ -532,8 +549,9 @@ def pe_forward(rows: StageRows, activations: np.ndarray, counters: CycleCount | 
     """Layer-style forward over ``stage_rows``, built once by the caller and kept resident.
 
     activations: (chunks*n,) or (batch, chunks*n), whole numbers of any dtype.  Returns
-    int64 (outputs,) or (batch, outputs): every output row sees the same
-    activation vector, unless the rows carry a case-wise key base.
+    (outputs,) or (batch, outputs) in ``rows.out_dtype``: int32 where the rows prove
+    every result fits it, else int64.  Every output row sees the same activation
+    vector, unless the rows carry a case-wise key base.
     """
     acts = _integers(activations)
     squeeze = acts.ndim == 1

@@ -26,17 +26,23 @@ from .errors import EnumerationTooLarge, OddSplitUnsupported
 from .quantizer import ENUM_BUDGET_BITS, narrowest
 
 
+def line_index_dtype(n: int, m: int) -> np.dtype:
+    """The narrowest dtype of an n*m-bit line index (int16 at n = 2, m = 5); never uint64."""
+    return narrowest(0, (1 << (n * m)) - 1)
+
+
 def pack_line_index(codes, m: int) -> np.ndarray:
     """(..., n) signed codes to (...) n*m-bit line indices, code[0] least significant.
 
     Codes of any integer width are read as they are: each field is masked into
-    int64 on its own, then shifted and or-ed in; one code vector gives a scalar.
+    ``line_index_dtype`` on its own (a wrapping cast keeps the m low bits the
+    mask reads), then shifted and or-ed in; one code vector gives a scalar.
     """
     c = np.asarray(codes)
-    mask = (1 << m) - 1
-    index = np.bitwise_and(c[..., 0], mask, dtype=np.int64)
+    dtype, mask = line_index_dtype(c.shape[-1], m), (1 << m) - 1
+    index = np.bitwise_and(c[..., 0], mask, dtype=dtype, casting="unsafe")
     for i in range(1, c.shape[-1]):
-        field = np.bitwise_and(c[..., i], mask, dtype=np.int64)
+        field = np.bitwise_and(c[..., i], mask, dtype=dtype, casting="unsafe")
         field <<= i * m
         index |= field
     return index
@@ -146,7 +152,7 @@ class DecomposedTable:
         return self.hi.total_entries + self.lo.total_entries
 
     def select(self, index) -> np.ndarray:
-        """Stage 1 for (...) width-m line indices: the (..., 2**n) int64 lines."""
+        """Stage 1 for (...) width-m line indices of any integer dtype: the (..., 2**n) int64 lines."""
         hi_index, lo_index = split_line_index(index, self.n, self.m)
         hi = np.take(self.hi.lines, hi_index, axis=0).astype(np.int64)
         return (hi << self.shift) + np.take(self.lo.lines, lo_index, axis=0)
@@ -166,7 +172,8 @@ def split_line_index(index, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Split width-m line indices into (hi_index, lo_index) field by field.
 
     Each m-bit field contributes its upper half to ``hi_index`` and its
-    lower half to ``lo_index``; works elementwise on any index array.
+    lower half to ``lo_index``; works elementwise on any index array, of any
+    integer dtype, and gives each half at its own ``line_index_dtype``.
     """
     if m % 2 != 0:
         raise OddSplitUnsupported(f"only even m can be split in half, got m={m}")

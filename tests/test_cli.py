@@ -316,9 +316,15 @@ def test_eval_requires_segments_key(artifacts, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_eval_refuses_bad_data_before_scoring(artifacts, tmp_path, capsys):
-    # a NaN sample or label, or a fractional one, is the dataset's fault: exit 2, no CSV
+def test_eval_refuses_bad_data_before_scoring(artifacts, tmp_path, capsys, monkeypatch):
+    # a NaN sample or label, or a fractional one, is the dataset's fault: exit 2, no CSV,
+    # and no engine built for it
     _, _, compiled = artifacts
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("a refused dataset must not build an engine")
+
+    monkeypatch.setattr(muxnet.cli, "MpuEngine", no_engine)
     segments = np.zeros((3, 6, 320))
     nan_sample = segments.copy()
     nan_sample[1, 2, 3] = np.nan

@@ -44,13 +44,14 @@ from muxnet.errors import (
     BadArtifact,
     BadBNParams,
     CorruptArtifact,
+    MuxnetError,
     OddSplitUnsupported,
     ShapeError,
     UnsupportedLayer,
 )
-from muxnet.quantizer import activation_range, quantize_codes
+from muxnet.quantizer import ENUM_BUDGET_BITS, activation_range, narrowest, quantize_codes
 from muxnet.reference import decode_line_indices, float_forward, reference_logits
-from muxnet.static_table import unpack_line_codes
+from muxnet.static_table import check_mode, unpack_line_codes
 from test_quantizer import scalar_choose_prescale
 
 
@@ -666,14 +667,59 @@ def test_the_index_codec_writes_the_low_bytes_of_an_eight_byte_word(bits):
     wild = np.concatenate([wild, rng.integers(-(2 ** 63), 2 ** 63 - 1, size=10, endpoint=True)])
     for indices in (in_range, wild, in_range[:0]):
         assert compiler._pack_index_array(indices, nbytes) == eight_byte_words(indices, nbytes)
+    # words are read in the narrowest dtype that holds any nbytes-byte word, so one
+    # past 2**bits stays as it was written: never uint64, which meets no int64 shift
+    word_dtype = {1: np.uint8, 2: np.uint16, 3: np.int32, 4: np.uint32, 5: np.int64}[nbytes]
     blob = compiler._pack_index_array(in_range, nbytes)
     back = compiler._unpack_index_array(blob, in_range.size, nbytes)
-    assert back.dtype == np.int64 and np.array_equal(back, in_range.reshape(-1))
+    assert back.dtype == word_dtype and np.array_equal(back, in_range.reshape(-1))
     raw = rng.bytes(16 * nbytes)  # any bytes, past 2**bits too
     words = np.zeros((16, 8), dtype=np.uint8)
     words[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(16, nbytes)
-    assert np.array_equal(compiler._unpack_index_array(raw, 16, nbytes), words.view("<u8").reshape(16))
+    got = compiler._unpack_index_array(raw, 16, nbytes)
+    assert got.dtype == word_dtype and np.array_equal(got, words.view("<u8").reshape(16))
     assert compiler._unpack_index_array(b"", 0, nbytes).shape == (0,)
+
+
+def _accepted_modes():
+    """(n, m, decomposed) for n in {1, 2} and every m that check_mode accepts either way."""
+    for n in (1, 2):
+        for m in range(2, 2 * ENUM_BUDGET_BITS // n + 1):
+            for decomposed in (False, True):
+                try:
+                    check_mode(n, m, decomposed)
+                except (ValueError, MuxnetError):
+                    continue
+                yield n, m, decomposed
+
+
+@pytest.mark.parametrize("n, m, decomposed", list(_accepted_modes()))
+def test_line_indices_keep_their_narrow_width_through_compile_and_load(n, m, decomposed):
+    # compile packs every line index at the narrowest dtype of n*m bits and load
+    # hands it on at that dtype, equal to an int64 oracle pack of the codes; a
+    # written word past 2**(n*m) (2**(n*m) itself, or all ones) is still refused
+    # by name, never wrapped into range
+    weight = np.random.default_rng(n * 100 + m).normal(size=(2, 5))
+    cfg = CompileConfig(n=n, conv_m=m, linear_m=m, table_budget_bits=n * m - 1 if decomposed else n * m)
+    model = compile_model(FloatModel(layers=[FloatLayer(kind=compiler.KIND_LINEAR, weight=weight)], input_len=5), cfg)
+    layer = model.layers[0]
+    assert layer.decomposed == decomposed
+    codes = np.zeros((2, layer.chunks * n), dtype=np.int64)
+    codes[:, :5] = quantize_codes(weight, m, layer.weight_scales[:, None])
+    fields = (codes & ((1 << m) - 1)).reshape(2, layer.chunks, n)
+    oracle = (fields << (m * np.arange(n, dtype=np.int64))).sum(axis=-1)
+    want = narrowest(0, 2 ** (n * m) - 1)
+    blob = serialize_model(model)
+    back = deserialize_model(blob).layers[0].line_indices
+    for got in (layer.line_indices, back):
+        assert got.dtype == want and np.array_equal(got, oracle)
+    nbytes = math.ceil(n * m / 8)
+    at = _HEADER.size + _LAYER_HEADER.size  # layer 0's first index word
+    for word in (2 ** (n * m), 2 ** (8 * nbytes) - 1):
+        if word < 2 ** (8 * nbytes) and word >= 2 ** (n * m):  # at n*m = 8, 16, 32 no word is past
+            bad = blob[:at] + word.to_bytes(nbytes, "little") + blob[at + nbytes:]
+            with pytest.raises(BadArtifact, match=f"^layer 0: line index outside \\[0, 2\\*\\*{n * m}\\)$"):
+                deserialize_model(bad)
 
 
 def test_deserialize_rejects_truncation():
@@ -803,6 +849,25 @@ def test_requant_shift_drops_one_where_the_largest_mantissa_rounds_up():
     # one ulp less rounds down: the shift stays at 31 - exp, the multiplier below 2**31
     mult, shift = compiler._requant_constants(np.array([1 - 2**-31]))
     assert shift == 31 and mult[0] == (1 << 31) - 1
+
+
+def test_requant_constants_refuse_a_ratio_they_cannot_represent():
+    # 2**-32 still takes shift 62, validate's largest; anything smaller is refused by
+    # name before 2.0**shift is formed (1e-300 would take 1027, past a float's range)
+    mult, shift = compiler._requant_constants(np.array([2.0**-32, 0.0]))
+    assert shift == 62 and mult.tolist() == [1 << 30, 0]
+    for ratio, shift in ((2.0**-33, 63), (1e-300, 1027)):
+        with pytest.raises(ValueError, match=f"^requant ratio {ratio} too small to represent: shift {shift} past 62$"):
+            compiler._requant_constants(np.array([ratio, 0.0]))
+    for bad in ([np.nan, 1.0], [np.inf], [-1.0, 1.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="^requant ratios must be finite, non-negative, not all zero"):
+            compiler._requant_constants(np.array(bad))
+    # through compile: one channel's bias of 1e8 widens layer 1's output scale until
+    # its largest ratio takes shift 65, a BadArtifact that names the layer
+    model = default_float_model(seed=0)
+    model.layers[1].bias[0] = 1e8
+    with pytest.raises(BadArtifact, match="^layer 1: requant ratio .* too small to represent: shift 65 past 62$"):
+        compile_model(model)
 
 
 def test_first_layer_folds_zero_point():

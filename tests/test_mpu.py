@@ -207,27 +207,34 @@ def test_offset_binary_start_is_exact_at_the_extreme_activations(monkeypatch, bi
     # a signed layer reads u + 2**(k-1): all -2**(k-1) reads as all zeros, so each
     # result is the start alone, and all 2**(k-1) - 1 as all ones, every group's
     # largest key; on both key paths, at every p that divides k, and with the
-    # case-wise start of batch_inner_product
+    # case-wise start of batch_inner_product.  The result, its merge and the start
+    # are int32 where (2**k - 1) * chunks * 2**m (all -2**(m-1) codes make the
+    # largest |entry| 2**m) fits it: over 5 chunks always, over 1040 chunks only
+    # up to 8 bits (255 * 1040 * 1024 < 2**31 <= 65535 * 1040 * 32)
     half = 1 << (m - 1)
-    codes = np.random.default_rng(bits + m).integers(-half, half, size=(4, 10))
-    codes[0], codes[1] = -half, half - 1
-    idx = pack_rows(codes, 2, m)
     cfg = MpuConfig(n=2, m=m, groups=8, group_vector_len=8, activation_bits=bits, activation_signed=True)
     lo, hi = activation_range(bits, True)
-    acts = np.array([[lo] * 10, [hi] * 10])
-    want = acts @ codes.T  # oracle first
-    case_want = (codes[:2] * acts).sum(axis=1)
-    paths = [(np.int64, "_word_keys")] + ([(np.int8, "_shift_keys")] if bits <= 8 else [])
-    for dtype, other in paths:  # int64 keys by shift and mask, int8 by word lookup
-        with monkeypatch.context() as patch:
-            patch.setattr(muxnet.mpu, other, refuse)
-            x = acts.astype(dtype)
-            for p in (1, 2, 4, 8):
-                if bits % p == 0:
-                    rows = stage_rows(idx, cfg, tables, p=p)
-                    assert np.array_equal(pe_forward(rows, x), want), (dtype, p)
-            got = batch_inner_product(idx[:2], x, cfg, tables)
-            assert np.array_equal(got, case_want), dtype
+    for fan_in in (10, 2080):
+        codes = np.random.default_rng(bits + m).integers(-half, half, size=(4, fan_in))
+        codes[0], codes[1] = -half, half - 1
+        idx = pack_rows(codes, 2, m)
+        acts = np.array([[lo] * fan_in, [hi] * fan_in])
+        want = acts @ codes.T  # oracle first
+        case_want = (codes[:2] * acts).sum(axis=1)
+        result = np.int64 if fan_in > 10 and bits == 16 else np.int32
+        paths = [(np.int64, "_word_keys")] + ([(np.int8, "_shift_keys")] if bits <= 8 else [])
+        for dtype, other in paths:  # int64 keys by shift and mask, int8 by word lookup
+            with monkeypatch.context() as patch:
+                patch.setattr(muxnet.mpu, other, refuse)
+                x = acts.astype(dtype)
+                for p in (1, 2, 4, 8) if fan_in == 10 else (1, 4):  # p = 8 rows of 1040 chunks: 1 GB
+                    if bits % p == 0:
+                        rows = stage_rows(idx, cfg, tables, p=p)
+                        assert rows.out_dtype == rows.start.dtype == result, (fan_in, p)
+                        got = pe_forward(rows, x)
+                        assert got.dtype == result and np.array_equal(got, want), (fan_in, dtype, p)
+                got = batch_inner_product(idx[:2], x, cfg, tables)
+                assert got.dtype == result and np.array_equal(got, case_want), (fan_in, dtype)
 
 
 @pytest.mark.parametrize("bits", [8, 32])  # int32 keys, then int64 keys
@@ -410,9 +417,9 @@ def test_no_cases_give_an_empty_result():
     counters = CycleCount()
     none = np.zeros((0, 10), dtype=np.int8)
     got = pe_forward(stage_rows(pack_rows(np.ones((6, 10), dtype=np.int64), 2, 5), cfg, T5), none, counters=counters)
-    assert got.shape == (0, 6) and got.dtype == np.int64
+    assert got.shape == (0, 6) and got.dtype == np.int32
     got = batch_inner_product(np.zeros((0, 5), dtype=np.int64), none, cfg, T5, counters=counters)
-    assert got.shape == (0,) and got.dtype == np.int64
+    assert got.shape == (0,) and got.dtype == np.int32
     assert counters.as_tuple() == (0, 0, 0)
 
 
@@ -513,6 +520,8 @@ def test_shape_and_mode_validation():
         batch_inner_product(np.zeros((3, 2), dtype=np.int64), np.zeros((2, 4)), cfg, T5)
     with pytest.raises(ShapeError):
         batch_inner_product(np.zeros(2, dtype=np.int64), np.zeros((1, 4)), cfg, T5)
+    with pytest.raises(ShapeError, match=re.escape("line_indices must be (outputs, chunks), got (3,)")):
+        stage_rows(np.zeros(3, dtype=np.int16), cfg, T5)
 
 
 def test_config_validation():
@@ -520,6 +529,9 @@ def test_config_validation():
         MpuConfig(n=3, group_vector_len=8)
     with pytest.raises(ValueError):
         MpuConfig(n=0)
+    for field in ("groups", "activation_bits"):
+        with pytest.raises(ValueError, match="^groups and activation_bits must be >= 1$"):
+            MpuConfig(**{field: 0})
 
 
 def refuse(*args):

@@ -7,7 +7,7 @@ import pytest
 
 from muxnet.compiler import CompileConfig
 from muxnet.errors import EnumerationTooLarge, MuxnetError, OddSplitUnsupported
-from muxnet.quantizer import ENUM_BUDGET_BITS
+from muxnet.quantizer import ENUM_BUDGET_BITS, narrowest
 from muxnet.static_table import (
     DecomposedTable,
     StaticTable,
@@ -68,7 +68,9 @@ def test_codec_round_trips_code_arrays(n):
         codes[1, :2] = hi
         codes[2, 0] = [lo, hi, 0][:n]
         index = pack_line_index(codes, m)
-        assert index.shape == (5, 7) and index.dtype == np.int64
+        # held at the narrowest width of n*m bits: int8 to 7 bits, uint8 at 8, int16 to 15, ...
+        assert index.shape == (5, 7) and index.dtype == narrowest(0, 2 ** (n * m) - 1)
+        assert index.dtype != np.uint64  # no loop for uint64 >> int64
         assert index.tolist() == [[oracle_pack(c, m) for c in row] for row in codes]
         assert np.array_equal(unpack_line_codes(index, n, m), codes), m
         assert np.array_equal(unpack_line_codes(index, n, m, signed=False), codes % (1 << m)), m
@@ -81,8 +83,9 @@ def test_codec_round_trips_code_arrays(n):
 
 @pytest.mark.parametrize("m", [2, 5, 8])
 def test_pack_reads_every_integer_width_alike(m):
-    # codes are read at their width, each field masked into int64 on its own, so a
-    # narrow array, an int64 one and Python tuples give the same indices
+    # codes are read at their width, each field masked into the index dtype on its own
+    # (n*m = 6, 15 and 24 bits: int8, int16 and int32), so a narrow array, an int64 one
+    # and Python tuples give the same indices
     rng = np.random.default_rng(m)
     lo, hi = -(1 << (m - 1)), (1 << (m - 1)) - 1
     codes = rng.integers(lo, hi + 1, size=(4, 9, 3))
@@ -92,7 +95,7 @@ def test_pack_reads_every_integer_width_alike(m):
         given = tuple(tuple(tuple(c) for c in row) for row in codes.tolist()) if form == "tuples" \
             else codes.astype(form)
         index = pack_line_index(given, m)
-        assert index.dtype == np.int64 and index.tolist() == want, form
+        assert index.dtype == {2: np.int8, 5: np.int16, 8: np.int32}[m] and index.tolist() == want, form
         one = pack_line_index(given[0][0], m)  # a single code vector stays a scalar
         assert np.ndim(one) == 0 and one == want[0][0], form
 
@@ -173,6 +176,8 @@ def test_check_mode_is_the_rule_compile_config_and_table_builders_share():
 def test_decompose_rejects_odd():
     with pytest.raises(OddSplitUnsupported):
         decompose_table(2, 5)
+    with pytest.raises(OddSplitUnsupported, match="^only even m can be split in half, got m=5$"):
+        split_line_index(np.zeros(3, dtype=np.int16), 1, 5)
 
 
 def test_decomposed_halves_have_expected_modes():

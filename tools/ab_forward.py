@@ -29,8 +29,9 @@ loop window, for a batch-100 forward, and for ``compile_model`` and
 result; a traced peak repeats exactly, so one call each); and last, for
 an engine of the default model and one of the 1280-input model, each
 side's resident stage-1 row bytes (``StageRows.rows`` summed over the
-layers) and the bytes of the distinct ``mpu._word_keys`` tables one
-batch-1 forward of that engine reads.  A sweep window, as in
+layers), the bytes of the distinct ``mpu._word_keys`` tables one
+batch-1 forward of that engine reads, and its model's line index bytes
+(``CompiledLayer.line_indices`` summed over the layers).  A sweep window, as in
 the benchmark's compile_sweep, takes the six checkpoints of ``--seed``
 (input lengths 320, 640 and 1280 times conv m 10 and 6, model ``i``
 seeded ``seed * 1000 + i``) from checkpoint to loaded engine:
@@ -153,12 +154,13 @@ def main(argv: list[str] | None = None) -> int:
         for b, u in inputs.items():
             if not np.array_equal(engines["a"].forward(u), engines["b"].forward(u)):
                 raise SystemExit(f"ab_forward: the two trees disagree on the logits at batch {b}")
-        resident = {}  # (row bytes, word-table bytes) of each side's default and 1280-input engine
+        resident = {}  # (row, word-table, line-index bytes) of each side's default and 1280-input engine
         for name in sides:
             for label, eng in (("default", engines[name]), ("1280", inits[name][0](inits[name][1]))):
                 u = np.zeros(eng.model.input_channels * eng.model.input_len, dtype=np.int64)
                 resident.setdefault(label, {})[name] = (sum(r.rows.nbytes for r in eng.rows),
-                                                        word_table_bytes(mpus[name], eng, u))
+                                                        word_table_bytes(mpus[name], eng, u),
+                                                        sum(layer.line_indices.nbytes for layer in eng.model.layers))
         segment = rng.uniform(-1, 1, size=model.input_channels * model.input_len)
         classify = {name: (pipelines[name].classify_segment, engines[name], segment) for name in sides}
         if len({fn(*args) for fn, *args in classify.values()}) != 1:
@@ -216,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label:14}{peak['a']:10.2f}{peak['b']:10.2f}{peak['b'] / peak['a']:12.3f}")
     print(f"resident bytes\n{'':20}{'a':>10}{'b':>10}{'b/a':>12}")
     for label, side in resident.items():
-        for i, what in enumerate(("rows", "word tables")):
+        for i, what in enumerate(("rows", "word tables", "line indices")):
             a, b = side["a"][i], side["b"][i]
             print(f"{what + ' ' + label:20}{a:10}{b:10}{b / a if a else float('nan'):12.3f}")
     return 0
