@@ -344,7 +344,10 @@ def cmd_cost(args) -> int:
         return EXIT_OK
     if args.sweep:
         with open(args.sweep) as fh:
-            sweep = json.load(fh)
+            raw = json.load(fh)
+        sweep = _merge({"n": [0], "m": [0]}, raw, "sweep")  # lists of ints, and no other key
+        if missing := sorted({"n", "m"} - raw.keys()):
+            raise LoopConfigError(f"sweep file needs key {missing[0]!r}")
         rows = [["n", "m", "muxnet_bits", "lut_bits", "decomposition_ratio"]]
         for n in sweep["n"]:
             for m in sweep["m"]:

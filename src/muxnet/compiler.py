@@ -540,11 +540,9 @@ def _unpack_index_array(data: bytes, count: int, nbytes: int) -> np.ndarray:
     """``count`` little-endian ``nbytes``-byte words, in the narrowest dtype that holds any such
     word, so a corrupt index past 2**(n*m) reaches ``validate`` as it was written."""
     width, dtype = 1 << (nbytes - 1).bit_length(), narrowest(0, (1 << (8 * nbytes)) - 1)
-    if width == nbytes:
-        return np.frombuffer(data, dtype=f"<u{width}", count=count).astype(dtype)
     words = np.zeros((count, width), dtype=np.uint8)
     words[:, :nbytes] = np.frombuffer(data, dtype=np.uint8).reshape(count, nbytes)
-    return words.view(f"<u{width}").reshape(count).astype(dtype)
+    return words.view(f"<u{width}").reshape(count).astype(dtype, copy=False)  # words is ours: no second copy
 
 
 def serialize_model(model: CompiledModel) -> bytes:
@@ -638,7 +636,8 @@ def _write_f32(parts: list[bytes], arr: np.ndarray) -> None:
 
 def _read_f32(r: _Reader, shape: tuple[int, ...]) -> np.ndarray:
     count = int(np.prod(shape))
-    arr = np.frombuffer(r.take(4 * count), dtype="<f4").astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling nan reads as nan, which compile refuses by name
+        arr = np.frombuffer(r.take(4 * count), dtype="<f4").astype(np.float64)
     return arr.reshape(shape)
 
 

@@ -2,8 +2,9 @@
 
 Everything here is a pure function of shapes and configuration.  The one
 per-call formula, ``datapath_cost``, is what ``predict_model_costs`` reports
-per layer and what the vectorized datapath adds to its live counters:
-``mpu`` and ``engine`` import this module, never the reverse.  The
+per layer and what the vectorized datapath adds to its live counters on
+every call; it depends on its ints alone, so it is memoized.  ``mpu`` and
+``engine`` import this module, never the reverse.  The
 independent count is the scalar path, ``mpu.bitserial_inner_product``,
 which counts select by select; tests hold it to this formula.  Energy is
 abstract unit costs with user-supplied coefficients; silicon figures are
@@ -28,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import IO, Sequence
 
 from .compiler import CompiledModel
@@ -95,6 +97,7 @@ class LayerCost:
     adder_ops: int
 
 
+@lru_cache(maxsize=256)  # a call's cost depends on its ints only; an engine makes a few shapes
 def datapath_cost(*, n: int, m: int, decomposed: bool, outputs: int, chunks: int, cases: int,
                   groups: int, group_vector_len: int, activation_bits: int) -> tuple[int, int, int, int]:
     """(cycles, mux_selects, memory_bits_read, adder_ops) of one datapath call
@@ -177,13 +180,9 @@ def gating_report(
     active = [0] * blocks
     start = 0
     for bits, cycles in zip(layer_bits, layer_cycles):
-        if bits == 0 or cycles == 0:
-            start += bits
-            continue
-        first = start // block_bits
-        last = (start + bits - 1) // block_bits
-        for b in range(first, min(last, blocks - 1) + 1):
-            active[b] += cycles
+        if bits:  # a layer of no bits overlaps no block
+            for b in range(start // block_bits, (start + bits - 1) // block_bits + 1):
+                active[b] += cycles
         start += bits
     total_cycles = sum(layer_cycles)
     denom = blocks * total_cycles

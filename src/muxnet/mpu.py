@@ -25,41 +25,39 @@ that depend only on the layer (each group's plane shift, each chunk's
 first row, the top group's key flip and the merge's start) are built with
 the rows too, so a call derives nothing from the layer.  Cases are
 independent, so the kernel takes them in tiles of at most GATHER_ELEMS
-gathered entries, with every plane group in each tile: it keys every
-group, adds the base, makes one gather and one chunk sum, and merges the
-groups Horner-style, highest first, into the tile's rows of one
-preallocated result (the top group's sum plus the start, then shift by p,
-add the next group's sum): each partial value is the inner product with
-the activations' low planes cleared, an in-range code, so it is exact
-wherever the result is, and it is held in the result's dtype, int32 where
-the rows prove every such inner product fits it (``StageRows``), else
-int64.  As in the paper's stage 2, whose select lines
-are the chunk's activation bits, a chunk of two one-byte codes holding all
-k bits is one 16-bit word, and every group's key is one lookup of that
-word in a per-process table (``_word_keys``); any other shape keys from
-one casting copy of the tile's activations (any integer dtype, unmasked)
-by shift and mask (``_shift_keys``).  A call's transients are bounded by
-the tile whatever the batch; only the result grows with it.
+gathered entries, with every plane group in each tile: it keys every group,
+adds the base, makes one gather and one chunk sum, and merges the groups
+Horner-style, highest first, into the tile's rows of one preallocated
+result (the top group's sum plus the start, then shift by p, add the next
+group's sum): each partial value is the inner product with the activations'
+low planes cleared, an in-range code, so it is exact wherever the result
+is.  The chunk sums and the result are held at the widths one bound proves,
+the layer's reach (``StageRows``): sums from int16 up, the result from
+int32 up.  As in the paper's stage 2, whose select lines are the chunk's
+activation bits, a chunk of two one-byte codes holding all k bits is one
+16-bit word, and every group's key is one lookup of that word in a
+per-process table (``_word_keys``); any other shape keys from one casting
+copy of the tile's activations (any integer dtype, unmasked) by shift and
+mask (``_shift_keys``).  A call's transients are bounded by the tile
+whatever the batch; only the result grows with it.
 ``batch_inner_product`` builds p=1 rows per call, one output over every
 (case, chunk), and keys each case to its own chunks through a case-wise key
 base and start.  The scalar path selects each half on its own and, as the
 PLMU does, subtracts the MSB plane.
 
 The scalar path counts its selects one by one as it makes them;
-``pe_forward`` adds ``costmodel.datapath_cost`` to its counters,
-whose module docstring holds the cycle accounting conventions.  Those
-counters model the hardware, which selects one plane per cycle from a
-stage-1 line it reads per task: building rows once, fusing planes and
+``pe_forward`` adds ``costmodel.datapath_cost`` to its counters once per
+call; that module's docstring holds the cycle accounting conventions.
+Those counters model the hardware, which selects one plane per cycle from
+a stage-1 line it reads per task: building rows once, fusing planes and
 tiling cases only reorder the software's evaluation, so the counts do not
-change with p or the tile size; they are added once per call, whose cost
-``costmodel.datapath_cost`` gives from ints alone, memoized.
+change with p or the tile size.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
 from typing import IO, Sequence
 
 import numpy as np
@@ -108,9 +106,8 @@ class MpuConfig:
 
 def plmu_width_bound(cfg: MpuConfig) -> int:
     """Accumulator width that can never overflow for in-range inputs."""
-    chunk_bits = 0 if cfg.n == 1 else math.ceil(math.log2(cfg.n))
-    cpt = cfg.chunks_per_group
-    tree_bits = 0 if cpt == 1 else math.ceil(math.log2(cpt))
+    chunk_bits = (cfg.n - 1).bit_length()  # ceil(log2(x)) for every x >= 1
+    tree_bits = (cfg.chunks_per_group - 1).bit_length()
     return cfg.m + chunk_bits + tree_bits + cfg.activation_bits + 1
 
 
@@ -171,19 +168,13 @@ def stage2_select(line: np.ndarray, key: int, counters: CycleCount | None = None
 def _count_call(counters: CycleCount, rows: StageRows, cases: int, chunks: int) -> None:
     """Add one vectorized call's modeled cost to ``counters``."""
     cfg = rows.cfg
-    cycles, selects, bits = _call_cost(cfg.n, cfg.m, isinstance(rows.tables, DecomposedTable), rows.rows.shape[1],
-                                       chunks, cases, cfg.groups, cfg.group_vector_len, cfg.activation_bits)
+    cycles, selects, bits, _ = datapath_cost(  # adder ops have no live counter
+        n=cfg.n, m=cfg.m, decomposed=isinstance(rows.tables, DecomposedTable), outputs=rows.rows.shape[1],
+        chunks=chunks, cases=cases, groups=cfg.groups, group_vector_len=cfg.group_vector_len,
+        activation_bits=cfg.activation_bits)
     counters.cycles += cycles
     counters.mux_selects += selects
     counters.memory_bits_read += bits
-
-
-@lru_cache(maxsize=256)  # a call's cost depends on its ints only; an engine makes a few shapes
-def _call_cost(n: int, m: int, decomposed: bool, outputs: int, chunks: int, cases: int,
-               groups: int, group_vector_len: int, activation_bits: int) -> tuple[int, int, int]:
-    return datapath_cost(  # adder ops have no live counter
-        n=n, m=m, decomposed=decomposed, outputs=outputs, chunks=chunks, cases=cases, groups=groups,
-        group_vector_len=group_vector_len, activation_bits=activation_bits)[:3]
 
 
 def _check_tables(cfg: MpuConfig, tables: Tables) -> None:
@@ -275,11 +266,6 @@ def bitserial_inner_product(
     return plmu.accumulator
 
 
-def sum_dtype(terms: int, max_abs: int) -> np.dtype:
-    """Narrowest of int16, int32, int64 that ``terms`` entries of magnitude <= ``max_abs`` cannot overflow."""
-    return narrowest(-terms * max_abs, terms * max_abs, np.int16)
-
-
 @dataclass(frozen=True)
 class StageRows:
     """Resident stage-1 rows of one (outputs, chunks) weight matrix, fused over p planes,
@@ -296,18 +282,18 @@ class StageRows:
     ``-(sum(code) << (p-1))`` per output: the offset's ``-2**(k-1) * sum(code)``
     (exact by linearity) scaled down by the ``2**(k-p)`` the merge shifts it by.
     ``rows`` is row-major, so one key reads one contiguous run of ``outputs``
-    entries.  ``sum_dtype``, the narrowest of int16/int32/int64 for the sum over
-    chunks, is proven per chunk: no group's sum for output ``o`` exceeds (2**p - 1)
-    times the sum over chunks of that chunk's largest p=1 |entry| (``stage_rows``).
+    entries.
 
-    ``out_dtype``, int32 or int64, holds the kernel's result, its Horner merge and
-    ``start``.  It is proven from the layer: a k-bit activation, read unsigned or as
-    two's complement, is a sum of its bits weighted 2**b, b < k (the MSB's weight
-    negated if signed), and each bit of a chunk's n activations selects one p=1
-    entry of that chunk's line, at most ``magnitude`` (the largest p=1 |entry|).  So
-    no inner product, nor any Horner partial (an inner product with the low planes
-    cleared, shifted down), exceeds (2**k - 1) * chunks * magnitude; ``start``, at
-    most chunks * magnitude * 2**(p-1), is inside that too.
+    Both sum widths are proven from the layer's ``reach``, the largest over outputs
+    ``o`` of the sum over chunks of ``peak[c, o]``, chunk ``c``'s largest p=1 |entry|
+    for ``o``.  A k-bit activation, read unsigned or as two's complement, is a sum
+    of its bits weighted 2**b, b < k (the MSB's weight negated if signed), and each
+    plane of a chunk's n activations keys one p=1 entry of that chunk's line.  So one
+    plane group's sum over chunks is within (2**p - 1) * reach, which ``plane_dtype``
+    holds (narrowest from int16), and no inner product, nor any Horner partial (an
+    inner product with the low planes cleared, shifted down), exceeds
+    (2**k - 1) * reach, which ``out_dtype`` holds (narrowest from int32) with the
+    kernel's result, its merge and ``start``, at most reach * 2**(p-1).
 
     The kernel's key constants are built with the rows, in the key dtype (int32
     when it holds the k activation bits and every row, else int64): ``base``
@@ -320,8 +306,8 @@ class StageRows:
     tables: Tables
     p: int
     rows: np.ndarray  # (chunks << (n*p), outputs); narrowest dtype holding the range
-    sum_dtype: np.dtype
-    out_dtype: np.dtype  # int32 where (2**k - 1) * chunks * magnitude fits it, else int64
+    plane_dtype: np.dtype  # a plane group's sum over chunks: int16 where (2**p - 1) * reach fits it
+    out_dtype: np.dtype  # int32 where (2**k - 1) * reach fits it, else int64
     flip: int  # XORed into the top group's keys: bit p-1 of every field if signed, else 0
     start: np.ndarray  # (1, outputs) in out_dtype; (cases, 1) case-wise
     shifts: np.ndarray  # (groups, 1, 1) g*p, in the key dtype
@@ -394,16 +380,12 @@ def stage_rows(
     # row-major in the final dtype from the start: a depth-2q entry and the hi << q
     # in it are within magnitude * (2**(2q) - 1) <= max_abs, so doubling cannot wrap
     rows = np.ascontiguousarray(lines.transpose(1, 2, 0), dtype=narrowest(-max_abs, max_abs))
-    sums = sum_dtype(chunks, max_abs)
-    if sums != np.int16:
-        # a depth-p entry of chunk c adds p=1 entries of that chunk weighted 2**j, j < p:
-        # at most (2**p - 1) * peak[c, o], its largest p=1 |entry| (which fits the rows'
-        # dtype, so abs cannot wrap).  So any partial sum over chunks is within
-        # (2**p - 1) * sum_c peak[c, o], whatever the keys
-        peak = reduce(np.maximum, np.abs(rows).swapaxes(0, 1))  # key slices: no short-axis reduce
-        sums = sum_dtype((1 << p) - 1, int(peak.sum(axis=0, dtype=np.int64).max()))
-    # StageRows.out_dtype's bound, capped where no dtype holds it: int64 wraps as any result would
-    bound = min(((1 << k) - 1) * chunks * magnitude, (1 << 63) - 1)
+    # StageRows' reach: each chunk's largest p=1 |entry| (the rows' dtype holds -min), summed
+    keys = rows.swapaxes(0, 1)  # key slices: no short-axis reduce, and no whole-array abs
+    peak = np.maximum(reduce(np.maximum, keys), -reduce(np.minimum, keys))
+    reach = int(peak.sum(axis=0, dtype=np.int64).max(initial=0))
+    sums = narrowest(-((1 << p) - 1) * reach, ((1 << p) - 1) * reach, np.int16)
+    bound = min(((1 << k) - 1) * reach, (1 << 63) - 1)  # capped: int64 wraps as any result would
     out = narrowest(-bound, bound, np.int32)
     start = _start(rows[:, -1], p, signed, out)  # the all-ones key selects each chunk's code sum
     q = 1
@@ -414,7 +396,7 @@ def stage_rows(
     # the key arithmetic is the kernel's hot loop: int32 whenever it holds the k bits and every row
     kdt = narrowest(0, max(1 << min(k, 63), len(resident)) - 1, np.int32)  # int64 holds any input's bits
     flip = sum(1 << (i * p + p - 1) for i in range(n)) if signed else 0  # bit p-1 of every field
-    return StageRows(cfg=cfg, tables=tables, p=p, rows=resident, sum_dtype=sums, out_dtype=out,
+    return StageRows(cfg=cfg, tables=tables, p=p, rows=resident, plane_dtype=sums, out_dtype=out,
                      flip=flip, start=start,
                      shifts=_frozen(np.arange(k // p, dtype=kdt)[:, None, None] * p),
                      base=_frozen(np.arange(chunks, dtype=kdt)[None, :, None] << (n * p)))
@@ -436,7 +418,7 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
     (groups, chunks, tile), the top group's XORed with ``flip``, plus the
     rows' ``base`` (a case-wise base and start are sliced with the tile);
     one gather of resident rows through the chunk-major view of those keys;
-    a sum over chunks in ``sum_dtype``; and a Horner merge of the groups, highest first, from
+    a sum over chunks in ``plane_dtype``; and a Horner merge of the groups, highest first, from
     the top group's sum plus a signed layer's ``start`` (``acc <<= p;
     acc += sum``), into the tile's rows of the result, in ``out_dtype``,
     whose bound holds every partial.
@@ -467,7 +449,7 @@ def _kernel(rows: StageRows, acts: np.ndarray) -> np.ndarray:
         else:  # (chunks, tile) words: activation 0 in the low byte
             words = np.ascontiguousarray(acts[c0:c1]).view("<u2")[..., 0].T
             keys = np.add(table.take(words, axis=1), base, dtype=base.dtype)
-        planes = rows.rows.take(keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.sum_dtype)
+        planes = rows.rows.take(keys.transpose(1, 0, 2), axis=0).sum(axis=0, dtype=rows.plane_dtype)
         acc = out[c0:c1]
         acc[...] = planes[-1]
         if rows.flip:  # a cast copy, then a same-dtype add: one mixed-dtype broadcast add takes 3-4x as long

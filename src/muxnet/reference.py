@@ -41,6 +41,13 @@ def requant_reference(acc: np.ndarray, mult: np.ndarray, shift: int) -> np.ndarr
     return np.floor_divide(acc * np.asarray(mult, dtype=np.int64) + half, 1 << shift)
 
 
+def _windows(x: np.ndarray, channels: int, kernel: int, stride: int) -> np.ndarray:
+    """(batch, t_out, channels*kernel) windows of (batch, ...) channel-major rows, flattened channel-major."""
+    x = x.reshape(len(x), channels, np.prod(x.shape[1:], dtype=int) // channels)  # every width: batch may be 0
+    windows = sliding_window_view(x, kernel, axis=2)[:, :, ::stride]  # (batch, channels, t_out, kernel)
+    return windows.transpose(0, 2, 1, 3).reshape(len(x), windows.shape[2], channels * kernel)
+
+
 def reference_layer_forward(layer: CompiledLayer, u: np.ndarray, n: int) -> np.ndarray:
     """Integer forward of one compiled layer of chunk width ``n`` by direct MAC.
 
@@ -53,10 +60,7 @@ def reference_layer_forward(layer: CompiledLayer, u: np.ndarray, n: int) -> np.n
     codes = decode_line_indices(layer.line_indices, n, layer.mode_m)[:, :layer.fan_in]
     conv = layer.kind == KIND_CONV1D
     channels, kernel, stride = (layer.in_channels, layer.kernel, layer.stride) if conv else (1, layer.fan_in, 1)
-    x = np.asarray(u, dtype=np.int64)  # every width given, as the batch may be 0
-    x = x.reshape(len(x), channels, np.prod(x.shape[1:], dtype=int) // channels)
-    windows = sliding_window_view(x, kernel, axis=2)[:, :, ::stride]  # (batch, channels, t_out, kernel)
-    patches = windows.transpose(0, 2, 1, 3).reshape(len(x), windows.shape[2], layer.fan_in)
+    patches = _windows(np.asarray(u, dtype=np.int64), channels, kernel, stride)
     acc = np.matmul(codes, patches.transpose(0, 2, 1)) + layer.bias_q[:, None]
     if not layer.requant:
         return acc
@@ -75,28 +79,23 @@ def reference_logits(model: CompiledModel, u: np.ndarray) -> np.ndarray:
 
 
 def float_forward(model: FloatModel, x: np.ndarray) -> np.ndarray:
-    """Float logits of one sample, batch norm applied by definition."""
-    v = np.asarray(x, dtype=np.float64).reshape(model.input_channels, model.input_len)
+    """Float logits of one sample over the same windows, batch norm applied by definition."""
+    v = np.asarray(x, dtype=np.float64).reshape(1, model.input_channels, model.input_len)
     for layer in model.layers:
-        if layer.kind == KIND_CONV1D:
-            out_ch, _, k = layer.weight.shape
-            t_out = (v.shape[1] - k) // layer.stride + 1
-            y = np.empty((out_ch, t_out))
-            for t in range(t_out):
-                window = v[:, t * layer.stride: t * layer.stride + k]
-                y[:, t] = np.tensordot(layer.weight, window, axes=([1, 2], [0, 1]))
-        else:
-            y = layer.weight @ v.reshape(-1)
+        w = layer.weight
+        conv = layer.kind == KIND_CONV1D
+        channels, kernel, stride = (*w.shape[1:], layer.stride) if conv else (1, w.shape[1], 1)
+        # einsum loops where matmul over the windows would call BLAS gemm, with its buffers
+        y = np.einsum("of,tf->ot", w.reshape(len(w), -1), _windows(v, channels, kernel, stride)[0])
         if layer.bias is not None:
-            y = y + (layer.bias[:, None] if y.ndim == 2 else layer.bias)
+            y = y + layer.bias[:, None]
         if layer.bn is not None:
             bn = layer.bn
-            ax = (slice(None), None) if y.ndim == 2 else slice(None)
-            norm = (y - np.asarray(bn.mean)[ax]) / np.sqrt(np.asarray(bn.var)[ax] + bn.eps)
-            y = norm * np.asarray(bn.gamma)[ax] + np.asarray(bn.beta)[ax]
+            norm = (y - np.asarray(bn.mean)[:, None]) / np.sqrt(np.asarray(bn.var)[:, None] + bn.eps)
+            y = norm * np.asarray(bn.gamma)[:, None] + np.asarray(bn.beta)[:, None]
         if layer.activation == ACT_RELU:
             y = np.maximum(y, 0.0)
-        v = y if y.ndim == 2 else y.reshape(1, -1)
+        v = y[None]
     return v.reshape(-1)
 
 

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 try:
@@ -282,7 +283,28 @@ def test_cost_sweep_csv(tmp_path, capsys):
     m10 = lines[3].split(",")
     assert float(m10[4]) == 512.0
     assert lines[4] == "2,2,4,12,"  # two 1-bit halves: no split either
+    assert out.read_bytes() == (b"n,m,muxnet_bits,lut_bits,decomposition_ratio\r\n2,4,8,24,8.0\r\n"
+                                b"2,5,10,30,\r\n2,10,20,60,512.0\r\n2,2,4,12,\r\n")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sweep, named", [
+    ({"n": [2.5], "m": [5]}, "sweep.n[0]"),
+    ({"n": [True], "m": [5.0]}, "sweep.n[0]"),
+    ({"n": [2], "m": [5.0]}, "sweep.m[0]"),
+    ({"m": [5]}, "'n'"),
+    ({"n": [2]}, "'m'"),
+    ({"n": 2, "m": [5]}, "sweep.n "),
+    ({"n": [2], "m": [5], "x": [1]}, "'sweep.x'"),
+    ([1, 2], "sweep must be dict"),
+])
+def test_cost_sweep_refuses_a_malformed_file_by_key(tmp_path, capsys, sweep, named):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep))
+    out = tmp_path / "sweep.csv"
+    assert main(["cost", "--sweep", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cost_without_input_is_config_error(tmp_path, capsys):
@@ -405,6 +427,21 @@ def test_compile_refuses_a_checkpoint_that_would_overflow(tmp_path, capsys):
     assert main(["compile", "--model", str(ckpt), "--out", str(out)]) == EXIT_INPUT
     assert not out.exists()
     assert "past int64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("gamma", np.nan, "gamma contains nan/inf"),
+    ("eps", 0.0, "eps must be positive, got 0.0"),
+])
+def test_compile_refuses_bad_batch_norm_by_name(tmp_path, capsys, field, value, match):
+    model = default_float_model(seed=0)
+    bn = model.layers[1].bn
+    model.layers[1].bn = replace(bn, **{field: value if field == "eps" else np.full_like(bn.gamma, value)})
+    ckpt, out = tmp_path / "bad-bn.muxf", tmp_path / "bad-bn.muxn"
+    save_float_model(model, ckpt)
+    assert main(["compile", "--model", str(ckpt), "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    assert f"BadBNParams: {match}" in capsys.readouterr().err
 
 
 def test_compile_refuses_a_checkpoint_with_subnormal_weights(tmp_path, capsys):

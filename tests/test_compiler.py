@@ -4,6 +4,7 @@ import copy
 import functools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import strategies as st
 
 from muxnet import compiler
-from muxnet.cli import EXIT_INPUT, main
+from muxnet.cli import EXIT_INPUT, EXIT_OK, main
 from muxnet.compiler import (
     _HEADER,
     _LAYER_HEADER,
@@ -45,6 +46,7 @@ from muxnet.errors import (
     BadBNParams,
     CorruptArtifact,
     MuxnetError,
+    NonFiniteWeight,
     OddSplitUnsupported,
     ShapeError,
     UnsupportedLayer,
@@ -132,6 +134,28 @@ def test_bad_bn_params():
             kind="conv1d", weight=np.ones((2, 1, 1)),
             bn=BatchNormParams(gamma=np.ones(1), beta=np.zeros(1),
                                mean=np.zeros(1), var=np.ones(1))))
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("gamma", np.array([np.nan]), "gamma contains nan/inf"),
+    ("var", np.array([np.inf]), "var contains nan/inf"),
+    ("eps", 0.0, "eps must be positive, got 0.0"),
+    ("eps", float("nan"), "eps must be positive, got nan"),
+])
+def test_batch_norm_refuses_nan_and_a_non_positive_eps(field, value, match):
+    bn = {"gamma": np.ones(1), "beta": np.zeros(1), "mean": np.zeros(1), "var": np.ones(1), field: value}
+    with pytest.raises(BadBNParams, match=match):
+        fold_batchnorm(FloatLayer(kind="conv1d", weight=np.ones((1, 1, 1)), bn=BatchNormParams(**bn)))
+
+
+def test_float_layer_refuses_an_unknown_activation():
+    with pytest.raises(UnsupportedLayer, match="unknown activation 'gelu'"):
+        FloatLayer(kind="linear", weight=np.ones((2, 3)), activation="gelu")
+
+
+def test_float_model_refuses_no_layers():
+    with pytest.raises(ShapeError, match="model needs at least one layer"):
+        FloatModel(layers=[], input_len=4)
 
 
 def test_layer_validation():
@@ -651,6 +675,53 @@ def test_mutated_artifact_runs_bit_exact_or_is_refused(data):
     u = rng.integers(0, 1 << model.layers[0].activation_bits,
                      size=(2, model.input_channels * model.input_len))
     assert np.array_equal(MpuEngine(model).forward(u), reference_logits(model, u))
+
+
+def test_a_signalling_nan_weight_is_refused_without_a_warning():
+    blob = bytearray(serialize_float_model(default_float_model(seed=0, input_len=80)))
+    first = compiler._FLOAT_HEADER.size + compiler._FLOAT_LAYER.size
+    blob[first:first + 4] = (0x7FA00000).to_bytes(4, "little")  # a float32 signalling nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = deserialize_float_model(bytes(blob))
+        assert np.isnan(model.layers[0].weight.flat[0])
+        with pytest.raises(NonFiniteWeight):
+            compile_model(model)
+
+
+@functools.cache
+def _default_checkpoint() -> tuple[bytes, list[int]]:
+    """A small default .muxf and the offsets of its header bytes and batch-norm eps."""
+    model = default_float_model(seed=0, input_len=80)
+    blob = serialize_float_model(model)
+    heads, at = [range(compiler._FLOAT_HEADER.size)], compiler._FLOAT_HEADER.size
+    for layer in model.layers:
+        heads.append(range(at, at + compiler._FLOAT_LAYER.size))
+        at += compiler._FLOAT_LAYER.size + 4 * (layer.weight.size + layer.out_channels)  # weight, bias
+        if layer.bn is not None:
+            heads.append(range(at, at + 8))
+            at += 8 + 4 * 4 * layer.out_channels
+    assert at == len(blob)
+    return blob, [i for r in heads for i in r]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_mutated_checkpoint_compiles_or_is_refused(tmp_path_factory, data):
+    blob, header_bytes = _default_checkpoint()
+    at = st.one_of(st.sampled_from(header_bytes), st.integers(0, len(blob) - 1))
+    mutated = bytearray(blob)
+    for i, byte in data.draw(st.lists(st.tuples(at, st.integers(0, 255)), min_size=1, max_size=3)):
+        mutated[i] = byte
+    want = EXIT_OK
+    try:
+        compile_model(deserialize_float_model(bytes(mutated)))
+    except MuxnetError:  # BadArtifact or CorruptArtifact at load, any refusal at compile
+        want = EXIT_INPUT
+    if data.draw(st.integers(0, 9)) == 0:  # a few through the command line
+        root = tmp_path_factory.mktemp("muxf")
+        (root / "m.muxf").write_bytes(mutated)
+        assert main(["compile", "--model", str(root / "m.muxf"), "--out", str(root / "m.muxn")]) == want
 
 
 def eight_byte_words(indices, nbytes):

@@ -31,7 +31,7 @@ from muxnet.compiler import (
 from muxnet.costmodel import predict_model_costs
 from muxnet.engine import MpuEngine, _patch_index
 from muxnet.errors import BadArtifact, ShapeError
-from muxnet.mpu import FUSE_DEPTHS, ROW_BUDGET_BYTES, MpuConfig, pe_forward, stage_rows, sum_dtype
+from muxnet.mpu import FUSE_DEPTHS, ROW_BUDGET_BYTES, MpuConfig, pe_forward, stage_rows
 from muxnet.quantizer import activation_range
 from muxnet.reference import reference_logits
 
@@ -349,17 +349,6 @@ def test_other_widths_and_chunk_sizes_match_reference(settings, group_vector_len
     assert np.array_equal(engine.forward(u), want)
     for i in range(u.shape[0]):
         assert np.array_equal(engine.forward(u[i]), want[i]), i
-
-
-def test_chunk_sums_take_the_narrowest_of_int16_int32_int64():
-    assert sum_dtype(1, 2**15 - 1) == np.int16
-    assert sum_dtype(1, 2**15) == np.int32
-    assert sum_dtype(2, 2**14 - 1) == np.int16
-    assert sum_dtype(2, 2**14) == np.int32
-    assert sum_dtype(1, 2**31 - 1) == np.int32
-    assert sum_dtype(1, 2**31) == np.int64
-    assert sum_dtype(2, 2**30 - 1) == np.int32
-    assert sum_dtype(2, 2**30) == np.int64
 
 
 # (input channels, input length, [(out channels, kernel, stride), ...]) of the conv layers

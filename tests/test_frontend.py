@@ -1,5 +1,6 @@
 """CIC decimation vs FIR oracle, exact schedules, closed loop, containers."""
 
+import functools
 import hashlib
 import json
 import math
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from muxnet.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from muxnet.compiler import (
     ACT_NONE,
     CompiledLayer,
     CompiledModel,
     compile_model,
     default_float_model,
+    save_model,
 )
 import muxnet.frontend
 from muxnet.engine import MpuEngine
@@ -466,6 +469,40 @@ def test_signal_container_rejects_damage(tmp_path):
     huge.write_bytes(data[:14] + struct.pack("<Q", 1 << 62) + data[22:])
     with pytest.raises(CorruptArtifact, match="header promises"):
         read_signal(huge)
+
+
+@functools.cache
+def _loop_model(root) -> str:
+    """The default compiled model, written once under ``root`` for the loop command."""
+    path = root / "model.muxn"
+    save_model(compile_model(default_float_model(seed=0)), path)
+    return str(path)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_mutated_signal_reads_or_is_refused(tmp_path_factory, data):
+    # 12 s at the default loop's 512 Hz / 16 bits / 1 channel, header bytes weighted
+    samples = np.random.default_rng(7411).integers(-2**15, 2**15, size=512 * 12).astype("<i2")
+    blob = muxnet.frontend._SIGNAL_HEADER.pack(b"MUXS", 1, 512, 16, 1, samples.size) + samples.tobytes()
+    head = muxnet.frontend._SIGNAL_HEADER.size
+    at = st.one_of(st.integers(0, head - 1), st.integers(0, len(blob) - 1))
+    mutated = bytearray(blob)
+    for i, byte in data.draw(st.lists(st.tuples(at, st.integers(0, 255)), min_size=1, max_size=3)):
+        mutated[i] = byte
+    root = tmp_path_factory.getbasetemp()
+    path = root / "mutated.muxs"
+    path.write_bytes(mutated)
+    try:
+        got, rate, bits, channels = read_signal(path)
+    except (BadArtifact, CorruptArtifact):
+        want = EXIT_INPUT
+    else:
+        assert np.array_equal(got, np.frombuffer(bytes(mutated), dtype=got.dtype, offset=head))
+        want = EXIT_OK if (rate, bits, channels) == (512, 16, 1) else EXIT_CONFIG  # the config's signal
+    if data.draw(st.integers(0, 19)) == 0:  # a few through the command line
+        out = root / "mutated.jsonl"
+        assert main(["loop", "--model", _loop_model(root), "--signal", str(path), "--out", str(out)]) == want
 
 
 def _signal_header(data: bytes, field: int, value: int) -> bytes:

@@ -29,7 +29,6 @@ from muxnet.mpu import (
     stage1_select,
     stage2_select,
     stage_rows,
-    sum_dtype,
 )
 from muxnet.quantizer import QParams, QuantizedWeightVector, activation_range
 from muxnet.reference import decode_line_indices, reference_inner_product, reference_logits
@@ -55,6 +54,12 @@ def test_stage_selects_and_counters():
     assert stage2_select(line, 0b10, counters) == -7
     assert counters.mux_selects == 4 + 1
     assert counters.memory_bits_read == 10
+
+
+def test_reference_inner_product_refuses_a_length_mismatch():
+    assert reference_inner_product([3, -7], [2, 1]) == -1
+    with pytest.raises(ValueError, match="length mismatch: 2 codes vs 3 activations"):
+        reference_inner_product([3, -7], [2, 1, 0])
 
 
 def test_stage1_rejects_bad_index():
@@ -208,9 +213,9 @@ def test_offset_binary_start_is_exact_at_the_extreme_activations(monkeypatch, bi
     # result is the start alone, and all 2**(k-1) - 1 as all ones, every group's
     # largest key; on both key paths, at every p that divides k, and with the
     # case-wise start of batch_inner_product.  The result, its merge and the start
-    # are int32 where (2**k - 1) * chunks * 2**m (all -2**(m-1) codes make the
-    # largest |entry| 2**m) fits it: over 5 chunks always, over 1040 chunks only
-    # up to 8 bits (255 * 1040 * 1024 < 2**31 <= 65535 * 1040 * 32)
+    # are int32 where (2**k - 1) * reach fits it, reach being chunks * 2**m here (all
+    # -2**(m-1) codes make each chunk's largest |entry| 2**m): over 5 chunks always,
+    # over 1040 chunks only up to 8 bits (255 * 1040 * 1024 < 2**31 <= 65535 * 1040 * 32)
     half = 1 << (m - 1)
     cfg = MpuConfig(n=2, m=m, groups=8, group_vector_len=8, activation_bits=bits, activation_signed=True)
     lo, hi = activation_range(bits, True)
@@ -343,29 +348,33 @@ def peak_codes(total: int, chunks: int, code: int) -> list[int]:
 @pytest.mark.parametrize("deepest", FUSE_DEPTHS)
 @pytest.mark.parametrize("signed", [False, True])
 def test_chunk_sums_are_exact_at_their_per_chunk_bound(deepest, signed):
-    # each output's chunk peaks add up to (2**15 - 1) // (2**deepest - 1), so at
-    # p = deepest the all-ones activations drive one group's chunk sum to within a
-    # few units of 2**15 - 1; the zero chunks make the layer-wide rule pick int32
+    # each output's chunk peaks add up to (2**15 - 1) // (2**deepest - 1), the
+    # layer's reach, so at p = deepest the all-ones activations drive one group's
+    # chunk sum to within a few units of 2**15 - 1, in int16 however many chunks
+    # are zero.  At 16 bits the result's bound, (2**16 - 1) * reach < 2**31, is int32
+    # over 1100 chunks, many zero, where chunks times the largest |entry| needs int64
     total = (2**15 - 1) // ((1 << deepest) - 1)
-    chunks = total // 30 + 8
-    codes = np.array([peak_codes(total, chunks, -16), peak_codes(total, chunks, 15)])
-    cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=8, activation_signed=signed)
-    lo, hi = activation_range(8, signed)
-    acts = np.random.default_rng(deepest).integers(lo, hi + 1, size=(6, 2 * chunks))
-    acts[:4] = [[-1 if signed else hi], [lo], [hi], [lo + 1]]  # -1 and 255 select each peak on every plane
-    idx = pack_rows(codes, 2, 5)
-    want = acts @ codes.T  # oracle first
-    peak = max(sum(max(abs(c0 * b0 + c1 * b1) for b0 in (0, 1) for b1 in (0, 1))
-                   for c0, c1 in zip(row[::2], row[1::2])) for row in codes.tolist())
-    assert peak == total
-    for p in FUSE_DEPTHS:
-        rows = stage_rows(idx, cfg, T5, p=p)
-        assert np.array_equal(pe_forward(rows, acts), want), p
-        bound = ((1 << p) - 1) * peak
-        assert rows.sum_dtype == next(d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
-        if p == deepest:
-            assert 2**15 - 8 <= bound < 2**15 and rows.sum_dtype == np.int16
-            assert sum_dtype(chunks, 16 * 2 * ((1 << p) - 1)) == np.int32  # the layer-wide rule
+    for bits, chunks in ((8, total // 30 + 8), (16, 1100)):
+        codes = np.array([peak_codes(total, chunks, -16), peak_codes(total, chunks, 15)])
+        cfg = MpuConfig(n=2, m=5, groups=8, group_vector_len=8, activation_bits=bits, activation_signed=signed)
+        lo, hi = activation_range(bits, signed)
+        acts = np.random.default_rng(deepest).integers(lo, hi + 1, size=(6, 2 * chunks))
+        acts[:4] = [[-1 if signed else hi], [lo], [hi], [lo + 1]]  # -1 and 2**bits - 1 select each peak on every plane
+        idx = pack_rows(codes, 2, 5)
+        want = acts @ codes.T  # oracle first
+        peak = max(sum(max(abs(c0 * b0 + c1 * b1) for b0 in (0, 1) for b1 in (0, 1))
+                       for c0, c1 in zip(row[::2], row[1::2])) for row in codes.tolist())
+        assert peak == total
+        for p in FUSE_DEPTHS:
+            rows = stage_rows(idx, cfg, T5, p=p)
+            assert np.array_equal(pe_forward(rows, acts), want), (bits, p)
+            bound = ((1 << p) - 1) * peak
+            assert rows.plane_dtype == next(d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
+            assert rows.out_dtype == np.int32, (bits, p)
+            if p == deepest:
+                assert 2**15 - 8 <= bound < 2**15 and rows.plane_dtype == np.int16
+        if bits == 16:  # chunks times the largest |entry|, 32, past int32
+            assert ((1 << bits) - 1) * chunks * 32 > 2**31 - 1
 
 
 @pytest.mark.parametrize("per_tile", [1, 5, 17])

@@ -117,6 +117,30 @@ def test_code_out_of_range_rejected():
         QuantizedWeightVector(codes=(4,), qparams=QParams(m=3, scale=1.0))
 
 
+def test_quantized_weight_vector_refuses_no_codes():
+    with pytest.raises(ValueError, match="weight vector must be non-empty"):
+        QuantizedWeightVector(codes=(), qparams=QParams(m=3, scale=1.0))
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.array([1.0, 0.0])])
+def test_quantize_codes_refuses_a_non_positive_scale(scale):
+    with pytest.raises(ValueError, match="scale must be positive"):
+        quantize_codes(np.ones((2, 3)), m=3, scale=np.reshape(scale, (-1, 1)))
+
+
+@pytest.mark.parametrize("weights, grid, match", [
+    (np.ones((2, 3)), np.ones((3, 4)), "need \\(rows, len\\) weights"),  # one grid per row
+    (np.ones((1, 2, 3)), np.ones((1, 4)), "need \\(rows, len\\) weights"),  # 3-d weights
+    ([], [1.0], "weights must be non-empty"),
+    ([0.5], [], "search grid must be non-empty"),
+    ([0.5], [1.0, 0.0], "its scales positive and finite"),
+    ([0.5], [1.0, np.inf], "its scales positive and finite"),
+])
+def test_choose_prescale_refuses_bad_shapes_empty_weights_and_bad_grids(weights, grid, match):
+    with pytest.raises(ValueError, match=match):
+        choose_prescale(weights, 3, grid)
+
+
 def test_default_grid_spans_half_to_double():
     w = [0.3, -0.7]
     grid = default_prescale_grid(w, m=3, points=64)
