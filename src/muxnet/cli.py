@@ -1,15 +1,25 @@
 """Command-line workflows: compile, verify, loop, cost, eval, utilities.
 
 Exit codes: 0 success, 1 verification failure, 2 input/artifact error,
-3 configuration error.  Every command is deterministic given its
-arguments and seed.
+3 configuration error, 141 a closed output pipe (the reader left, as
+``| head`` does; nothing is printed).  Every command is deterministic given
+its arguments and seed.
+
+Exit 3 is a LoopConfigError, raised for the ``--config`` file and its
+sections, ``--sweep``, ``--cases``, ``--trigger-classes``, the other option
+values a command refuses, a signal the config does not describe and a
+dataset without ``segments`` (the full list is in docs/format.md).
+``configured`` turns the ValueError of a refused setting into one; a
+ValueError raised anywhere else is no config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import os
 import sys
 import zipfile
 from dataclasses import asdict
@@ -26,7 +36,7 @@ from .compiler import (
     save_float_model,
     save_model,
 )
-from .costmodel import decomposition_cost, memory_cost, model_cost_report, write_cost_csv
+from .costmodel import CostReport, decomposition_cost, memory_cost, model_cost_report, write_cost_csv
 from .engine import MpuEngine
 from .errors import BadArtifact, LoopConfigError, MuxnetError, SegmentLengthError
 from .frontend import (
@@ -56,6 +66,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, the shell's status for a writer whose reader left
 
 # Library dataclasses supply their own defaults; engine, voting and cost are
 # keyword arguments of MpuEngine, VotingConfig and model_cost_report.
@@ -68,18 +79,22 @@ DEFAULT_CONFIG: dict = json.loads(json.dumps({
 }))
 
 
+# keys whose default is null (unset): set, each takes this example's type
+_NULLABLE = {"voting.thresholds": [0], "cost.capacity_bits": 0}
+
+
 def _merge(default, value, path: str = ""):
     """`value` checked against, and merged over, its default.
 
     A value must have its default's JSON type (any number where the default
-    is a float, but no boolean for a number; anything where it is null), and
-    each list element that of the default list's first element.  An object
-    may only hold keys its default has, at any depth, so an entry of a list
-    of objects (``loop.stim``) is merged over the default entry and may
-    leave out fields.
+    is a float, but no boolean for a number; that of its `_NULLABLE` example,
+    or null, where it is null), and each list element that of the default
+    list's first element.  An object may only hold keys its default has, at
+    any depth, so an entry of a list of objects (``loop.stim``) is merged
+    over the default entry and may leave out fields.
     """
     if default is None:
-        return value
+        return value if value is None else _merge(_NULLABLE[path], value, path)
     if (not isinstance(value, (int, float) if isinstance(default, float) else type(default))
             or isinstance(value, bool) != isinstance(default, bool)):
         raise LoopConfigError(
@@ -97,28 +112,71 @@ def _merge(default, value, path: str = ""):
     return out
 
 
+def configured(build):
+    """``build``, which makes an object from settings (a config or sweep file's
+    text, a ``--config`` section, a command's options): the ValueError by which
+    it refuses a setting is a config error, LoopConfigError (exit 3), with the
+    same message.  Every such refusal passes through here; a ValueError from
+    anywhere else is no config error."""
+    @functools.wraps(build)
+    def built(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            raise LoopConfigError(str(exc)) from exc
+    return built
+
+
 def load_config(path: str | None) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is None:
         return cfg
     with open(path) as fh:
-        return _merge(cfg, json.load(fh))
+        return _merge(cfg, configured(json.load)(fh))  # text that is not JSON is a config error
 
 
-def make_loop_config(cfg: dict, trigger_override: list[int] | None = None) -> LoopConfig:
+# Each --config section is built through its dataclass here, and only here.
+
+@configured
+def compile_config(cfg: dict) -> CompileConfig:
+    return CompileConfig(**cfg["compile"])
+
+
+@configured
+def make_loop_config(cfg: dict, trigger_classes: str | None = None) -> LoopConfig:
+    """The loop section; ``trigger_classes``, the ``--trigger-classes`` text
+    (comma-separated class ids, empty for none), replaces every channel's."""
+    override = None
+    if trigger_classes is not None:
+        text = trigger_classes.strip()
+        override = [int(part) for part in text.split(",")] if text else []
     loop = dict(cfg["loop"])
     stim = []
     for s in loop.pop("stim"):
-        classes = s["trigger_classes"] if trigger_override is None else trigger_override
+        classes = s["trigger_classes"] if override is None else override
         stim.append(StimChannelConfig(**{**s, "trigger_classes": tuple(classes)}))
     return LoopConfig(cic=CicConfig(**loop.pop("cic")), stim=tuple(stim), **loop)
 
 
-def _voting(cfg: dict, model: CompiledModel, votes_per_epoch: int) -> VotingConfig:
+@configured
+def engine_config(cfg: dict, n: int) -> MpuConfig:
+    """The engine section at the model's ``n``: MpuEngine takes its groups and
+    group_vector_len, which MpuConfig checks here for every command."""
+    return MpuConfig(n=n, **cfg["engine"])
+
+
+@configured
+def voting_config(cfg: dict, class_count: int, votes_per_epoch: int) -> VotingConfig:
     thresholds = cfg["voting"]["thresholds"]
-    if thresholds is not None:  # null by default, so typed here: a list of ints
-        thresholds = tuple(_merge([0], thresholds, "voting.thresholds"))
-    return VotingConfig(model.class_count, votes_per_epoch, thresholds)
+    return VotingConfig(class_count, votes_per_epoch,
+                        None if thresholds is None else tuple(thresholds))
+
+
+@configured
+def cost_report(cfg: dict, model: CompiledModel) -> CostReport:
+    """The cost section: ``model``'s report on the engine section's shape."""
+    mpu = engine_config(cfg, model.n)
+    return model_cost_report(model, mpu.groups, mpu.group_vector_len, **cfg["cost"])
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +259,8 @@ def verify_cic(seed: int, samples: int) -> tuple[int, str | None]:
 
 
 def verify_model(model: CompiledModel, cfg: dict, seed: int, segments: int) -> tuple[int, str | None]:
-    engine = MpuEngine(model, **cfg["engine"])
+    mpu = engine_config(cfg, model.n)
+    engine = MpuEngine(model, mpu.groups, mpu.group_vector_len)
     rng = np.random.default_rng(seed)
     u = rng.integers(0, 1 << model.layers[0].activation_bits,
                      size=(segments, model.input_channels * model.input_len))
@@ -225,6 +284,7 @@ def cmd_verify(args) -> int:
     if args.cases < 1:
         raise LoopConfigError(f"--cases must be at least 1, got {args.cases}")
     cfg = load_config(args.config)
+    configured(np.random.SeedSequence)(args.seed)  # the suite's seed, refused before it runs
     checks: list[tuple[str, int, str | None]] = []
 
     table = _perturbed_table(3) if args.inject_fault else build_static_table(2, 3)
@@ -268,8 +328,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_init_model(args) -> int:
-    model = default_float_model(seed=args.seed, input_len=args.input_len,
-                                class_count=args.classes)
+    model = configured(default_float_model)(seed=args.seed, input_len=args.input_len,
+                                            class_count=args.classes)
     save_float_model(model, args.out)
     print(f"wrote {args.out}: {len(model.layers)} layers, "
           f"input {model.input_len}, classes {model.class_count}")
@@ -278,37 +338,30 @@ def cmd_init_model(args) -> int:
 
 def cmd_compile(args) -> int:
     cfg = load_config(args.config)
-    compile_cfg = CompileConfig(**cfg["compile"])
+    compile_cfg = compile_config(cfg)
+    mpu = engine_config(cfg, compile_cfg.n) if args.report else None  # refused before any output
     compiled = compile_model(load_float_model(args.model), compile_cfg)
     save_model(compiled, args.out)
     print(f"wrote {args.out}: {len(compiled.layers)} layers, n={compiled.n}, "
           f"classes={compiled.class_count}")
-    if args.report:
-        report = model_cost_report(compiled, **cfg["engine"])
+    if mpu is not None:
+        report = model_cost_report(compiled, mpu.groups, mpu.group_vector_len)
         print(f"weight_memory_bits={report.weight_memory_bits}")
         print(f"lut_memory_bits={report.lut_memory_bits}")
         print(f"table_entries={report.table_entries}")
     return EXIT_OK
 
 
-def _parse_trigger_classes(text: str | None) -> list[int] | None:
-    if text is None:
-        return None
-    text = text.strip()
-    if not text:
-        return []
-    return [int(part) for part in text.split(",")]
-
-
 def cmd_loop(args) -> int:
     cfg = load_config(args.config)
-    loop_cfg = make_loop_config(cfg, _parse_trigger_classes(args.trigger_classes))
+    loop_cfg = make_loop_config(cfg, args.trigger_classes)
     model = load_model(args.model)
-    engine = MpuEngine(model, **cfg["engine"])
-    voting = _voting(cfg, model, loop_cfg.votes_per_epoch)
+    mpu = engine_config(cfg, model.n)
+    engine = MpuEngine(model, mpu.groups, mpu.group_vector_len)
+    voting = voting_config(cfg, model.class_count, loop_cfg.votes_per_epoch)
     if args.synthetic is not None:
-        samples, _labels = synthetic_source(args.synthetic, args.seconds, loop_cfg,
-                                            class_count=model.class_count)
+        samples, _labels = configured(synthetic_source)(args.synthetic, args.seconds, loop_cfg,
+                                                        class_count=model.class_count)
     elif args.signal:
         samples, rate, bits, channels = read_signal(args.signal)
         if channels != 1:
@@ -330,10 +383,7 @@ def cmd_loop(args) -> int:
 def cmd_cost(args) -> int:
     cfg = load_config(args.config)
     if args.model:
-        model = load_model(args.model)
-        if cfg["cost"]["capacity_bits"] is not None:  # null by default, so typed here: an int
-            _merge(0, cfg["cost"]["capacity_bits"], "cost.capacity_bits")
-        report = model_cost_report(model, **cfg["engine"], **cfg["cost"])
+        report = cost_report(cfg, load_model(args.model))
         with open(args.out, "w", newline="") as fh:
             write_cost_csv(report, fh)
         print(f"wrote {args.out}")
@@ -344,14 +394,14 @@ def cmd_cost(args) -> int:
         return EXIT_OK
     if args.sweep:
         with open(args.sweep) as fh:
-            raw = json.load(fh)
+            raw = configured(json.load)(fh)
         sweep = _merge({"n": [0], "m": [0]}, raw, "sweep")  # lists of ints, and no other key
         if missing := sorted({"n", "m"} - raw.keys()):
             raise LoopConfigError(f"sweep file needs key {missing[0]!r}")
         rows = [["n", "m", "muxnet_bits", "lut_bits", "decomposition_ratio"]]
         for n in sweep["n"]:
             for m in sweep["m"]:
-                mux_bits, lut_bits = memory_cost(n, m)
+                mux_bits, lut_bits = configured(memory_cost)(n, m)
                 try:
                     ratio = decomposition_cost(n, m).ratio
                 except (ValueError, MuxnetError):  # a split check_mode refuses
@@ -384,8 +434,10 @@ def cmd_eval(args) -> int:
     if labels is not None and not np.isin(labels, np.arange(model.class_count)).all():
         raise BadArtifact(
             f"dataset {args.data}: labels must be whole numbers in [0, {model.class_count})")
-    engine = MpuEngine(model, **cfg["engine"])  # after the dataset's checks: a refusal builds no rows
-    report = evaluate_dataset(engine, segments, labels, _voting(cfg, model, segments.shape[1]))
+    mpu = engine_config(cfg, model.n)
+    voting = voting_config(cfg, model.class_count, segments.shape[1])
+    engine = MpuEngine(model, mpu.groups, mpu.group_vector_len)  # after every check: a refusal builds no rows
+    report = evaluate_dataset(engine, segments, labels, voting)
     with open(args.out, "w", newline="") as fh:
         write_report_csv(report, fh)
     print(f"wrote {args.out}: {report.epochs} epochs")
@@ -402,7 +454,7 @@ def cmd_dump_config(args) -> int:
 
 
 def cmd_dump_table(args) -> int:
-    table = build_static_table(args.n, args.m, signed=not args.unsigned)
+    table = configured(build_static_table)(args.n, args.m, signed=not args.unsigned)
     if args.out:
         with open(args.out, "w") as fh:
             dump_table(table, fh)
@@ -415,9 +467,10 @@ def cmd_dump_table(args) -> int:
 def cmd_make_signal(args) -> int:
     """Generate a synthetic raw-signal file (testing aid)."""
     cfg = load_config(args.config)
-    loop_cfg = make_loop_config(cfg, None)
-    samples, _labels = synthetic_source(args.seed, args.seconds, loop_cfg)
-    write_signal(args.out, samples, loop_cfg.input_rate_hz, loop_cfg.cic.input_bits)
+    loop_cfg = make_loop_config(cfg)
+    samples, _labels = configured(synthetic_source)(args.seed, args.seconds, loop_cfg)
+    # a CIC input width no signal file holds is refused before the file is made
+    configured(write_signal)(args.out, samples, loop_cfg.input_rate_hz, loop_cfg.cic.input_bits)
     print(f"wrote {args.out}: {samples.size} samples at {loop_cfg.input_rate_hz} Hz")
     return EXIT_OK
 
@@ -505,10 +558,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (LoopConfigError, ValueError) as exc:
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader gone shows here, not in the interpreter's exit flush
+        return code
+    except LoopConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:  # as `| head` leaves it: exit as a SIGPIPE kill would, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # what stdout still holds
+        return EXIT_PIPE
     except (MuxnetError, OSError) as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

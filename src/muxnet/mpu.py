@@ -96,6 +96,8 @@ class MpuConfig:
             raise ValueError(
                 f"group_vector_len {self.group_vector_len} not divisible by n={self.n}"
             )
+        if self.group_vector_len < self.n:  # no whole chunk per group
+            raise ValueError(f"group_vector_len {self.group_vector_len} less than n={self.n}")
         if self.groups < 1 or self.activation_bits < 1:
             raise ValueError("groups and activation_bits must be >= 1")
 

@@ -25,6 +25,7 @@ from muxnet.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_VERIFY,
     load_config,
     main,
@@ -39,6 +40,7 @@ from muxnet.compiler import (
     save_float_model,
     save_model,
 )
+from muxnet.engine import MpuEngine
 from muxnet.frontend import LoopConfig, StimChannelConfig, write_signal
 from muxnet.reference import decode_line_indices
 from muxnet.static_table import build_static_table, dump_table
@@ -608,6 +610,80 @@ def test_bad_config_is_config_error(artifacts, tmp_path, capsys, monkeypatch):
         LoopConfig(stim=(StimChannelConfig(channel=1),))
 
 
+def test_engine_section_is_refused_by_every_command_that_reads_it(artifacts, tmp_path, capsys):
+    # MpuConfig checks it at the model's n = 2: one config error line, and no output file
+    _, ckpt, compiled = artifacts
+    config, out, data = tmp_path / "engine.json", tmp_path / "out", tmp_path / "data.npz"
+    np.savez(data, segments=np.zeros((1, 6, 320)))
+    commands = (
+        ["cost", "--model", str(compiled), "--out", str(out)],
+        ["compile", "--model", str(ckpt), "--out", str(out), "--report"],
+        ["verify", "--model", str(compiled), "--cases", "16"],
+        ["loop", "--model", str(compiled), "--synthetic", "0", "--seconds", "30", "--out", str(out)],
+        ["eval", "--model", str(compiled), "--data", str(data), "--out", str(out)],
+    )
+    for section, message in (
+            ({"groups": 0}, "groups and activation_bits must be >= 1"),
+            ({"group_vector_len": 0}, "group_vector_len 0 less than n=2"),
+            ({"group_vector_len": 3}, "group_vector_len 3 not divisible by n=2")):
+        config.write_text(json.dumps({"engine": section}))
+        for command in commands:
+            assert main(command + ["--config", str(config)]) == EXIT_CONFIG, (section, command[0])
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not out.exists()
+
+
+def test_settings_refused_by_a_value_error_stay_config_errors(artifacts, tmp_path, capsys):
+    # options and files whose refusal is a ValueError of the call that builds from them
+    _, _, compiled = artifacts
+    out, sweep, config = tmp_path / "out", tmp_path / "sweep.json", tmp_path / "config.json"
+    sweep.write_text(json.dumps({"n": [2, 0], "m": [5]}))
+    np.savez(tmp_path / "data.npz", segments=np.zeros((1, 6, 320)))
+    loop = ["loop", "--model", str(compiled), "--seconds", "30", "--out", str(out)]
+    for argv, section, message in (
+            (["init-model", "--out", str(out), "--seed", "-1"], None, "expected non-negative integer"),
+            (["init-model", "--out", str(out), "--input-len", "8"], None, "math domain error"),
+            (["verify", "--seed", "-1", "--cases", "16"], None, "expected non-negative integer"),
+            (loop + ["--synthetic", "-1"], None, "expected non-negative integer"),
+            (loop + ["--synthetic", "0", "--trigger-classes", "1,x"], None,
+             "invalid literal for int() with base 10: 'x'"),
+            (["make-signal", "--out", str(out), "--seconds", "nan"], None,
+             "cannot convert float NaN to integer"),
+            (["make-signal", "--out", str(out)], {"loop": {"cic": {"input_bits": 40}}},
+             "signal bits must be in 1..32, got 40"),
+            (["dump-table", "--out", str(out), "--m", "1"], None,
+             "mode n=2, m=1: need n >= 1 and m >= 2"),
+            (["cost", "--sweep", str(sweep), "--out", str(out)], None,
+             "need n, m, num_chunks >= 1, got (0, 5, 1)"),
+            (["cost", "--model", str(compiled), "--out", str(out)], {"cost": {"blocks": 0}},
+             "need at least one block"),
+            (["cost", "--model", str(compiled), "--out", str(out)], {"cost": {"capacity_bits": 5}},
+             "capacity 5 cannot hold 204960 bits of weights"),
+            (["eval", "--model", str(compiled), "--data", str(tmp_path / "data.npz"), "--out", str(out)],
+             {"voting": {"thresholds": [1, 1]}}, "2 thresholds for 5 classes"),
+            (loop + ["--synthetic", "0"], {"voting": {"thresholds": [1, 1]}}, "2 thresholds for 5 classes")):
+        if section is not None:
+            config.write_text(json.dumps(section))
+            argv = argv + ["--config", str(config)]
+        assert main(argv) == EXIT_CONFIG, message
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
+def test_a_value_error_off_the_config_path_is_no_config_error(artifacts, tmp_path, monkeypatch):
+    _, _, compiled = artifacts
+    data, out = tmp_path / "data.npz", tmp_path / "eval.csv"
+    np.savez(data, segments=np.zeros((1, 6, 320)))
+
+    def broken(self, u):
+        raise ValueError("an engine fault")
+
+    monkeypatch.setattr(MpuEngine, "forward", broken)
+    with pytest.raises(ValueError, match="an engine fault"):
+        main(["eval", "--model", str(compiled), "--data", str(data), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_dump_config_is_valid_json(capsys):
     assert main(["dump-config"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == DEFAULT_CONFIG
@@ -656,3 +732,29 @@ def test_console_script_installed():
                               text=True, env=run_env)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == DEFAULT_CONFIG
+
+
+def test_a_closed_output_pipe_exits_141_and_prints_nothing():
+    # as `| head -1` leaves it: the reader takes one line of a table that overfills the
+    # pipe, or none of a config written after the reader has gone
+    pythonpath = [str(Path(muxnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    for command, lines in ((["dump-table", "--n", "2", "--m", "8"], 1), (["dump-config"], 0)):
+        proc = subprocess.Popen([sys.executable, "-m", "muxnet.cli", *command], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(lines):
+            assert proc.stdout.readline() == b"0 : 0 0 0 0\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_PIPE, command
+        assert proc.stderr.read() == b"", command  # no error line, no "Exception ignored"
+        proc.stderr.close()
+
+
+def test_a_closed_pipe_in_process(monkeypatch, capsys):
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", buffering=1) as pipe:  # line-buffered: the first line meets the closed pipe
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", pipe)
+            assert main(["dump-config"]) == EXIT_PIPE
+    assert capsys.readouterr() == ("", "")

@@ -396,6 +396,12 @@ def test_deserialize_rejects_bad_conv_geometry():
     assert _patched(blob, _LAYER_HEADER, layer0, 5, 2) == blob
 
 
+def test_deserialize_refuses_a_header_class_count_off_the_final_layer():
+    blob = serialize_model(compile_model(default_float_model(seed=4)))
+    with pytest.raises(BadArtifact, match="^header class count 4 != final layer width 5$"):
+        deserialize_model(_patched(blob, _HEADER, 0, 4, 4))  # in [1, 10], so only the width check sees it
+
+
 def test_deserialize_rejects_broken_activation_chain():
     blob = serialize_model(compile_model(default_float_model(seed=4)))
     layer0, layer1, layer2, layer3 = _layer_offsets(blob)

@@ -541,6 +541,10 @@ def test_config_validation():
     for field in ("groups", "activation_bits"):
         with pytest.raises(ValueError, match="^groups and activation_bits must be >= 1$"):
             MpuConfig(**{field: 0})
+    for n, length in ((2, 0), (2, -2), (1, 0)):  # divisible by n, yet no whole chunk per group
+        with pytest.raises(ValueError, match=f"^group_vector_len {length} less than n={n}$"):
+            MpuConfig(n=n, group_vector_len=length)
+    assert MpuConfig(n=2, group_vector_len=2).chunks_per_group == 1
 
 
 def refuse(*args):
