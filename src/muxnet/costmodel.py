@@ -121,6 +121,8 @@ def predict_model_costs(
     batch: int = 1,
 ) -> list[LayerCost]:
     """Per-layer predicted costs for ``batch`` independent input samples."""
+    if batch < 0:
+        raise ValueError(f"batch must be >= 0, got {batch}")
     rows = []
     for li, (layer, (_, length)) in enumerate(zip(model.layers, model.shapes())):
         cases = batch * length  # one row per output position; 1 for linear

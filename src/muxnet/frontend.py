@@ -84,7 +84,8 @@ def cic_decimate(x: np.ndarray, cfg: CicConfig) -> np.ndarray:
     Registers wrap modulo 2**register_bits; because that width meets the
     worst-case growth bound, the recovered two's-complement output equals
     the infinite-precision moving-average cascade exactly.  ``x`` (any
-    integer dtype) is never widened: one uint64 working copy is all it takes.
+    integer dtype) is never widened: one working copy at the register word
+    (uint32 up to 32 register bits, uint64 beyond) is all it takes.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "iu":
@@ -92,20 +93,22 @@ def cic_decimate(x: np.ndarray, cfg: CicConfig) -> np.ndarray:
     lo, hi = activation_range(cfg.input_bits, True)
     if x.size and (int(x.min()) < lo or int(x.max()) > hi):
         raise ValueError(f"samples exceed {cfg.input_bits}-bit input range")
-    # mod-2**64 arithmetic contains mod-2**W for every W <= 64, so wrapping
-    # is free until the final mask
-    v = x.astype(np.uint64)
+    # mod-2**32 (mod-2**64) arithmetic contains mod-2**W for every W <= 32
+    # (W <= 64), so wrapping is free until the final mask
+    word, signed = (np.uint32, np.int32) if cfg.register_bits <= 32 else (np.uint64, np.int64)
+    spare = 8 * np.dtype(word).itemsize - cfg.register_bits
+    v = x.astype(word)
     for _ in range(cfg.stages):
-        np.cumsum(v, out=v)
+        np.cumsum(v, dtype=word, out=v)
     v = v[cfg.decimation - 1::cfg.decimation].copy()
     m = cfg.diff_delay
     for _ in range(cfg.stages):
         v[m:] -= v[:-m]  # numpy buffers the overlapping operand, so this reads the old registers
-    # sign-extend the low register_bits of each register (exact for any w <= 64)
-    v <<= np.uint64(64 - cfg.register_bits)
-    out = v.view(np.int64)
-    out >>= 64 - cfg.register_bits
-    return out
+    # sign-extend the low register_bits of each register
+    v <<= word(spare)
+    out = v.view(signed)
+    out >>= spare
+    return out.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +188,16 @@ class LoopConfig:
     stim: tuple[StimChannelConfig, ...] = (StimChannelConfig(),)
     full_scale: float = 1.0  # real value assigned to a full-range decimated sample
 
-    def validate(self, input_len: int) -> None:
-        if self.input_rate_hz % self.cic.decimation != 0:
+    def __post_init__(self) -> None:
+        """Every rule the config decides alone, so no signal is made from a bad one;
+        ``validate`` adds the model's."""
+        if self.input_rate_hz < self.cic.decimation or self.input_rate_hz % self.cic.decimation:
             raise LoopConfigError(
-                f"input rate {self.input_rate_hz} not divisible by decimation {self.cic.decimation}"
+                f"input rate {self.input_rate_hz} is not a positive multiple of "
+                f"decimation {self.cic.decimation}"
             )
-        if self.segment_samples != input_len:
-            raise LoopConfigError(
-                f"segment_samples {self.segment_samples} does not match model input {input_len}"
-            )
+        if self.segment_samples < 1:
+            raise LoopConfigError("segment_samples must be >= 1")
         if self.votes_per_epoch < 1:
             raise LoopConfigError("votes_per_epoch must be >= 1")
         channels = [s.channel for s in self.stim]
@@ -201,6 +205,12 @@ class LoopConfig:
             raise LoopConfigError(f"duplicate stim channels: {channels}")
         if not self.full_scale > 0:
             raise LoopConfigError("full_scale must be positive")
+
+    def validate(self, input_len: int) -> None:
+        if self.segment_samples != input_len:
+            raise LoopConfigError(
+                f"segment_samples {self.segment_samples} does not match model input {input_len}"
+            )
 
     @property
     def decimated_rate_hz(self) -> int:
@@ -313,6 +323,8 @@ def synthetic_source(
     shapes make no biological claims.  Returns (samples, epoch labels), the
     samples in the narrowest signed dtype that holds ``cfg.cic.input_bits``.
     """
+    if seconds < 0 or math.isinf(seconds):  # a NaN is refused by int() below
+        raise ValueError(f"seconds must be finite and non-negative, got {seconds}")
     rng = np.random.default_rng(seed)
     epoch_seconds = float(cfg.segment_seconds) * cfg.votes_per_epoch
     epochs = int(seconds / epoch_seconds)

@@ -4,9 +4,13 @@ Everything here computes with ordinary products: line indices are decoded
 back to signed codes and multiplied out, a layer's windows are cut with
 ``sliding_window_view`` and flattened channel-major (a linear layer is one
 window over its whole input), batch norm is applied by its definition
-instead of being folded.  Tests compare these against the MUX route, so
-nothing in this module may call into the table machinery or share its
-gather code.
+instead of being folded, and the CIC path is its moving-average kernel.
+Tests compare these against the MUX route, so nothing in this module may
+call into the table machinery or share its gather code.
+
+Working sets stay near the size of the result: codes are decoded at their
+narrow width and widened only in the int64 contraction's buffers, and the
+CIC kernel is evaluated at the kept phase only.
 """
 
 from __future__ import annotations
@@ -18,12 +22,19 @@ from .compiler import ACT_RELU, KIND_CONV1D, CompiledLayer, CompiledModel, Float
 
 
 def decode_line_indices(indices: np.ndarray, n: int, m: int) -> np.ndarray:
-    """(..., chunks) line indices to (..., chunks*n) signed codes."""
-    idx = np.asarray(indices, dtype=np.int64)
-    mask = (1 << m) - 1
-    half = 1 << (m - 1)
-    fields = (idx[..., None] >> (m * np.arange(n, dtype=np.int64))) & mask
-    codes = np.where(fields >= half, fields - (1 << m), fields)
+    """(..., chunks) line indices to (..., chunks*n) signed codes.
+
+    Each m-bit field is shifted and masked out in the indices' own dtype and
+    written at the narrowest signed width that holds +-2**(m-1), so that the
+    field, read as unsigned, fits there before ``^= half; -= half``
+    sign-extends it: int8 up to m = 7, int16 up to m = 15.
+    """
+    idx = np.asarray(indices)
+    codes = np.empty(idx.shape + (n,), dtype=np.min_scalar_type(-(1 << m)))
+    for i in range(n):
+        np.bitwise_and(idx >> (i * m), (1 << m) - 1, out=codes[..., i], casting="unsafe")
+    codes ^= 1 << (m - 1)
+    codes -= 1 << (m - 1)
     return codes.reshape(*idx.shape[:-1], idx.shape[-1] * n)
 
 
@@ -61,7 +72,8 @@ def reference_layer_forward(layer: CompiledLayer, u: np.ndarray, n: int) -> np.n
     conv = layer.kind == KIND_CONV1D
     channels, kernel, stride = (layer.in_channels, layer.kernel, layer.stride) if conv else (1, layer.fan_in, 1)
     patches = _windows(np.asarray(u, dtype=np.int64), channels, kernel, stride)
-    acc = np.matmul(codes, patches.transpose(0, 2, 1)) + layer.bias_q[:, None]
+    # einsum widens the narrow codes in its buffers: exact int64 products, no int64 weight copy
+    acc = np.einsum("of,btf->bot", codes, patches, dtype=np.int64) + layer.bias_q[:, None]
     if not layer.requant:
         return acc
     v = requant_reference(acc, layer.mult[:, None], layer.shift)
@@ -103,16 +115,25 @@ def cic_reference(x: np.ndarray, stages: int, decimation: int, diff_delay: int) 
     """Moving-average equivalent of the cascaded integrator-comb path.
 
     The impulse response is the ``stages``-fold convolution of a boxcar of
-    length decimation*diff_delay, evaluated at input rate and sampled at
-    phase decimation-1.  Exact in int64 for the supported widths.
+    length decimation*diff_delay, evaluated at input rate only at the kept
+    phase decimation-1: output j is the sum over taps k of kernel[k] *
+    x[j*decimation + decimation-1 - k], one strided int64 product-add per tap
+    over the decimated length.  ``x`` is read at its own width, never
+    copied.  Exact in int64 for the supported widths.
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x)
     h = np.ones(decimation * diff_delay, dtype=np.int64)
     kernel = h
     for _ in range(stages - 1):
         kernel = np.convolve(kernel, h)
-    full = np.convolve(x, kernel)[:len(x)]
-    return full[decimation - 1::decimation]
+    out = np.zeros(len(x) // decimation, dtype=np.int64)
+    for k, tap in enumerate(kernel):
+        first = k // decimation  # the first output whose window reaches back k samples
+        if first >= len(out):
+            break
+        taken = x[decimation - 1 - k % decimation::decimation][:len(out) - first]
+        out[first:] += np.multiply(taken, tap, dtype=np.int64)
+    return out
 
 
 def cic_dc_gain(stages: int, decimation: int, diff_delay: int) -> int:

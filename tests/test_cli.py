@@ -670,6 +670,42 @@ def test_settings_refused_by_a_value_error_stay_config_errors(artifacts, tmp_pat
         assert not out.exists()
 
 
+def test_a_loop_config_is_refused_before_a_signal_is_made(artifacts, tmp_path, capsys):
+    # each of these divided inside synthetic_source, before any check ran
+    _, _, compiled = artifacts
+    out, config = tmp_path / "out", tmp_path / "config.json"
+    commands = (["loop", "--model", str(compiled), "--synthetic", "0", "--out", str(out)],
+                ["make-signal", "--out", str(out)])
+    for section, seconds, message in (
+            ({"votes_per_epoch": 0}, "90", "votes_per_epoch must be >= 1"),
+            ({"input_rate_hz": 0}, "90", "input rate 0 is not a positive multiple of decimation 8"),
+            ({"input_rate_hz": -512}, "90", "input rate -512 is not a positive multiple of decimation 8"),
+            ({"input_rate_hz": 2, "cic": {"decimation": 4}}, "90",
+             "input rate 2 is not a positive multiple of decimation 4"),
+            ({"segment_samples": 0}, "90", "segment_samples must be >= 1"),
+            ({}, "inf", "seconds must be finite and non-negative, got inf"),
+            ({}, "-30", "seconds must be finite and non-negative, got -30.0")):
+        config.write_text(json.dumps({"loop": section}))
+        for command in commands:
+            argv = command + ["--config", str(config), "--seconds", seconds]
+            assert main(argv) == EXIT_CONFIG, argv
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not out.exists()
+
+
+def test_cost_refuses_a_negative_batch(artifacts, tmp_path, capsys):
+    _, _, compiled = artifacts
+    out, config = tmp_path / "cost.csv", tmp_path / "config.json"
+    argv = ["cost", "--model", str(compiled), "--out", str(out), "--config", str(config)]
+    config.write_text(json.dumps({"cost": {"batch": -1}}))
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: batch must be >= 0, got -1\n"
+    assert not out.exists()
+    config.write_text(json.dumps({"cost": {"batch": 0}}))  # a batch of nothing costs nothing
+    assert main(argv) == EXIT_OK
+    assert "cycles=0 mux_selects=0 memory_bits_read=0" in capsys.readouterr().out
+
+
 def test_a_value_error_off_the_config_path_is_no_config_error(artifacts, tmp_path, monkeypatch):
     _, _, compiled = artifacts
     data, out = tmp_path / "data.npz", tmp_path / "eval.csv"

@@ -400,6 +400,55 @@ def test_conv_patch_index_cuts_the_reference_windows(channels, length, convs):
         assert np.all(index[:, layer.fan_in:] == 0), li
 
 
+def _int64_decode(indices, n, m):
+    """Line indices decoded in int64: every field widened, then sign-folded by ``np.where``."""
+    idx = np.asarray(indices, dtype=np.int64)
+    fields = (idx[..., None] >> (m * np.arange(n, dtype=np.int64))) & ((1 << m) - 1)
+    codes = np.where(fields >= 1 << (m - 1), fields - (1 << m), fields)
+    return codes.reshape(*idx.shape[:-1], idx.shape[-1] * n)
+
+
+def test_decode_line_indices_equals_the_int64_decode():
+    rng = np.random.default_rng(14)
+    dtypes = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+    for n in range(1, 5):
+        for m in range(2, 21):
+            if n * m > 63:
+                continue  # no line index is wider than int64
+            half = 1 << (m - 1)
+            fields = rng.integers(0, 1 << m, size=(16, 3, n))
+            # the codes half - 1, -half, -1 and 0 in every field, then mixed
+            fields[:4] = np.array([half - 1, half, 2 * half - 1, 0])[:, None, None]
+            fields[4, :, ::2], fields[4, :, 1::2] = half, half - 1
+            index = (fields.astype(np.uint64) << (m * np.arange(n, dtype=np.uint64))).sum(axis=-1)
+            want = _int64_decode(index, n, m)
+            assert want.min() == -half and want.max() == half - 1
+            for dtype in dtypes:
+                if np.iinfo(dtype).max < (1 << (n * m)) - 1:
+                    continue
+                got = muxnet.reference.decode_line_indices(index.astype(dtype), n, m)
+                assert got.dtype == (np.int8 if m <= 7 else np.int16 if m <= 15 else np.int32), (n, m)
+                assert np.array_equal(got, want), (n, m, dtype)
+
+
+def test_reference_logits_peak_memory_is_bounded():
+    # the 1280-input model's L2 holds 32 x 5072 codes; decoded at their width
+    # and widened only in einsum's buffers, a row's forward stays under what an
+    # int64 copy of those codes alone takes
+    model = compile_model(default_float_model(seed=3, input_len=1280))
+    widest = max(layer.out_channels * layer.chunks * model.n for layer in model.layers)
+    u = np.random.default_rng(3).integers(0, 256, size=model.input_len)
+    want = reference_logits(model, u)
+    tracemalloc.start()
+    try:
+        got = reference_logits(model, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 8 * widest
+
+
 def test_reference_imports_nothing_of_the_datapath():
     # the reference checks the table route only while it shares none of its code
     tree = ast.parse(Path(muxnet.reference.__file__).read_text())

@@ -113,8 +113,71 @@ def test_cic_edge_lengths_match_fir_reference(stages, decimation, diff_delay):
     for n in (0, r - 1, 3 * r + 1, r * m - 1, r * m, r * m + r - 1):
         x = rng.integers(-32768, 32768, size=n).astype(np.int16)
         got = cic_decimate(x, cfg)
-        want = cic_reference(x, stages, r, m) if n else np.zeros(0, dtype=np.int64)
-        assert got.shape == (n // r,) and np.array_equal(got, want), n
+        want = cic_reference(x, stages, r, m)
+        assert got.shape == want.shape == (n // r,) and want.dtype == np.int64, n
+        assert np.array_equal(got, want), n
+
+
+def _convolved_cic(x, stages, decimation, diff_delay):
+    """The whole-signal form: an int64 copy of ``x`` convolved with the full kernel at input rate
+    (``np.convolve`` refuses an empty signal, whose output is empty)."""
+    if not len(x):
+        return np.zeros(0, dtype=np.int64)
+    h = np.ones(decimation * diff_delay, dtype=np.int64)
+    kernel = h
+    for _ in range(stages - 1):
+        kernel = np.convolve(kernel, h)
+    return np.convolve(np.asarray(x, dtype=np.int64), kernel)[:len(x)][decimation - 1::decimation]
+
+
+def test_cic_reference_equals_the_whole_signal_convolution():
+    # lengths from empty through shorter than the kernel to many kernels, at each input width
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        stages, r, m = int(rng.integers(1, 5)), int(rng.integers(2, 17)), int(rng.integers(1, 4))
+        reach = stages * (r * m - 1) + 1
+        n = int(rng.choice([0, int(rng.integers(0, r)), int(rng.integers(0, reach)),
+                            int(rng.integers(reach, 6 * reach))]))
+        dtype = rng.choice([np.int16, np.int32, np.int64])
+        x = rng.integers(-32768, 32768, size=n).astype(dtype)
+        got = cic_reference(x, stages, r, m)
+        assert got.dtype == np.int64 and np.array_equal(got, _convolved_cic(x, stages, r, m)), \
+            (stages, r, m, n, dtype)
+
+
+@pytest.mark.parametrize("input_bits", [23, 24])
+def test_cic_decimate_at_each_register_word(input_bits):
+    # 32 register bits run the uint32 word, 33 the uint64 one; both equal the reference,
+    # and the working copy is that word's size
+    cfg = CicConfig(stages=3, decimation=8, diff_delay=1, input_bits=input_bits)
+    assert cfg.register_bits == input_bits + 9
+    lo, hi = -(1 << (input_bits - 1)), 1 << (input_bits - 1)
+    x = np.random.default_rng(input_bits).integers(lo, hi, size=40_000).astype(np.int32)
+    x[:64], x[64:128] = hi - 1, lo  # full-scale runs drive the registers to their extremes
+    tracemalloc.start()
+    try:
+        got = cic_decimate(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, cic_reference(x, 3, 8, 1))
+    word = 4 if cfg.register_bits <= 32 else 8
+    assert word * x.size <= peak <= word * x.size + 2 * got.nbytes + 64 * 1024
+
+
+def test_cic_reference_peak_memory_is_of_the_decimated_length():
+    # a 230,400-sample int16 chunk: the output, one tap's products and numpy's
+    # cast buffer; no int64 copy of the signal (1.8 MB) and no full-rate
+    # convolution (1.8 MB more)
+    x = np.random.default_rng(1).integers(-32768, 32768, size=230_400).astype(np.int16)
+    tracemalloc.start()
+    try:
+        out = cic_reference(x, 3, 8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * 28_800
+    assert peak <= 2 * out.nbytes + 128 * 1024
 
 
 def test_cic_rejects_non_integer_samples():
@@ -122,9 +185,10 @@ def test_cic_rejects_non_integer_samples():
         cic_decimate(np.zeros(16), CicConfig())
 
 
-def test_cic_peak_memory_is_one_uint64_copy():
-    # one uint64 working copy of the window plus the decimated output; the
-    # input is neither widened nor copied per integrator
+def test_cic_peak_memory_is_one_register_word_copy():
+    # one working copy of the window at the register word (uint32 for the
+    # default 25 register bits) plus the decimated output; the input is
+    # neither widened past it nor copied per integrator
     cfg = CicConfig()
     n = 8 * 28_800
     x = np.random.default_rng(0).integers(-32768, 32768, size=n).astype(np.int16)
@@ -135,7 +199,7 @@ def test_cic_peak_memory_is_one_uint64_copy():
     finally:
         tracemalloc.stop()
     assert out.nbytes == 8 * (n // cfg.decimation)
-    assert peak <= 8 * n + out.nbytes + 64 * 1024
+    assert peak <= 4 * n + out.nbytes + 64 * 1024
 
 
 def test_cic_integrator_wrap_is_invisible():
@@ -241,6 +305,17 @@ def test_loop_config_validation():
         LoopConfig(votes_per_epoch=0).validate(320)
     with pytest.raises(LoopConfigError):
         LoopConfig(full_scale=0.0).validate(320)
+
+
+def test_loop_config_refuses_at_construction_what_it_decides_alone():
+    # no model is needed to refuse these, so make-signal refuses them too
+    for bad in ({"input_rate_hz": 0}, {"input_rate_hz": -8}, {"input_rate_hz": 4},
+                {"segment_samples": 0}, {"votes_per_epoch": 0}, {"full_scale": float("nan")}):
+        with pytest.raises(LoopConfigError):
+            LoopConfig(**bad)
+    for seconds in (math.inf, -1.0):
+        with pytest.raises(ValueError, match="seconds must be finite and non-negative"):
+            synthetic_source(0, seconds, LoopConfig())
 
 
 def _constant_class_model(winner: int = 2) -> CompiledModel:
